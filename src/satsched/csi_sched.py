@@ -16,7 +16,13 @@ scanned strongest-first inside their admissible interval, and middle slots
 K-1..2 take the cheapest SNR that still closes the chain.
 
 exhaustive: enumerate all K-subsets (descending order within a subset) and
-keep the feasible one with the largest SNR sum.
+keep the feasible one with the largest SNR sum.  The subsets are positions
+in the descending SNR order, read from a table of the lexicographic
+K-combinations of 0..N-1 that is built on first use for each (N, K) and
+then cached read-only; the cache keeps at most _TABLE_CACHE_BYTES (64 MiB)
+of tables and evicts the least recently used.  A call gathers the SNRs one
+slot at a time, from the last decode slot to the first, keeping only a
+running tail sum and a feasibility mask per subset.
 
 baseline_tdma / baseline_opportunistic: orthogonal and single-user
 references.
@@ -26,6 +32,8 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +140,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         return _infeasible(csi, 0, 0, t0)
 
     order = _descending_order(s)
+    # plain-list lookups: numpy scalar access would dominate the search
+    s_list = s.tolist()
     asc = np.sort(s)
     # lmin[n] = sum of the n smallest SNRs
     lmin = np.concatenate([[0.0], np.cumsum(asc)])
@@ -140,7 +150,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     backtracks = 0
     chosen: list[int] = []
 
-    def search(depth: int, available: np.ndarray, t_prev: float) -> bool:
+    def search(depth: int, available: list, t_prev: float) -> bool:
         nonlocal candidates, backtracks
         if depth > k:
             return True
@@ -148,11 +158,11 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         if depth == 1:
             upper = math.inf
         else:
-            upper = min(t_prev - 1.0 - float(lmin[k - depth]), s[chosen[-1]])
-        window = [u for u in order if available[u] and lower <= s[u] <= upper]
+            upper = min(t_prev - 1.0 - float(lmin[k - depth]), s_list[chosen[-1]])
+        window = [u for u in order if available[u] and lower <= s_list[u] <= upper]
         candidates += len(window)
         for u in window:
-            s_u = float(s[u])
+            s_u = s_list[u]
             t_here = s_u / gamma_t if depth == 1 else min(t_prev - s_u, s_u / gamma_t)
             chosen.append(u)
             available[u] = False
@@ -163,7 +173,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
             backtracks += 1
         return False
 
-    if not search(1, np.ones(s.size, dtype=bool), math.inf):
+    if not search(1, [True] * s.size, math.inf):
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
@@ -182,8 +192,9 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         return _infeasible(csi, 0, 0, t0)
 
     order = _descending_order(s).tolist()
+    s_list = s.tolist()
     first = order[0]
-    s_max = float(s[first])
+    s_max = s_list[first]
     candidates = 0
 
     if k == 1:
@@ -199,12 +210,13 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
 
     # strongest-first scan over admissible final-slot SNRs
-    s_list = s.tolist()
     pool = order[1:]
     finals = [u for u in pool if last_low <= s_list[u] <= last_high]
     candidates += len(finals)
-    asc_pool = sorted(((s_list[u], u) for u in pool))
-    n_pool = len(asc_pool)
+    # ascending SNR, equal SNRs in ascending index order
+    asc_users = sorted(pool, key=s_list.__getitem__)
+    asc_snrs = [s_list[u] for u in asc_users]
+    n_pool = len(asc_users)
     for u_last in finals:
         # middle thresholds only grow along the back-to-front fill, so one
         # ascending sweep with a moving pointer covers all slots
@@ -215,15 +227,16 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         ok = True
         for _slot in range(k - 1, 1, -1):
             threshold = max(gamma_t * (tail_sum + 1.0), last_pick)
-            while i < n_pool and (asc_pool[i][0] < threshold or asc_pool[i][1] == u_last):
+            i = bisect_left(asc_snrs, threshold, i)
+            if i < n_pool and asc_users[i] == u_last:
                 i += 1
             candidates += 1
             if i == n_pool:
                 ok = False
                 break
-            last_pick, pick = asc_pool[i]
+            last_pick = asc_snrs[i]
+            chosen.append(asc_users[i])
             i += 1
-            chosen.append(pick)
             tail_sum += last_pick
         # the first slot's chain constraint is not guaranteed by
         # construction, so verify before accepting
@@ -233,13 +246,53 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     return _infeasible(csi, candidates, 0, t0)
 
 
+# (n, k) -> read-only combination table, least recently used first
+_TABLE_CACHE: OrderedDict = OrderedDict()
+_TABLE_CACHE_BYTES = 64 * 2**20
+
+
+def _build_combination_table(n: int, k: int) -> np.ndarray:
+    """Lexicographic K-combinations of 0..n-1, slot-major: shape (k, comb(n, k)).
+
+    Built from the last slot back to the first.  The tails that may follow
+    a head h are the lexicographic tails whose first entry exceeds h, which
+    form a suffix of the tail table, so slot j prepends each admissible
+    head to its suffix.
+    """
+    dtype = np.uint8 if n <= 256 else np.intp
+    tail = np.arange(k - 1, n, dtype=dtype)[None, :]
+    for j in range(k - 2, -1, -1):
+        heads = np.arange(j, n - k + j + 1)
+        starts = np.searchsorted(tail[0], heads + 1)
+        head_row = np.repeat(heads.astype(dtype), tail.shape[1] - starts)
+        tail = np.vstack([head_row, np.concatenate([tail[:, i:] for i in starts], axis=1)])
+    return tail
+
+
+def _combination_table(n: int, k: int) -> np.ndarray:
+    """Cached _build_combination_table; a table larger than the whole
+    cache is returned without being kept."""
+    key = (n, k)
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return table
+    table = _build_combination_table(n, k)
+    table.flags.writeable = False
+    if table.nbytes <= _TABLE_CACHE_BYTES:
+        held = sum(t.nbytes for t in _TABLE_CACHE.values())
+        while held + table.nbytes > _TABLE_CACHE_BYTES:
+            held -= _TABLE_CACHE.popitem(last=False)[1].nbytes
+        _TABLE_CACHE[key] = table
+    return table
+
+
 def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
                max_subsets: int = 2_000_000) -> SchedulerOutcome:
     """Enumerate every K-subset in descending-SNR order and keep the
-    feasible one with the largest SNR sum.  Raises EnumerationBudgetError
-    when comb(N, K) exceeds max_subsets."""
-    import itertools
-
+    feasible one with the largest SNR sum, the first in lexicographic
+    order on a tie.  Raises EnumerationBudgetError when comb(N, K) exceeds
+    max_subsets."""
     t0 = time.perf_counter_ns()
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -252,19 +305,21 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
         return _infeasible(csi, n_subsets, 0, t0)
 
     order = _descending_order(s)
-    # combinations of a descending list are themselves descending
-    combos = np.array(list(itertools.combinations(order.tolist(), k)), dtype=int)
-    vals = s[combos]
-    tail = np.concatenate(
-        [np.cumsum(vals[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((vals.shape[0], 1))],
-        axis=1,
-    )
-    feasible = np.all(vals >= gamma_t * (tail + 1.0), axis=1)
-    if not feasible.any():
+    desc = s[order]
+    # combinations of descending positions are themselves descending
+    table = _combination_table(csi.n_users, k)
+    tail = np.zeros(n_subsets)
+    feasible = np.ones(n_subsets, dtype=bool)
+    for slot in range(k - 1, -1, -1):
+        v = desc[table[slot]]
+        feasible &= v >= gamma_t * (tail + 1.0)
+        tail += v
+    # tail now holds each subset's SNR sum
+    tail[~feasible] = -np.inf
+    best = int(np.argmax(tail))
+    if not feasible[best]:
         return _infeasible(csi, n_subsets, 0, t0)
-    sums = np.where(feasible, vals.sum(axis=1), -np.inf)
-    best = int(np.argmax(sums))
-    return _finish(combos[best].tolist(), csi, k, r_target, n_subsets, 0, t0)
+    return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0, t0)
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:

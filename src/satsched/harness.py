@@ -283,12 +283,13 @@ def _run_csi_stability(cfg: ExperimentConfig) -> list:
         rng = trial_rng(cfg.seed, ordn, 0, t)
         csi = _draw_csi(cfg, rng)
         k = determine_k(csi, r) if cfg.k == "auto" else cfg.k
+        outcomes = _run_csi_schedulers(csi, k, r) if k >= 1 else {}
         for alg in ("exhaustive", "gius", "lbus"):
             if k < 1:
                 rows.append(ResultRow(cfg.scenario, alg, float(t),
                                       "candidates_examined", 0.0, 0.0, cfg.seed, 0))
                 continue
-            outcome = _run_csi_schedulers(csi, k, r)[alg]
+            outcome = outcomes[alg]
             rows.append(ResultRow(cfg.scenario, alg, float(t), "candidates_examined",
                                   float(outcome.stats.candidates_examined), 0.0,
                                   cfg.seed, outcome.stats.elapsed_ns))

@@ -47,6 +47,31 @@ def brute_force_best_subset(snrs, k, gamma_t):
     return best
 
 
+def exhaustive_itertools(snrs, sat_snr, k, r_target):
+    """Users, in decode order, that exhaustive() picks, or None.
+
+    exhaustive() written as a list of itertools.combinations tuples: the
+    first feasible maximum-sum K-subset, in lexicographic order over the
+    positions of the stable descending SNR order.
+    """
+    s = np.asarray(snrs, dtype=float)
+    gamma_t = math.expm1(r_target * math.log(2.0))
+    if math.expm1(k * r_target * math.log(2.0)) > sat_snr:
+        return None
+    order = np.argsort(-s, kind="stable")
+    combos = np.array(list(itertools.combinations(order.tolist(), k)), dtype=int)
+    vals = s[combos]
+    tail = np.concatenate(
+        [np.cumsum(vals[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((vals.shape[0], 1))],
+        axis=1,
+    )
+    feasible = np.all(vals >= gamma_t * (tail + 1.0), axis=1)
+    if not feasible.any():
+        return None
+    sums = np.where(feasible, vals.sum(axis=1), -np.inf)
+    return tuple(combos[int(np.argmax(sums))].tolist())
+
+
 def brute_force_feasible(snrs, k, gamma_t):
     return brute_force_best_subset(snrs, k, gamma_t) is not None
 

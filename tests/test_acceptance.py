@@ -8,6 +8,7 @@ schedules the sandwich and near-optimality checks produced.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -33,6 +34,9 @@ from satsched.rate_core import allocate_relay_power, relay_sinr_chain, \
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
 GAMMA_R002 = float(2.0 ** 0.02 - 1.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# SHA-256 of each bundled config's csv with wall_time_ns zeroed; rewrite a
+# digest only together with a change that is meant to alter that table
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _verdict(ok: bool, line: str) -> None:
@@ -351,15 +355,20 @@ def test_criterion_11_determinism():
 
     ok = True
     names = []
+    moved = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
         config = ExperimentConfig.from_dict(json.loads(path.read_text()))
         first = run_experiment(config)
         second = run_experiment(config)
         for fmt in ("csv", "json"):
             ok &= stripped(first, fmt) == stripped(second, fmt)
+        digest = hashlib.sha256(stripped(first, "csv").encode()).hexdigest()
+        if digest != (GOLDEN_DIR / f"{path.stem}.sha256").read_text().strip():
+            moved.append(path.stem)
         names.append(path.stem)
     _verdict(
-        ok and len(names) == 7,
+        ok and not moved and len(names) == 7,
         f"criterion 11 (determinism): rerunning {len(names)} bundled "
-        f"configs gives byte-identical non-timing output in csv and json",
+        f"configs gives byte-identical non-timing output in csv and json; "
+        f"csv digests differing from tests/golden: {moved or 'none'}",
     )

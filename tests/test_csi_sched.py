@@ -2,12 +2,14 @@
 exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from satsched import csi_sched
 from satsched import (
     CsiRealization,
     EnumerationBudgetError,
@@ -175,6 +177,74 @@ def test_exhaustive_single_subset():
     out = exhaustive(csi, 2, 0.5)
     assert out.schedule.users == (0, 1)
     assert out.stats.candidates_examined == 1
+
+
+def test_exhaustive_matches_itertools_reference():
+    # equal SNR sums: the first subset in enumeration order wins
+    tie = CsiRealization(np.array([8.0, 3.0, 3.0, 3.0]), BIG_SAT)
+    assert exhaustive(tie, 2, 1.0).schedule.users == (0, 1) == \
+        oracles.exhaustive_itertools(tie.user_snrs, BIG_SAT, 2, 1.0)
+    rng = np.random.default_rng(2210)
+    compared = 0
+    for n in range(1, 21):
+        for sat_snr in (BIG_SAT, 100.0):
+            csi = CsiRealization(rng.exponential(10.0, size=n), sat_snr)
+            r = float(rng.choice([0.6, 0.9, 1.2]))
+            for k in sorted({1, n, *range(1, determine_k(csi, r) + 1)}):
+                want = oracles.exhaustive_itertools(csi.user_snrs, sat_snr, k, r)
+                out = exhaustive(csi, k, r)
+                assert out.stats.candidates_examined == math.comb(n, k)
+                if want is None:
+                    assert not out.feasible
+                else:
+                    assert out.schedule.users == want
+                    compared += 1
+    assert compared > 100
+
+
+def test_exhaustive_budget_checked_before_any_table():
+    csi_sched._TABLE_CACHE.clear()
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive(CsiRealization(np.ones(30) * 10.0, BIG_SAT), 15, 0.1)
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1, max_subsets=10)
+    assert not csi_sched._TABLE_CACHE
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 5), (6, 1), (9, 4), (20, 10), (300, 2)])
+def test_combination_table_is_lexicographic_and_read_only(n, k):
+    table = csi_sched._combination_table(n, k)
+    want = np.array(list(itertools.combinations(range(n), k))).T
+    assert table.dtype == (np.uint8 if n <= 256 else np.intp)
+    assert np.array_equal(table, want)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def test_combination_cache_stays_within_byte_cap(monkeypatch):
+    cap = csi_sched._TABLE_CACHE_BYTES
+    csi_sched._TABLE_CACHE.clear()
+    try:
+        keys = [(n, k) for n in range(1, 23) for k in range(1, n + 1)]
+        for n, k in keys:
+            csi_sched._combination_table(n, k)
+            held = sum(t.nbytes for t in csi_sched._TABLE_CACHE.values())
+            assert held <= cap
+        assert len(csi_sched._TABLE_CACHE) < len(keys)
+        assert all(not t.flags.writeable for t in csi_sched._TABLE_CACHE.values())
+
+        # least recently used goes first; a table above the cap is not kept
+        monkeypatch.setattr(csi_sched, "_TABLE_CACHE_BYTES", 300)
+        csi_sched._TABLE_CACHE.clear()
+        for n in (10, 11, 12):
+            csi_sched._combination_table(n, 3)  # 360, 495 and 660 bytes
+        assert list(csi_sched._TABLE_CACHE) == []
+        for key in ((10, 2), (11, 2), (10, 2), (12, 2)):  # 90, 110, 132 bytes
+            csi_sched._combination_table(*key)
+        assert list(csi_sched._TABLE_CACHE) == [(10, 2), (12, 2)]
+    finally:
+        csi_sched._TABLE_CACHE.clear()
 
 
 def test_parameter_validation():
