@@ -60,27 +60,28 @@ def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
 def _economy_recursion(s: np.ndarray, k: int, gamma_t: float):
     """Fill decode slots K..1 with the cheapest admissible SNRs.
 
-    Returns the slot values in decode order, or None as soon as some slot
-    has no admissible element left.  Slot thresholds gamma*(tail+1) grow
-    with every pick, so elements once below threshold stay inadmissible
-    and one left-to-right sweep of the ascending SNR list fills all slots.
+    Returns the picks in fill order (slot K first), stopping early when a
+    slot has no admissible element left, so K users fit exactly when all K
+    picks are made.  Slot thresholds gamma*(tail+1) grow with every pick,
+    so elements once below threshold stay inadmissible and one
+    left-to-right sweep of the ascending SNR list fills all slots.  No
+    pick depends on K.
     """
     asc = np.sort(s).tolist()
-    hat = [0.0] * k
+    picks = []
     tail_sum = 0.0
     i = 0
     n = len(asc)
-    for slot in range(k - 1, -1, -1):
+    while len(picks) < k:
         threshold = gamma_t * (tail_sum + 1.0)
         while i < n and asc[i] < threshold:
             i += 1
         if i == n:
-            return None
-        pick = asc[i]
+            break
+        picks.append(asc[i])
+        tail_sum += asc[i]
         i += 1
-        hat[slot] = pick
-        tail_sum += pick
-    return hat
+    return picks
 
 
 def lower_bound_snrs(snrs, k: int, gamma_t: float):
@@ -90,8 +91,9 @@ def lower_bound_snrs(snrs, k: int, gamma_t: float):
     """
     s = _check_selection_args(snrs, k, gamma_t)
     hat = _economy_recursion(s, k, gamma_t)
-    if hat is None:
+    if len(hat) < k:
         return None
+    hat.reverse()  # decode order
     hat[0] = float(s.max())
     return np.array(hat)
 
@@ -124,7 +126,7 @@ def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     with no admissible element cannot be filled by any selection.
     """
     s = _check_selection_args(snrs, k, gamma_t)
-    return _economy_recursion(s, k, gamma_t) is not None
+    return len(_economy_recursion(s, k, gamma_t)) == k
 
 
 def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResult:

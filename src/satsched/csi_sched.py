@@ -31,7 +31,6 @@ references.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CsiRealization
-from .csi_bounds import _economy_recursion, feasibility_check
+from .csi_bounds import _economy_recursion
 from .errors import EnumerationBudgetError, InternalConsistencyError, ParameterError
 from .rate_core import (
     RateReport,
@@ -57,7 +56,6 @@ from .rate_core import (
 class SchedulerStats:
     candidates_examined: int
     backtracks: int
-    elapsed_ns: int
 
 
 @dataclass(frozen=True)
@@ -73,15 +71,17 @@ class SchedulerOutcome:
 
 def determine_k(csi: CsiRealization, r_target: float) -> int:
     """Largest user count supported by both hops, 0 when even one user
-    cannot be served."""
+    cannot be served.
+
+    The economy fill does not depend on K, and K users fit the relay chain
+    exactly when it makes K picks, so one fill capped at the satellite
+    hop's limit gives the answer.
+    """
     gamma_t = sinr_threshold(r_target)
     if gamma_t == 0.0:
         raise ParameterError("r_target must be positive")
     upper = max_supported_users(csi.sat_snr, r_target, csi.n_users)
-    for k in range(upper, 0, -1):
-        if feasibility_check(csi.user_snrs, k, gamma_t):
-            return k
-    return 0
+    return len(_economy_recursion(csi.user_snrs, upper, gamma_t))
 
 
 def _descending_order(snrs: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ def _descending_order(snrs: np.ndarray) -> np.ndarray:
     return np.argsort(-snrs, kind="stable")
 
 
-def _finish(users, csi, k, r_target, candidates, backtracks, t0) -> SchedulerOutcome:
+def _finish(users, csi, k, r_target, candidates, backtracks) -> SchedulerOutcome:
     alphas = throughput_power_split(csi.user_snrs[list(users)], r_target, csi.sat_snr)
     if alphas is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
@@ -98,17 +98,15 @@ def _finish(users, csi, k, r_target, candidates, backtracks, t0) -> SchedulerOut
     return SchedulerOutcome(
         schedule=schedule,
         rate_report=report,
-        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks,
-                             elapsed_ns=time.perf_counter_ns() - t0),
+        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks),
     )
 
 
-def _infeasible(csi, candidates, backtracks, t0) -> SchedulerOutcome:
+def _infeasible(csi, candidates, backtracks) -> SchedulerOutcome:
     return SchedulerOutcome(
         schedule=None,
         rate_report=empty_rate_report(csi.sat_snr),
-        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks,
-                             elapsed_ns=time.perf_counter_ns() - t0),
+        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks),
     )
 
 
@@ -133,11 +131,10 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     possible completion, so the window never discards all completions and
     the search is exact for feasibility.
     """
-    t0 = time.perf_counter_ns()
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0, t0)
+        return _infeasible(csi, 0, 0)
 
     order = _descending_order(s)
     # plain-list lookups: numpy scalar access would dominate the search
@@ -177,7 +174,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish(chosen, csi, k, r_target, candidates, backtracks, t0)
+    return _finish(chosen, csi, k, r_target, candidates, backtracks)
 
 
 def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
@@ -185,11 +182,10 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 
     Infeasibility is a value here (schedule None), not an error.
     """
-    t0 = time.perf_counter_ns()
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0, t0)
+        return _infeasible(csi, 0, 0)
 
     order = _descending_order(s).tolist()
     s_list = s.tolist()
@@ -199,14 +195,14 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 
     if k == 1:
         if s_max < gamma_t:
-            return _infeasible(csi, 0, 0, t0)
-        return _finish([first], csi, 1, r_target, 1, 0, t0)
+            return _infeasible(csi, 0, 0)
+        return _finish([first], csi, 1, r_target, 1, 0)
 
     # economy recursion; only its last slot seeds the scan window
-    lb = _economy_recursion(s, k, gamma_t)
-    if lb is None:
-        return _infeasible(csi, 0, 0, t0)
-    last_low = lb[-1]
+    picks = _economy_recursion(s, k, gamma_t)
+    if len(picks) < k:
+        return _infeasible(csi, 0, 0)
+    last_low = picks[0]
     last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
 
     # strongest-first scan over admissible final-slot SNRs
@@ -242,8 +238,8 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         # construction, so verify before accepting
         if ok and s_max >= gamma_t * (tail_sum + 1.0):
             chosen.reverse()
-            return _finish([first] + chosen, csi, k, r_target, candidates, 0, t0)
-    return _infeasible(csi, candidates, 0, t0)
+            return _finish([first] + chosen, csi, k, r_target, candidates, 0)
+    return _infeasible(csi, candidates, 0)
 
 
 # (n, k) -> read-only combination table, least recently used first
@@ -293,7 +289,6 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
     feasible one with the largest SNR sum, the first in lexicographic
     order on a tie.  Raises EnumerationBudgetError when comb(N, K) exceeds
     max_subsets."""
-    t0 = time.perf_counter_ns()
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     n_subsets = math.comb(csi.n_users, k)
@@ -302,7 +297,7 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
             f"comb({csi.n_users}, {k}) = {n_subsets} exceeds budget {max_subsets}"
         )
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, n_subsets, 0, t0)
+        return _infeasible(csi, n_subsets, 0)
 
     order = _descending_order(s)
     desc = s[order]
@@ -318,14 +313,13 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
     tail[~feasible] = -np.inf
     best = int(np.argmax(tail))
     if not feasible[best]:
-        return _infeasible(csi, n_subsets, 0, t0)
-    return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0, t0)
+        return _infeasible(csi, n_subsets, 0)
+    return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0)
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     """Orthogonal reference: top-k users get equal slot shares, weakest
     users dropped until everyone meets r_target in their share."""
-    t0 = time.perf_counter_ns()
     _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     order = _descending_order(s)
@@ -346,15 +340,14 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
             return SchedulerOutcome(
                 schedule=schedule,
                 rate_report=report,
-                stats=SchedulerStats(len(kept), 0, time.perf_counter_ns() - t0),
+                stats=SchedulerStats(len(kept), 0),
             )
         kept.pop()  # weakest is last in descending order
-    return _infeasible(csi, 0, 0, t0)
+    return _infeasible(csi, 0, 0)
 
 
 def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOutcome:
     """Single-user reference: schedule only the strongest user."""
-    t0 = time.perf_counter_ns()
     gamma_t = sinr_threshold(r_target)
     if gamma_t == 0.0:
         raise ParameterError("r_target must be positive")
@@ -362,11 +355,11 @@ def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOut
     best = int(_descending_order(s)[0])
     rate = min(awgn_capacity(float(s[best])), awgn_capacity(csi.sat_snr))
     if rate < r_target:
-        return _infeasible(csi, 1, 0, t0)
+        return _infeasible(csi, 1, 0)
     schedule = Schedule(users=(best,), alphas=(1.0,))
     report = evaluate_schedule(schedule, csi, r_target)
     return SchedulerOutcome(
         schedule=schedule,
         rate_report=report,
-        stats=SchedulerStats(1, 0, time.perf_counter_ns() - t0),
+        stats=SchedulerStats(1, 0),
     )

@@ -1,14 +1,25 @@
 """Reproducible experiment harness.
 
 Each scenario maps a validated ExperimentConfig to a flat table of
-ResultRow records.  Randomness follows one splitting rule everywhere: the
-generator for trial t of grid point x in scenario s is
+ResultRow records, through one loop over (grid point, trial) that feeds
+one mean/stderr aggregator.  The grid points are the r_target_grid
+entries, except for cdi_complexity (slot counts 2..k) and csi_stability
+and cdi_convergence (one point, x = 0).  Randomness follows one splitting
+rule everywhere: the generator for trial t of grid point i in scenario s is
 
-    default_rng(SeedSequence(entropy=[seed, ordinal(s), x, t]))
+    default_rng(SeedSequence(entropy=[seed, ordinal(s), i, t]))
 
 so aggregates do not depend on evaluation order and adding trials never
 reshuffles earlier draws.  Every column except wall_time_ns is a pure
 function of the config, so reruns are byte-identical apart from timing.
+
+wall_time_ns is the mean, over the trials behind a row, of the ns spent in
+the call that produced the row's algorithm result: the scheduler itself,
+sum_rate_bounds for lower_bound and upper_bound, solve_theorem3 for
+benchmark.  A trial whose call could not run (no user can be served)
+counts 0 ns.  Work the harness does around the call, such as drawing the
+instance, determine_k or the Monte-Carlo check of an outage, is not
+included.
 """
 
 from __future__ import annotations
@@ -17,8 +28,8 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from time import perf_counter_ns
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -35,7 +46,7 @@ from .csi_sched import (
     lbus,
 )
 from .errors import ConfigError
-from .outage import GroupCdi, monte_carlo_outage, phase1_outage, phase2_outage, total_outage
+from .outage import GroupCdi, monte_carlo_outage, phase2_outage, total_outage
 from .rate_core import sinr_threshold
 
 SCENARIOS = (
@@ -52,9 +63,6 @@ SCENARIOS = (
 # terrestrial hop always binds
 UNCONSTRAINED_SAT_SNR = float(2**60)
 
-_CSV_COLUMNS = ("scenario", "algorithm", "x", "metric", "value", "stderr",
-                "seed", "wall_time_ns")
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -66,6 +74,28 @@ class ResultRow:
     stderr: float
     seed: int
     wall_time_ns: int
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
+_INT_FIELDS = ("seed", "trials", "n_users", "m_groups", "mc_trials", "max_iters")
+_FLOAT_FIELDS = ("p1_sigma_sq", "sat_snr", "p2", "delta", "cdi_low_db", "cdi_high_db")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_finite(name: str, v):
+    """v itself when it is a finite int or float (bools are not numbers here)."""
+    try:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -91,22 +121,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in _FLOAT_FIELDS:
+            _check_finite(name, getattr(self, name))
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be a positive int, got {self.trials!r}")
-        grid = tuple(float(r) for r in self.r_target_grid)
-        if not grid or any(r <= 0 or not math.isfinite(r) for r in grid):
+        if not isinstance(self.r_target_grid, (list, tuple)):
+            raise ConfigError("r_target_grid must be a list of numbers")
+        grid = tuple(float(_check_finite("r_target_grid", r)) for r in self.r_target_grid)
+        if not grid or any(r <= 0 for r in grid):
             raise ConfigError("r_target_grid must be non-empty with positive entries")
         object.__setattr__(self, "r_target_grid", grid)
-        if self.k != "auto":
-            if not isinstance(self.k, int) or self.k < 1:
-                raise ConfigError(f"k must be 'auto' or a positive int, got {self.k!r}")
+        if self.k != "auto" and not (_is_int(self.k) and self.k >= 1):
+            raise ConfigError(f"k must be 'auto' or a positive int, got {self.k!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         csi = self.scenario.startswith("csi")
         if csi:
             if self.n_users < 1:
                 raise ConfigError("csi scenarios need n_users >= 1")
-            if isinstance(self.k, int) and self.k > self.n_users:
+            if self.k != "auto" and self.k > self.n_users:
                 raise ConfigError("k cannot exceed n_users")
             if not (self.p1_sigma_sq > 0):
                 raise ConfigError("p1_sigma_sq must be positive")
@@ -128,15 +166,18 @@ class ExperimentConfig:
         if self.scenario == "cdi_outage":
             if self.sr_params is None:
                 raise ConfigError("cdi_outage needs sr_params {omega, b0, m_s}")
-            if not isinstance(self.mc_trials, int) or self.mc_trials < 1:
+            if self.mc_trials < 1:
                 raise ConfigError("mc_trials must be a positive int")
             if not (self.p2 > 0):
                 raise ConfigError("p2 must be positive")
         if self.sr_params is not None:
-            keys = set(self.sr_params)
-            if keys != {"omega", "b0", "m_s"}:
-                raise ConfigError(f"sr_params must have keys omega, b0, m_s, got {sorted(keys)}")
-        if self.scenario == "cdi_complexity" and (not isinstance(self.k, int) or self.k < 2):
+            if not isinstance(self.sr_params, dict) or set(self.sr_params) != {"omega", "b0", "m_s"}:
+                raise ConfigError(f"sr_params must be an object with keys omega, b0, m_s, "
+                                  f"got {self.sr_params!r}")
+            for name, v in self.sr_params.items():
+                if _check_finite(f"sr_params.{name}", v) <= 0:
+                    raise ConfigError(f"sr_params.{name} must be positive, got {v!r}")
+        if self.scenario == "cdi_complexity" and self.k < 2:
             raise ConfigError("cdi_complexity sweeps slot counts 2..k and needs k >= 2")
 
     @classmethod
@@ -150,20 +191,10 @@ class ExperimentConfig:
         missing = {"scenario", "seed", "trials", "r_target_grid"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        kwargs = dict(raw)
-        if "r_target_grid" in kwargs:
-            kwargs["r_target_grid"] = tuple(kwargs["r_target_grid"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {**asdict(self), "r_target_grid": list(self.r_target_grid)}
 
 
 def trial_rng(seed: int, *key) -> np.random.Generator:
@@ -171,22 +202,18 @@ def trial_rng(seed: int, *key) -> np.random.Generator:
     return default_rng(SeedSequence(entropy=[seed, *key]))
 
 
-def _ordinal(scenario: str) -> int:
-    return SCENARIOS.index(scenario)
-
-
 def _mean_stderr(values) -> tuple:
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0, 0.0
     if arr.size == 1:
         return float(arr[0]), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _draw_csi(cfg: ExperimentConfig, rng) -> CsiRealization:
+def _draw_csi_k(cfg: ExperimentConfig, r: float, rng) -> tuple:
+    """A CSI draw and its slot count: cfg.k, or determine_k when "auto"."""
     link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
-    return CsiRealization(sample_rayleigh_snr(link, cfg.n_users, rng), cfg.sat_snr)
+    csi = CsiRealization(sample_rayleigh_snr(link, cfg.n_users, rng), cfg.sat_snr)
+    return csi, determine_k(csi, r) if cfg.k == "auto" else cfg.k
 
 
 def _draw_cdi(cfg: ExperimentConfig, rng) -> GroupCdi:
@@ -194,233 +221,181 @@ def _draw_cdi(cfg: ExperimentConfig, rng) -> GroupCdi:
     return GroupCdi.from_sigma_sq(np.power(10.0, db / 10.0), tx_power=1.0)
 
 
-_CSI_ALGS = ("exhaustive", "gius", "lbus", "tdma", "opportunistic")
+def _timed(fn, *args):
+    """(fn(*args), nanoseconds the call took)."""
+    t0 = perf_counter_ns()
+    out = fn(*args)
+    return out, perf_counter_ns() - t0
 
 
-def _run_csi_schedulers(csi, k, r):
-    """Sum rates and stats for the five CSI schedulers at a common k."""
-    out = {}
-    if k >= 1:
-        out["exhaustive"] = exhaustive(csi, k, r)
-        out["gius"] = gius(csi, k, r)
-        out["lbus"] = lbus(csi, k, r)
-        out["tdma"] = baseline_tdma(csi, k, r)
-    out["opportunistic"] = baseline_opportunistic(csi, r)
-    return out
+def _csi_schedulers(csi, k: int, r: float, algs) -> dict:
+    """{algorithm: (outcome, ns)} for the named CSI schedulers; every
+    outcome is (None, 0) when k is 0, as none of them can run."""
+    fns = {"exhaustive": exhaustive, "gius": gius, "lbus": lbus, "tdma": baseline_tdma}
+    return {alg: _timed(fns[alg], csi, k, r) if k >= 1 else (None, 0) for alg in algs}
 
 
-def _run_csi_sumrate(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
-    for xi, r in enumerate(cfg.r_target_grid):
-        sums = {alg: [] for alg in _CSI_ALGS + ("lower_bound", "upper_bound")}
-        nanos = {alg: 0 for alg in sums}
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, ordn, xi, t)
-            csi = _draw_csi(cfg, rng)
-            k = determine_k(csi, r) if cfg.k == "auto" else cfg.k
-            outcomes = _run_csi_schedulers(csi, k, r)
-            for alg in _CSI_ALGS:
-                if alg in outcomes:
-                    sums[alg].append(outcomes[alg].rate_report.sum_rate)
-                    nanos[alg] += outcomes[alg].stats.elapsed_ns
-                else:
-                    sums[alg].append(0.0)
-            if k >= 1:
-                t0 = time.perf_counter_ns()
-                bounds = sum_rate_bounds(csi, k, r)
-                nanos["lower_bound"] += time.perf_counter_ns() - t0
-                sums["lower_bound"].append(bounds.lb_rate)
-                sums["upper_bound"].append(bounds.ub_rate)
-            else:
-                sums["lower_bound"].append(0.0)
-                sums["upper_bound"].append(0.0)
-        for alg, vals in sums.items():
-            mean, se = _mean_stderr(vals)
-            rows.append(ResultRow(cfg.scenario, alg, float(r), "sum_rate_mean",
-                                  mean, se, cfg.seed, nanos[alg] // cfg.trials))
-    return rows
+def _cdi_schedulers(cfg: ExperimentConfig, cdi, k: int, gamma_t: float, rng) -> dict:
+    """{algorithm: (schedule, ns)} for the two group selectors."""
+    return {"aoius": _timed(aoius, cdi, k, gamma_t, cfg.delta, cfg.max_iters, rng),
+            "exhaustive_groups": _timed(exhaustive_groups, cdi, k, gamma_t)}
 
 
-def _run_csi_complexity(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
-    algs = ("exhaustive", "gius", "lbus")
-    for xi, r in enumerate(cfg.r_target_grid):
-        cands = {alg: [] for alg in algs}
-        sums = {alg: [] for alg in algs}
-        nanos = {alg: 0 for alg in algs}
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, ordn, xi, t)
-            csi = _draw_csi(cfg, rng)
-            k = determine_k(csi, r) if cfg.k == "auto" else cfg.k
-            if k < 1:
-                for alg in algs:
-                    cands[alg].append(0.0)
-                    sums[alg].append(0.0)
-                continue
-            outcomes = _run_csi_schedulers(csi, k, r)
-            for alg in algs:
-                cands[alg].append(float(outcomes[alg].stats.candidates_examined))
-                sums[alg].append(outcomes[alg].rate_report.sum_rate)
-                nanos[alg] += outcomes[alg].stats.elapsed_ns
-        for alg in algs:
-            mean_c, se_c = _mean_stderr(cands[alg])
-            mean_s, se_s = _mean_stderr(sums[alg])
-            per_call = nanos[alg] // cfg.trials
-            rows.append(ResultRow(cfg.scenario, alg, float(r), "candidates_examined_mean",
-                                  mean_c, se_c, cfg.seed, per_call))
-            rows.append(ResultRow(cfg.scenario, alg, float(r), "sum_rate_mean",
-                                  mean_s, se_s, cfg.seed, per_call))
-    return rows
+# Point functions: (config, x) -> trial(rng, key) for the grid point at x.
+# A trial returns {(algorithm, metric): (value, ns)}, where ns times the
+# call that produced the algorithm's result.  Work shared by all trials of
+# a point is done once, before the trial function is returned.
+
+def _csi_sumrate(cfg: ExperimentConfig, r: float):
+    def trial(rng, key):
+        csi, k = _draw_csi_k(cfg, r, rng)
+        runs = _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus", "tdma"))
+        runs["opportunistic"] = _timed(baseline_opportunistic, csi, r)
+        out = {(alg, "sum_rate_mean"): (o.rate_report.sum_rate if o else 0.0, ns)
+               for alg, (o, ns) in runs.items()}
+        bounds, ns = _timed(sum_rate_bounds, csi, k, r) if k >= 1 else (None, 0)
+        out["lower_bound", "sum_rate_mean"] = (bounds.lb_rate if bounds else 0.0, ns)
+        out["upper_bound", "sum_rate_mean"] = (bounds.ub_rate if bounds else 0.0, ns)
+        return out
+    return trial
 
 
-def _run_csi_stability(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
+def _csi_complexity(cfg: ExperimentConfig, r: float):
+    def trial(rng, key):
+        csi, k = _draw_csi_k(cfg, r, rng)
+        out = {}
+        for alg, (o, ns) in _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus")).items():
+            out[alg, "candidates_examined_mean"] = (
+                float(o.stats.candidates_examined) if o else 0.0, ns)
+            out[alg, "sum_rate_mean"] = (o.rate_report.sum_rate if o else 0.0, ns)
+        return out
+    return trial
+
+
+def _csi_stability(cfg: ExperimentConfig, _x: float):
     r = cfg.r_target_grid[0]
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, ordn, 0, t)
-        csi = _draw_csi(cfg, rng)
-        k = determine_k(csi, r) if cfg.k == "auto" else cfg.k
-        outcomes = _run_csi_schedulers(csi, k, r) if k >= 1 else {}
-        for alg in ("exhaustive", "gius", "lbus"):
-            if k < 1:
-                rows.append(ResultRow(cfg.scenario, alg, float(t),
-                                      "candidates_examined", 0.0, 0.0, cfg.seed, 0))
-                continue
-            outcome = outcomes[alg]
-            rows.append(ResultRow(cfg.scenario, alg, float(t), "candidates_examined",
-                                  float(outcome.stats.candidates_examined), 0.0,
-                                  cfg.seed, outcome.stats.elapsed_ns))
-    return rows
+
+    def trial(rng, key):
+        csi, k = _draw_csi_k(cfg, r, rng)
+        return {(alg, "candidates_examined"): (float(o.stats.candidates_examined) if o else 0.0, ns)
+                for alg, (o, ns) in _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus")).items()}
+    return trial
 
 
-def _run_cdi_convergence(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
-    r = cfg.r_target_grid[0]
-    gamma_t = sinr_threshold(r)
-    traces = []
-    benchmarks = []
-    nanos = 0
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, ordn, 0, t)
+def _cdi_convergence(cfg: ExperimentConfig, _x: float):
+    gamma_t = sinr_threshold(cfg.r_target_grid[0])
+
+    def trial(rng, key):
         cdi = _draw_cdi(cfg, rng)
-        t0 = time.perf_counter_ns()
-        sched = aoius(cdi, cfg.k, gamma_t, cfg.delta, cfg.max_iters, rng)
-        nanos += time.perf_counter_ns() - t0
-        traces.append(list(sched.trace))
-        benchmarks.append(
-            solve_theorem3(float(cdi.lambdas.min()), cfg.k, gamma_t).benchmark_outage
-        )
-    width = max(len(tr) for tr in traces)
-    padded = np.array([tr + [tr[-1]] * (width - len(tr)) for tr in traces])
-    per_call = nanos // cfg.trials
-    for i in range(width):
-        mean, se = _mean_stderr(padded[:, i])
-        rows.append(ResultRow(cfg.scenario, "aoius", float(i), "outage_mean",
-                              mean, se, cfg.seed, per_call))
-    mean_b, se_b = _mean_stderr(benchmarks)
-    rows.append(ResultRow(cfg.scenario, "benchmark", 0.0, "outage_mean",
-                          mean_b, se_b, cfg.seed, 0))
-    return rows
+        sched, ns = _timed(aoius, cdi, cfg.k, gamma_t, cfg.delta, cfg.max_iters, rng)
+        bench, b_ns = _timed(solve_theorem3, float(cdi.lambdas.min()), cfg.k, gamma_t)
+        # a list value is a per-sweep trace: one row per sweep
+        return {("aoius", "outage_mean"): (list(sched.trace), ns),
+                ("benchmark", "outage_mean"): (bench.benchmark_outage, b_ns)}
+    return trial
 
 
-def _run_cdi_outage(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
-    sr = SrParams(tx_power=cfg.p2, **cfg.sr_params)
-    for xi, r in enumerate(cfg.r_target_grid):
-        gamma_t = sinr_threshold(r)
-        p2 = phase2_outage(sr, cfg.k, r)
-        cf = {"aoius": [], "exhaustive_groups": []}
-        mc = {"aoius": [], "exhaustive_groups": []}
-        nanos = {"aoius": 0, "exhaustive_groups": 0}
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, ordn, xi, t)
-            cdi = _draw_cdi(cfg, rng)
-            t0 = time.perf_counter_ns()
-            a = aoius(cdi, cfg.k, gamma_t, cfg.delta, cfg.max_iters, rng)
-            t1 = time.perf_counter_ns()
-            e = exhaustive_groups(cdi, cfg.k, gamma_t)
-            nanos["aoius"] += t1 - t0
-            nanos["exhaustive_groups"] += time.perf_counter_ns() - t1
-            for tag, (name, sched) in enumerate((("aoius", a), ("exhaustive_groups", e))):
-                cf[name].append(total_outage(sched.outage, p2))
-                mc_rng = trial_rng(cfg.seed, ordn, xi, t, tag + 1)
-                report = monte_carlo_outage(cdi.lambdas[list(sched.groups)], sr, r,
-                                            cfg.mc_trials, mc_rng)
-                mc[name].append(report.total)
-        for name in ("aoius", "exhaustive_groups"):
-            per_call = nanos[name] // cfg.trials
-            mean_cf, se_cf = _mean_stderr(cf[name])
-            mean_mc, se_mc = _mean_stderr(mc[name])
-            rows.append(ResultRow(cfg.scenario, name, float(r), "total_outage_cf_mean",
-                                  mean_cf, se_cf, cfg.seed, per_call))
-            rows.append(ResultRow(cfg.scenario, name, float(r), "total_outage_mc_mean",
-                                  mean_mc, se_mc, cfg.seed, per_call))
-    return rows
-
-
-def _run_cdi_complexity(cfg: ExperimentConfig) -> list:
-    rows = []
-    ordn = _ordinal(cfg.scenario)
-    r = cfg.r_target_grid[0]
+def _cdi_outage(cfg: ExperimentConfig, r: float):
     gamma_t = sinr_threshold(r)
-    for xi, k_val in enumerate(range(2, cfg.k + 1)):
-        evals = {"aoius": [], "exhaustive_groups": []}
-        nanos = {"aoius": 0, "exhaustive_groups": 0}
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, ordn, xi, t)
-            cdi = _draw_cdi(cfg, rng)
-            t0 = time.perf_counter_ns()
-            a = aoius(cdi, k_val, gamma_t, cfg.delta, cfg.max_iters, rng)
-            t1 = time.perf_counter_ns()
-            e = exhaustive_groups(cdi, k_val, gamma_t)
-            nanos["aoius"] += t1 - t0
-            nanos["exhaustive_groups"] += time.perf_counter_ns() - t1
-            evals["aoius"].append(float(a.evaluations))
-            evals["exhaustive_groups"].append(float(e.evaluations))
-        for name in ("aoius", "exhaustive_groups"):
-            mean, se = _mean_stderr(evals[name])
-            rows.append(ResultRow(cfg.scenario, name, float(k_val), "outage_evaluations_mean",
-                                  mean, se, cfg.seed, nanos[name] // cfg.trials))
-    return rows
+    sr = SrParams(tx_power=cfg.p2, **cfg.sr_params)
+    p2 = phase2_outage(sr, cfg.k, r)
+
+    def trial(rng, key):
+        cdi = _draw_cdi(cfg, rng)
+        out = {}
+        for tag, (alg, (sched, ns)) in enumerate(
+                _cdi_schedulers(cfg, cdi, cfg.k, gamma_t, rng).items()):
+            mc = monte_carlo_outage(cdi.lambdas[list(sched.groups)], sr, r, cfg.mc_trials,
+                                    trial_rng(*key, tag + 1))
+            out[alg, "total_outage_cf_mean"] = (total_outage(sched.outage, p2), ns)
+            out[alg, "total_outage_mc_mean"] = (mc.total, ns)
+        return out
+    return trial
 
 
-_RUNNERS = {
-    "csi_sumrate": _run_csi_sumrate,
-    "csi_complexity": _run_csi_complexity,
-    "csi_stability": _run_csi_stability,
-    "cdi_convergence": _run_cdi_convergence,
-    "cdi_outage": _run_cdi_outage,
-    "cdi_complexity": _run_cdi_complexity,
+def _cdi_complexity(cfg: ExperimentConfig, x: float):
+    k = int(x)
+    gamma_t = sinr_threshold(cfg.r_target_grid[0])
+
+    def trial(rng, key):
+        cdi = _draw_cdi(cfg, rng)
+        return {(alg, "outage_evaluations_mean"): (float(sched.evaluations), ns)
+                for alg, (sched, ns) in _cdi_schedulers(cfg, cdi, k, gamma_t, rng).items()}
+    return trial
+
+
+_POINTS = {
+    "csi_sumrate": _csi_sumrate,
+    "csi_complexity": _csi_complexity,
+    "csi_stability": _csi_stability,
+    "cdi_convergence": _cdi_convergence,
+    "cdi_outage": _cdi_outage,
+    "cdi_complexity": _cdi_complexity,
 }
 
 
+def _grid(cfg: ExperimentConfig) -> list:
+    """The x of each grid point; a point's index is its trial_rng key."""
+    if cfg.scenario == "cdi_complexity":
+        return [float(k) for k in range(2, cfg.k + 1)]  # slot counts
+    if cfg.scenario in ("csi_stability", "cdi_convergence"):
+        return [0.0]
+    return list(cfg.r_target_grid)
+
+
+def _aggregate(cfg: ExperimentConfig, x: float, acc: dict) -> list:
+    """Rows from {(algorithm, metric): (values, ns)}, one per key (one per
+    sweep for traces), with the mean ns per trial as wall time."""
+    rows = []
+    for (alg, metric), (values, nanos) in acc.items():
+        ns = sum(nanos) // len(nanos)
+        if isinstance(values[0], list):
+            # traces padded with their final value to the longest
+            width = max(len(v) for v in values)
+            padded = np.array([v + v[-1:] * (width - len(v)) for v in values])
+            stats = [(float(i), *_mean_stderr(padded[:, i])) for i in range(width)]
+        else:
+            stats = [(x, *_mean_stderr(values))]
+        rows += [ResultRow(cfg.scenario, alg, at, metric, mean, se, cfg.seed, ns)
+                 for at, mean, se in stats]
+    return rows
+
+
 def run_experiment(config: ExperimentConfig) -> list:
-    return _RUNNERS[config.scenario](config)
+    """Every trial of every grid point, aggregated per point; csi_stability
+    reports each trial as its own row at x = trial."""
+    point = _POINTS[config.scenario]
+    ordn = SCENARIOS.index(config.scenario)
+    per_trial = config.scenario == "csi_stability"
+    rows = []
+    for xi, x in enumerate(_grid(config)):
+        trial = point(config, x)
+        acc: dict = {}
+        for t in range(config.trials):
+            key = (config.seed, ordn, xi, t)
+            for name, (value, ns) in trial(trial_rng(*key), key).items():
+                values, nanos = acc.setdefault(name, ([], []))
+                values.append(value)
+                nanos.append(ns)
+            if per_trial:
+                rows += _aggregate(config, float(t), acc)
+                acc = {}
+        rows += _aggregate(config, x, acc)
+    return rows
 
 
 def emit(rows, format: str = "csv", path: str | None = None) -> str:
     """Serialize rows to csv or json; optionally write to path.  Floats are
     rendered with repr so equal runs produce equal bytes."""
+    records = [[getattr(row, c) for c in _CSV_COLUMNS] for row in rows]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([row.scenario, row.algorithm, repr(row.x), row.metric,
-                             repr(row.value), repr(row.stderr), row.seed,
-                             row.wall_time_ns])
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in rec] for rec in records)
         text = buf.getvalue()
     elif format == "json":
-        payload = {"columns": list(_CSV_COLUMNS),
-                   "rows": [[row.scenario, row.algorithm, row.x, row.metric,
-                             row.value, row.stderr, row.seed, row.wall_time_ns]
-                            for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"columns": list(_CSV_COLUMNS), "rows": records}, indent=2) + "\n"
     else:
         raise ConfigError(f"unknown format {format!r}")
     if path is not None:

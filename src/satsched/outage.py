@@ -39,26 +39,12 @@ _PHASE2_MAX_TERMS = 1000
 
 @dataclass(frozen=True)
 class GroupCdi:
-    """Statistical CSI for M user groups: exponential SNR rates and group
-    head counts (sizes are bookkeeping only; scheduling works on rates)."""
+    """Statistical CSI for M user groups: one exponential SNR rate each."""
 
     lambdas: np.ndarray
-    group_sizes: np.ndarray | None = None
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ParameterError("lambdas must be a non-empty 1-D array")
-        if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-            raise ParameterError("lambdas must be positive finite")
-        object.__setattr__(self, "lambdas", lam)
-        if self.group_sizes is None:
-            object.__setattr__(self, "group_sizes", np.ones(lam.size, dtype=int))
-        else:
-            sizes = np.asarray(self.group_sizes, dtype=int)
-            if sizes.shape != lam.shape or np.any(sizes < 1):
-                raise ParameterError("group_sizes must match lambdas and be >= 1")
-            object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "lambdas", _check_lambdas(self.lambdas))
 
     @property
     def n_groups(self) -> int:
@@ -78,7 +64,6 @@ class McStats:
     std_error: float
     p1_std_error: float
     p2_std_error: float
-    workers: int
 
 
 @dataclass(frozen=True)
@@ -88,13 +73,12 @@ class OutageReport:
     total: float
     method: str  # "closed_form" or "monte_carlo"
     mc_stats: McStats | None = None
-    per_user_p1: tuple | None = None
 
 
 def _check_lambdas(lambdas_in_order) -> np.ndarray:
     lam = np.asarray(lambdas_in_order, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
-        raise ParameterError("lambdas_in_order must be a non-empty 1-D array")
+        raise ParameterError("lambdas must be a non-empty 1-D array")
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise ParameterError("lambdas must be positive finite")
     return lam
@@ -177,75 +161,45 @@ def closed_form_report(lambdas_in_order, sr: SrParams | None, k_users: int,
 
 
 def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
-                       trials: int, rng: Generator, *, workers: int = 1) -> OutageReport:
+                       trials: int, rng: Generator) -> OutageReport:
     """Empirical outage over seeded trials.
 
     Per trial, user SNRs are exponential with the given rates and the
     satellite SNR is shadowed-Rician (sr=None forces the satellite hop
-    perfect).  Trials are split across `workers` generators spawned from
-    rng, and counts are summed, so the estimate is reproducible given the
-    master seed and worker count regardless of chunk execution order.
-
-    per_user_p1[k] is the frequency of the truncated chain event for decode
-    slot k: any of the first k+1 slots failing when interference is summed
-    only over slots up to k.  The last entry is the full-chain phase-1
-    outage and is non-decreasing in k by event nesting.
+    perfect).  All user SNRs are drawn from rng first, then all satellite
+    SNRs, so the estimate is a function of rng's state.
     """
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     gamma_t = _check_gamma(math.expm1(r_target * _LN2))
     k = lam.size
     threshold2 = float(np.expm1(k * r_target * _LN2))
 
-    chunk_sizes = [trials // workers] * workers
-    for i in range(trials % workers):
-        chunk_sizes[i] += 1
-    streams = rng.spawn(workers) if workers > 1 else [rng]
+    snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
+    cum = np.cumsum(snrs, axis=1)
+    # slot j is decoded against the slots after it plus unit noise
+    ok = np.ones(trials, dtype=bool)
+    for j in range(k):
+        ok &= snrs[:, j] >= gamma_t * (cum[:, -1] - cum[:, j] + 1.0)
+    phase1_fail = ~ok
+    if sr is not None:
+        phase2_fail = sample_sr_snr(sr, trials, rng) < threshold2
+    else:
+        phase2_fail = np.zeros(trials, dtype=bool)
 
-    per_user_fail = np.zeros(k, dtype=np.int64)
-    p2_fail = 0
-    total_fail = 0
-    for stream, size in zip(streams, chunk_sizes):
-        if size == 0:
-            continue
-        snrs = stream.exponential(scale=1.0 / lam, size=(size, k))
-        cum = np.cumsum(snrs, axis=1)
-        # slot_ok[:, j, m]: slot j clears its threshold in the chain
-        # truncated at slot m (interference from slots j+1..m only)
-        fail_through = np.zeros(size, dtype=bool)
-        for m in range(k):
-            ok_m = np.ones(size, dtype=bool)
-            for j in range(m + 1):
-                interference = cum[:, m] - cum[:, j]
-                ok_m &= snrs[:, j] >= gamma_t * (interference + 1.0)
-            fail_through = ~ok_m
-            per_user_fail[m] += int(np.count_nonzero(fail_through))
-        phase1_fail = fail_through  # full chain, m = k-1
-        if sr is not None:
-            sat = sample_sr_snr(sr, size, stream)
-            phase2_fail_mask = sat < threshold2
-        else:
-            phase2_fail_mask = np.zeros(size, dtype=bool)
-        p2_fail += int(np.count_nonzero(phase2_fail_mask))
-        total_fail += int(np.count_nonzero(phase1_fail | phase2_fail_mask))
-
-    per_user_p1 = per_user_fail / trials
-    p1 = float(per_user_p1[-1])
-    p2 = p2_fail / trials
-    total = total_fail / trials
+    p1 = int(np.count_nonzero(phase1_fail)) / trials
+    p2 = int(np.count_nonzero(phase2_fail)) / trials
+    total = int(np.count_nonzero(phase1_fail | phase2_fail)) / trials
 
     def se(p):
         return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
     return OutageReport(
         p1=p1,
-        p2=float(p2),
-        total=float(total),
+        p2=p2,
+        total=total,
         method="monte_carlo",
         mc_stats=McStats(trials=trials, std_error=se(total),
-                         p1_std_error=se(p1), p2_std_error=se(p2), workers=workers),
-        per_user_p1=tuple(float(x) for x in per_user_p1),
+                         p1_std_error=se(p1), p2_std_error=se(p2)),
     )

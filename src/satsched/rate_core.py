@@ -11,7 +11,7 @@ user's end-to-end rate is the minimum of its two hops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,12 @@ class Schedule:
     users: user indices in relay decode order (descending SNR when emitted
         by the schedulers here).
     alphas: relay power fractions in *satellite decode position* order, or
-        None for orthogonal access where no split applies.
-    sat_positions: satellite decode position of each relay slot; None means
-        the identity (relay slot k is decoded k-th by the satellite).
+        None for orthogonal access where no split applies.  The satellite
+        decodes relay slot k k-th.
     """
 
     users: tuple
     alphas: tuple | None = None
-    sat_positions: tuple | None = None
 
     def __post_init__(self):
         users = tuple(int(u) for u in self.users)
@@ -70,13 +68,6 @@ class Schedule:
                 raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
             if sum(alphas) > 1 + _ALPHA_TOL:
                 raise ConstraintError(f"alphas sum to {sum(alphas)} > 1")
-        if self.sat_positions is not None:
-            pos = tuple(int(p) for p in self.sat_positions)
-            object.__setattr__(self, "sat_positions", pos)
-            if sorted(pos) != list(range(len(users))):
-                raise ConstraintError(
-                    f"sat_positions must be a permutation of 0..{len(users) - 1}"
-                )
 
     @property
     def n_users(self) -> int:
@@ -297,8 +288,6 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
     relay, total_snr = _chain_back_to_front(snrs, 1.0)
     inv = _sat_noise_over_power(csi.sat_snr)
     sat, _ = _chain_back_to_front(_checked_alpha_list(schedule.alphas), inv)
-    if schedule.sat_positions is not None:
-        sat = [sat[p] for p in schedule.sat_positions]
     rates = tuple(
         min(awgn_capacity(relay[k]), awgn_capacity(sat[k]))
         for k in range(schedule.n_users)

@@ -76,6 +76,19 @@ def brute_force_feasible(snrs, k, gamma_t):
     return brute_force_best_subset(snrs, k, gamma_t) is not None
 
 
+def determine_k_descending(csi, r_target):
+    """determine_k as a search from the satellite hop's limit downwards:
+    the largest K <= max_supported_users whose feasibility_check passes."""
+    from satsched import feasibility_check, max_supported_users, sinr_threshold
+
+    gamma_t = sinr_threshold(r_target)
+    upper = max_supported_users(csi.sat_snr, r_target, csi.n_users)
+    for k in range(upper, 0, -1):
+        if feasibility_check(csi.user_snrs, k, gamma_t):
+            return k
+    return 0
+
+
 def phase1_success_linear(lambdas, gamma_t):
     """Exact success probability of the full decode chain.
 

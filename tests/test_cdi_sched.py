@@ -293,8 +293,5 @@ def test_group_cdi_validation():
         GroupCdi(np.array([0.1, -0.2]))
     with pytest.raises(ParameterError):
         GroupCdi(np.array([[0.1], [0.2]]))
-    with pytest.raises(ParameterError):
-        GroupCdi(np.array([0.1, 0.2]), group_sizes=np.array([1]))
     cdi = GroupCdi([0.2, 0.1])
     assert cdi.n_groups == 2
-    assert cdi.group_sizes.tolist() == [1, 1]

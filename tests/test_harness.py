@@ -1,12 +1,15 @@
 """Experiment runner, configuration, serialization, and CLI exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satsched import ConfigError
+from satsched import ConfigError, harness
 from satsched.cli import main
 from satsched.harness import (
     SCENARIOS,
@@ -50,6 +53,32 @@ def test_config_validation():
         dict(scenario="nope"),
         dict(p1_sigma_sq=0.0),
         dict(sat_snr=-1.0),
+        # bools and non-integral numbers are not counts
+        dict(seed=True),
+        dict(trials=True),
+        dict(trials=2.0),
+        dict(n_users=3.5),
+        dict(n_users=True),
+        dict(k=True),
+        dict(k=2.0),
+        dict(m_groups="3"),
+        dict(mc_trials=1.5),
+        dict(max_iters=None),
+        # the rate grid is a list of finite numbers
+        dict(r_target_grid="0.9"),
+        dict(r_target_grid=0.9),
+        dict(r_target_grid=[0.9, "1.2"]),
+        dict(r_target_grid=[True]),
+        dict(r_target_grid=[float("inf")]),
+        dict(r_target_grid=[float("nan")]),
+        dict(r_target_grid=[10**400]),
+        # float fields are finite numbers
+        dict(p1_sigma_sq=float("nan")),
+        dict(sat_snr=float("inf")),
+        dict(p2="1000"),
+        dict(delta=True),
+        dict(cdi_high_db=[20.0]),
+        dict(output_path=1),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**ok, **mutation})
@@ -70,6 +99,15 @@ def test_config_validation_cdi():
         dict(sr_params=None),
         dict(sr_params={"omega": 1.0}),
         dict(sr_params={"omega": 1.0, "b0": 1.0, "ms": 1.0}),
+        dict(sr_params=[1.0, 1.0, 1.0]),
+        dict(sr_params={**HEAVY, "omega": 0.0}),
+        dict(sr_params={**HEAVY, "b0": -0.1}),
+        dict(sr_params={**HEAVY, "m_s": float("inf")}),
+        dict(sr_params={**HEAVY, "m_s": "0.7"}),
+        dict(sr_params={**HEAVY, "omega": True}),
+        dict(k=True),
+        dict(mc_trials=True),
+        dict(max_iters=2.5),
         dict(mc_trials=0),
         dict(p2=0.0),
         dict(delta=-1.0),
@@ -81,6 +119,46 @@ def test_config_validation_cdi():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(dict(scenario="cdi_complexity", seed=1, trials=2,
                                         r_target_grid=[0.1], m_groups=6, k=1))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+_VALID = (
+    dict(scenario="csi_sumrate", seed=1, trials=5, r_target_grid=[0.9], n_users=4),
+    dict(scenario="cdi_outage", seed=1, trials=2, r_target_grid=[0.1], m_groups=6, k=2,
+         sr_params=dict(HEAVY), mc_trials=100, p2=100.0),
+    dict(scenario="cdi_complexity", seed=1, trials=2, r_target_grid=[0.1], m_groups=6, k=3),
+)
+
+
+_NEAR_VALID = st.builds(
+    lambda base, changed, dropped: {k: v for k, v in {**base, **changed}.items()
+                                    if k not in dropped},
+    st.sampled_from(_VALID),
+    st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=4),
+    st.sets(st.sampled_from(_FIELDS), max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_NEAR_VALID | _JSON | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=8),
+                                                 _JSON))
+def test_from_dict_returns_config_or_config_error(raw):
+    # from_dict only: a fuzzed trial or user count can be huge, so the
+    # config is never run
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    for name in ("seed", "trials", "n_users", "m_groups", "mc_trials", "max_iters"):
+        assert type(getattr(cfg, name)) is int, name
+    assert cfg.k == "auto" or type(cfg.k) is int
+    assert all(type(r) is float and math.isfinite(r) for r in cfg.r_target_grid)
 
 
 def test_config_round_trip():
@@ -219,6 +297,50 @@ def test_run_cdi_complexity_small():
     assert all(v > 0 for v in ao.values())
 
 
+_TINY = {
+    "csi_sumrate": dict(n_users=5, r_target_grid=[0.3, 0.6]),
+    "csi_complexity": dict(n_users=5, r_target_grid=[0.3, 0.6]),
+    "csi_stability": dict(n_users=5, r_target_grid=[0.3]),
+    "cdi_convergence": dict(m_groups=8, k=3, r_target_grid=[0.1], max_iters=5),
+    "cdi_outage": dict(m_groups=6, k=2, r_target_grid=[0.1, 0.5], sr_params=dict(HEAVY),
+                       mc_trials=50),
+    "cdi_complexity": dict(m_groups=6, k=3, r_target_grid=[0.1]),
+}
+
+
+def test_wall_time_is_the_reported_calls_time(monkeypatch):
+    for scenario in SCENARIOS:
+        cfg = ExperimentConfig.from_dict(dict(scenario=scenario, seed=3, trials=3,
+                                              **_TINY[scenario]))
+        rows = run_experiment(cfg)
+        # every call ran, bounds and the relaxation benchmark included
+        bad = [(r.algorithm, r.metric) for r in rows if r.wall_time_ns <= 0]
+        assert rows and not bad, (scenario, bad)
+    # a clock that only the schedulers move, by a different amount per call
+    clock = [0]
+    calls = []
+    monkeypatch.setattr(harness, "perf_counter_ns", lambda: clock[0])
+    for name in ("exhaustive", "gius", "lbus"):
+        def timed_call(*args, _fn=getattr(harness, name), _name=name):
+            calls.append((_name, 1000 * (len(calls) + 1) + len(calls) % 3))
+            clock[0] += calls[-1][1]
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, timed_call)
+    rows = run_experiment(ExperimentConfig.from_dict(dict(
+        scenario="csi_stability", seed=3, trials=4, **_TINY["csi_stability"])))
+    # one row per call, trial-major then algorithm, as the calls were made
+    assert len(calls) == 3 * 4
+    assert [r.wall_time_ns for r in rows] == [ns for _, ns in calls]
+    calls.clear()
+    rows = run_experiment(ExperimentConfig.from_dict(dict(
+        scenario="csi_complexity", seed=3, trials=3, **_TINY["csi_complexity"])))
+    assert len(calls) == 2 * 3 * 3
+    for r in rows:
+        xi = _TINY["csi_complexity"]["r_target_grid"].index(r.x)
+        mine = [ns for name, ns in calls[9 * xi:9 * xi + 9] if name == r.algorithm]
+        assert r.wall_time_ns == sum(mine) // 3
+
+
 def test_golden_configs_parse(pytestconfig):
     root = pytestconfig.rootpath / "configs"
     paths = sorted(root.glob("*.json"))
@@ -272,6 +394,16 @@ def test_cli_config_errors(tmp_path, capsys):
                                     r_target_grid=[0.9], n_users=4)))
     assert main(["csi-sumrate", "--config", str(zero)]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_fractional_user_count(tmp_path, capsys):
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(dict(scenario="csi_sumrate", seed=1, trials=1,
+                                    r_target_grid=[0.9], n_users=3.5)))
+    assert main(["csi-sumrate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_users" in err
+    assert "Traceback" not in err
 
 
 def test_cli_budget_error_exit_code(tmp_path, capsys):

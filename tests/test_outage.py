@@ -208,30 +208,6 @@ def test_mc_determinism():
     a = monte_carlo_outage(lam, sr, 0.3, 5_000, np.random.default_rng(99))
     b = monte_carlo_outage(lam, sr, 0.3, 5_000, np.random.default_rng(99))
     assert a == b
-    c = monte_carlo_outage(lam, sr, 0.3, 5_000, np.random.default_rng(99), workers=4)
-    d = monte_carlo_outage(lam, sr, 0.3, 5_000, np.random.default_rng(99), workers=4)
-    assert c == d
-    assert c.mc_stats.workers == 4
-    # worker split changes the stream layout, not the statistics
-    assert abs(c.total - a.total) <= 3.0 * (a.mc_stats.std_error +
-                                            c.mc_stats.std_error) + 1e-9
-
-
-def test_mc_per_user_frequencies_nested():
-    lam = np.array([0.05, 0.1, 0.2, 0.4])
-    rng = np.random.default_rng(8181)
-    rep = monte_carlo_outage(lam, None, 0.6, 40_000, rng)
-    freqs = rep.per_user_p1
-    assert len(freqs) == 4
-    # truncated-chain events nest pathwise, so the tuple is exactly monotone
-    assert all(b >= a for a, b in zip(freqs, freqs[1:]))
-    assert freqs[-1] == rep.p1
-    # each prefix frequency estimates the prefix closed form
-    gamma = 2.0**0.6 - 1.0
-    for m in range(4):
-        want = phase1_outage(lam[: m + 1], gamma)
-        se = math.sqrt(want * (1 - want) / 40_000)
-        assert abs(freqs[m] - want) <= 4.0 * se + 1e-9
 
 
 def test_validation_errors():
@@ -248,9 +224,6 @@ def test_validation_errors():
         phase2_outage(sr, 2, -0.1)
     with pytest.raises(ParameterError):
         monte_carlo_outage(np.array([0.1]), None, 0.5, 0, np.random.default_rng(1))
-    with pytest.raises(ParameterError):
-        monte_carlo_outage(np.array([0.1]), None, 0.5, 10,
-                           np.random.default_rng(1), workers=0)
 
 
 def test_report_probabilities_in_range():
