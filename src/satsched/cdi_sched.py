@@ -31,6 +31,8 @@ from .outage import GroupCdi, phase1_outage
 
 _BISECT_MAX_ITERS = 500
 _BRACKET_MAX_DOUBLINGS = 400
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,23 @@ def last_lambda_opt(b_prefix: float, gamma_t: float) -> float:
     return 2.0 * b_prefix / (math.sqrt(gb * gb + 4.0 * b_prefix) + gb)
 
 
+def slot_optimum(lambdas_in_order, position: int, gamma_t: float) -> float:
+    """Continuous optimum of slot `position` (1-based, >= 2) with the other
+    slots held: the zero of h for a middle slot, last_lambda_opt of the
+    B prefix B_{K-1} for the last slot."""
+    k = len(lambdas_in_order)
+    if position < k:
+        return find_zero_h(coordinate_context(lambdas_in_order, position, gamma_t))
+    b = 0.0
+    for j in range(k - 1):
+        b = (1.0 + gamma_t) * b + float(lambdas_in_order[j])
+    return last_lambda_opt(b, gamma_t)
+
+
 @dataclass(frozen=True)
 class Theorem3Solution:
     lambda_opt: tuple
     benchmark_outage: float
-    converged: bool
     iterations: int
 
 
@@ -163,11 +177,12 @@ class GroupSchedule:
     evaluations: int = 0
 
 
-def solve_theorem3(lambda_min: float, k: int, gamma_t: float, *,
-                   tol: float = 1e-10, max_sweeps: int = 10_000) -> Theorem3Solution:
+def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solution:
     """Stationary rate profile of the continuous relaxation: slot 1 pinned
     at lambda_min, coordinates swept to their unimodal optima (projected
-    onto [lambda_min, inf)) until the largest change falls below tol."""
+    onto [lambda_min, inf)) until the largest change falls below
+    _SWEEP_TOL relative to the largest rate; NumericError after
+    _MAX_SWEEPS sweeps."""
     if not (lambda_min > 0 and math.isfinite(lambda_min)):
         raise ParameterError(f"lambda_min must be positive finite, got {lambda_min}")
     if k < 1:
@@ -175,37 +190,25 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float, *,
     if not (gamma_t > 0 and math.isfinite(gamma_t)):
         raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
     if k == 1:
-        return Theorem3Solution((lambda_min,), phase1_outage([lambda_min], gamma_t), True, 0)
+        return Theorem3Solution((lambda_min,), phase1_outage([lambda_min], gamma_t), 0)
 
     lam = np.full(k, lambda_min, dtype=float)
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        sweeps += 1
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         delta = 0.0
-        for pos in range(2, k):
-            ctx = coordinate_context(lam, pos, gamma_t)
-            new = max(find_zero_h(ctx), lambda_min)
+        for pos in range(2, k + 1):
+            new = max(slot_optimum(lam, pos, gamma_t), lambda_min)
             delta = max(delta, abs(new - lam[pos - 1]))
             lam[pos - 1] = new
-        b = 0.0
-        for j in range(k - 1):
-            b = (1.0 + gamma_t) * b + float(lam[j])
-        new_last = max(last_lambda_opt(b, gamma_t), lambda_min)
-        delta = max(delta, abs(new_last - lam[k - 1]))
-        lam[k - 1] = new_last
-        if delta <= 1e-12 + tol * float(np.max(lam)):
-            converged = True
+        if delta <= 1e-12 + _SWEEP_TOL * float(np.max(lam)):
             break
-    if not converged:
+    else:
         raise NumericError(
-            f"coordinate sweeps did not settle after {max_sweeps} iterations "
+            f"coordinate sweeps did not settle after {_MAX_SWEEPS} iterations "
             f"(last max change {delta})"
         )
     return Theorem3Solution(
         lambda_opt=tuple(float(x) for x in lam),
         benchmark_outage=phase1_outage(lam, gamma_t),
-        converged=converged,
         iterations=sweeps,
     )
 
@@ -223,12 +226,8 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
             continue  # projected coordinate, equality not expected
         res[pos - 1] = abs(h_function(float(lam[pos - 1]),
                                       coordinate_context(lam, pos, gamma_t)))
-    if k >= 2:
-        b = 0.0
-        for j in range(k - 1):
-            b = (1.0 + gamma_t) * b + float(lam[j])
-        if lam[k - 1] > lambda_min * (1.0 + 1e-9):
-            res[k - 1] = abs(lam[k - 1] - last_lambda_opt(b, gamma_t))
+    if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
+        res[k - 1] = abs(lam[k - 1] - slot_optimum(lam, k, gamma_t))
     return res
 
 
@@ -309,21 +308,11 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
             unselected = [g for g in range(m) if g not in selection or g == selection[slot]]
             lower = lam[selection[slot - 1]]
-            if slot < k - 1:
-                upper = lam[selection[slot + 1]]
-                window = [g for g in unselected if lower < lam[g] < upper]
-                if not window:
-                    continue
-                ctx = coordinate_context(lam[selection], slot + 1, gamma_t)
-                z = find_zero_h(ctx)
-            else:
-                window = [g for g in unselected if lam[g] > lower]
-                if not window:
-                    continue
-                b = 0.0
-                for j in range(k - 1):
-                    b = (1.0 + gamma_t) * b + float(lam[selection[j]])
-                z = last_lambda_opt(b, gamma_t)
+            upper = lam[selection[slot + 1]] if slot < k - 1 else math.inf
+            window = [g for g in unselected if lower < lam[g] < upper]
+            if not window:
+                continue
+            z = slot_optimum(lam[selection], slot + 1, gamma_t)
             pick = _bracket_pick(window, lam, z, selection[slot], gamma_t,
                                  selection, slot)
             if pick is not None:

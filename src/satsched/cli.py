@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 configuration problems, 3 numeric failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -24,34 +26,19 @@ from .csi_sched import determine_k, exhaustive, gius, lbus
 from .errors import ConfigError, EnumerationBudgetError, NumericError, ParameterError
 from .harness import ExperimentConfig, emit, run_experiment, trial_rng
 from .outage import monte_carlo_outage, phase1_outage, phase2_outage
-from .rate_core import sinr_threshold
+from .rate_core import sic_chains_close, sinr_threshold
 
+# subcommand -> (scenario, bundled config in configs/ run without --config)
 _SUBCOMMANDS = {
-    "csi-sumrate": "csi_sumrate",
-    "csi-complexity": "csi_complexity",
-    "csi-stability": "csi_stability",
-    "cdi-converge": "cdi_convergence",
-    "cdi-outage": "cdi_outage",
-    "cdi-complexity": "cdi_complexity",
+    "csi-sumrate": ("csi_sumrate", "csi_sumrate"),
+    "csi-complexity": ("csi_complexity", "csi_complexity"),
+    "csi-stability": ("csi_stability", "csi_stability"),
+    "cdi-converge": ("cdi_convergence", "cdi_convergence"),
+    "cdi-outage": ("cdi_outage", "cdi_outage_k2"),
+    "cdi-complexity": ("cdi_complexity", "cdi_complexity"),
 }
 
 _HEAVY_SHADOW = {"omega": 8.97e-4, "b0": 0.063, "m_s": 0.739}
-
-_DEFAULTS = {
-    "csi_sumrate": dict(scenario="csi_sumrate", seed=11001, trials=200, n_users=10,
-                        r_target_grid=(0.6, 0.9, 1.2, 1.5, 1.8)),
-    "csi_complexity": dict(scenario="csi_complexity", seed=11002, trials=100, n_users=20,
-                           r_target_grid=(0.6, 0.9, 1.2)),
-    "csi_stability": dict(scenario="csi_stability", seed=11003, trials=200, n_users=20,
-                          r_target_grid=(0.9,)),
-    "cdi_convergence": dict(scenario="cdi_convergence", seed=11004, trials=5, m_groups=500,
-                            k=10, r_target_grid=(0.02,), max_iters=30),
-    "cdi_outage": dict(scenario="cdi_outage", seed=11005, trials=100, m_groups=10, k=2,
-                       r_target_grid=(0.02, 0.1, 0.5, 1.0), mc_trials=10_000,
-                       sr_params=dict(_HEAVY_SHADOW), p2=1000.0),
-    "cdi_complexity": dict(scenario="cdi_complexity", seed=11007, trials=50, m_groups=12,
-                           k=5, r_target_grid=(0.02,)),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in list(_SUBCOMMANDS) + ["validate"]:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; defaults are built in")
+        p.add_argument("--config", help="JSON config file; defaults to the bundled one")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the config output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -70,21 +57,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, scenario: str) -> ExperimentConfig:
-    raw = dict(_DEFAULTS[scenario])
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if raw.get("scenario") != scenario:
-            raise ConfigError(
-                f"config scenario {raw.get('scenario')!r} does not match subcommand "
-                f"({scenario})"
-            )
+def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
+    path = args.config or Path(__file__).with_name("configs") / f"{bundled}.json"
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not args.config:
+        del raw["output_path"]  # the bundled defaults print to stdout
+    elif raw.get("scenario") != scenario:
+        raise ConfigError(
+            f"config scenario {raw.get('scenario')!r} does not match subcommand "
+            f"({scenario})"
+        )
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None:
@@ -164,8 +152,6 @@ def run_validation(seed: int = 0) -> bool:
            "gius <= exhaustive and lbus <= exhaustive on 100 instances", results)
 
     # feasibility test vs brute force on small instances
-    import itertools
-
     agree = True
     for t in range(60):
         rng_i = trial_rng(seed, 99, 2, t)
@@ -173,13 +159,9 @@ def run_validation(seed: int = 0) -> bool:
         snrs = rng_i.exponential(10.0, size=n)
         k = int(rng_i.integers(1, min(n, 4) + 1))
         gamma_t = sinr_threshold(float(rng_i.uniform(0.3, 1.5)))
-        brute = False
-        for combo in itertools.combinations(sorted(range(n), key=lambda i: -snrs[i]), k):
-            vals = snrs[list(combo)]
-            tail = np.concatenate([np.cumsum(vals[::-1])[::-1][1:], [0.0]])
-            if np.all(vals >= gamma_t * (tail + 1.0)):
-                brute = True
-                break
+        # every k-subset in descending decode order, one row each
+        combos = np.array(list(itertools.combinations(np.sort(snrs)[::-1], k)))
+        brute = bool(sic_chains_close(combos.T[::-1], gamma_t)[0].any())
         agree &= feasibility_check(snrs, k, gamma_t) == brute
     _check("feasibility vs brute force", agree, "agreement on 60 small instances", results)
 
@@ -217,8 +199,7 @@ def main(argv=None) -> int:
                 return 3
             print("all validation checks passed")
             return 0
-        scenario = _SUBCOMMANDS[args.command]
-        config = _load_config(args, scenario)
+        config = _load_config(args, *_SUBCOMMANDS[args.command])
         rows = run_experiment(config)
         text = emit(rows, args.format, config.output_path)
         if config.output_path:

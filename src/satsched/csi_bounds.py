@@ -103,7 +103,8 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
 
     Slot j < K gets s_max/(1+gamma_t)**(j-1); the final slot gets
     s_max/((1+gamma_t)**(K-2) * gamma_t) - 1, which can go negative for
-    large K and is reported as-is (callers clamp at zero when summing).
+    large K and is reported as-is (callers clamp at zero when summing); it
+    is -1 when (1+gamma_t)**(K-2) overflows.
     """
     if not (s_max >= 0 and math.isfinite(s_max)):
         raise ParameterError(f"s_max must be non-negative finite, got {s_max}")
@@ -114,7 +115,10 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
     if k == 1:
         return np.array([s_max])
     out = s_max / np.power(1.0 + gamma_t, np.arange(k, dtype=float))
-    out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+    try:
+        out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+    except OverflowError:
+        out[k - 1] = -1.0
     return out
 
 
@@ -136,8 +140,6 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     infeasible instance lb_snrs is None and lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
-    if gamma_t == 0.0:
-        raise ParameterError("r_target must be positive")
     s = _check_selection_args(csi.user_snrs, k, gamma_t)
     sat_cap = awgn_capacity(csi.sat_snr)
 

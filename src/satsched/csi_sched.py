@@ -47,6 +47,7 @@ from .rate_core import (
     empty_rate_report,
     evaluate_schedule,
     max_supported_users,
+    sic_chains_close,
     sinr_threshold,
     throughput_power_split,
 )
@@ -78,8 +79,6 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     hop's limit gives the answer.
     """
     gamma_t = sinr_threshold(r_target)
-    if gamma_t == 0.0:
-        raise ParameterError("r_target must be positive")
     upper = max_supported_users(csi.sat_snr, r_target, csi.n_users)
     return len(_economy_recursion(csi.user_snrs, upper, gamma_t))
 
@@ -303,15 +302,10 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
     desc = s[order]
     # combinations of descending positions are themselves descending
     table = _combination_table(csi.n_users, k)
-    tail = np.zeros(n_subsets)
-    feasible = np.ones(n_subsets, dtype=bool)
-    for slot in range(k - 1, -1, -1):
-        v = desc[table[slot]]
-        feasible &= v >= gamma_t * (tail + 1.0)
-        tail += v
-    # tail now holds each subset's SNR sum
-    tail[~feasible] = -np.inf
-    best = int(np.argmax(tail))
+    feasible, sums = sic_chains_close((desc[table[slot]] for slot in range(k - 1, -1, -1)),
+                                      gamma_t)
+    sums[~feasible] = -np.inf
+    best = int(np.argmax(sums))
     if not feasible[best]:
         return _infeasible(csi, n_subsets, 0)
     return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0)

@@ -31,6 +31,7 @@ from scipy import special
 
 from .channel import SrParams, sample_sr_snr
 from .errors import NumericError, ParameterError
+from .rate_core import sic_chains_close, sinr_threshold
 
 _LN2 = math.log(2.0)
 _PHASE2_RTOL = 1e-12
@@ -154,7 +155,7 @@ def closed_form_report(lambdas_in_order, sr: SrParams | None, k_users: int,
                        r_target: float) -> OutageReport:
     """Convenience wrapper composing both phases; sr=None models an ideal
     satellite hop (no phase-2 outage)."""
-    gamma_t = math.expm1(r_target * _LN2)
+    gamma_t = sinr_threshold(r_target)
     p1 = phase1_outage(lambdas_in_order, gamma_t)
     p2 = phase2_outage(sr, k_users, r_target) if sr is not None else 0.0
     return OutageReport(p1=p1, p2=p2, total=total_outage(p1, p2), method="closed_form")
@@ -172,17 +173,12 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    gamma_t = _check_gamma(math.expm1(r_target * _LN2))
+    gamma_t = sinr_threshold(r_target)
     k = lam.size
     threshold2 = float(np.expm1(k * r_target * _LN2))
 
     snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
-    cum = np.cumsum(snrs, axis=1)
-    # slot j is decoded against the slots after it plus unit noise
-    ok = np.ones(trials, dtype=bool)
-    for j in range(k):
-        ok &= snrs[:, j] >= gamma_t * (cum[:, -1] - cum[:, j] + 1.0)
-    phase1_fail = ~ok
+    phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
     if sr is not None:
         phase2_fail = sample_sr_snr(sr, trials, rng) < threshold2
     else:

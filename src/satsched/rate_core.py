@@ -26,7 +26,10 @@ def sinr_threshold(r_target: float) -> float:
     """SINR needed to carry r_target bit/s/Hz: 2**r_target - 1."""
     if not (r_target >= 0 and math.isfinite(r_target)):
         raise ParameterError(f"r_target must be non-negative finite, got {r_target}")
-    return math.expm1(r_target * _LN2)
+    try:
+        return math.expm1(r_target * _LN2)
+    except OverflowError:
+        raise ParameterError(f"r_target {r_target} needs an SINR beyond float range") from None
 
 
 def awgn_capacity(snr: float) -> float:
@@ -101,6 +104,23 @@ def _chain_back_to_front(vals: list, inv: float):
             out[k] = math.inf if v > 0.0 else 0.0
         tail += v
     return out, tail
+
+
+def sic_chains_close(slot_snrs, gamma_t: float):
+    """Batched decode-chain test: which chains clear gamma_t in every slot.
+
+    slot_snrs yields one SNR array per decode slot, last decode slot first,
+    holding one entry per chain; each slot is decoded against the slots
+    after it plus unit noise.  Returns (closes, sums): the mask of chains
+    that close and each chain's SNR sum, both updated in place slot by slot.
+    """
+    slots = iter(slot_snrs)
+    sums = np.array(next(slots), dtype=float)  # the last slot sees noise only
+    closes = sums >= gamma_t
+    for v in slots:
+        closes &= v >= gamma_t * (sums + 1.0)
+        sums += v
+    return closes, sums
 
 
 def _checked_snr_list(snrs_in_order) -> list:
@@ -192,8 +212,6 @@ def allocate_relay_power(k_users: int, r_target: float, sat_snr: float):
     if k_users < 1:
         raise ParameterError(f"k_users must be >= 1, got {k_users}")
     gamma_t = sinr_threshold(r_target)
-    if gamma_t == 0.0:
-        raise ParameterError("r_target must be positive")
     if max_supported_users(sat_snr, r_target, k_users) < k_users:
         return None
     s_eff = sat_snr if math.isfinite(sat_snr) else float(np.expm1(k_users * r_target * _LN2))

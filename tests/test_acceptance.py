@@ -33,7 +33,7 @@ from satsched.rate_core import allocate_relay_power, relay_sinr_chain, \
 
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
 GAMMA_R002 = float(2.0 ** 0.02 - 1.0)
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "satsched" / "configs"
 # SHA-256 of each bundled config's csv with wall_time_ns zeroed; rewrite a
 # digest only together with a change that is meant to alter that table
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -24,6 +24,7 @@ from satsched import (
     lbus,
     relay_sinr_chain,
     sinr_threshold,
+    sum_rate_bounds,
 )
 
 BIG_SAT = float(2**60)
@@ -271,6 +272,11 @@ def test_parameter_validation():
             scheduler(csi, 3, 1.0)
         with pytest.raises(ParameterError):
             scheduler(csi, 2, 0.0)
+    # r_target = 0 leaves no positive SINR threshold to schedule against
+    for call in (lambda: determine_k(csi, 0.0), lambda: allocate_relay_power(2, 0.0, BIG_SAT),
+                 lambda: sum_rate_bounds(csi, 2, 0.0)):
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_tdma_equal_users():

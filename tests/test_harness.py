@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satsched import ConfigError, harness
+from satsched import ConfigError, cli, harness
 from satsched.cli import main
 from satsched.harness import (
     SCENARIOS,
@@ -342,7 +342,7 @@ def test_wall_time_is_the_reported_calls_time(monkeypatch):
 
 
 def test_golden_configs_parse(pytestconfig):
-    root = pytestconfig.rootpath / "configs"
+    root = pytestconfig.rootpath / "src" / "satsched" / "configs"
     paths = sorted(root.glob("*.json"))
     assert len(paths) == 7
     for path in paths:
@@ -365,7 +365,7 @@ def test_cli_runs_to_file(tmp_path, capsys):
 
 def test_cli_writes_stdout(capsys):
     code = main(["cdi-complexity", "--trials", "1", "--config",
-                 "configs/cdi_complexity.json", "--out", "/dev/null"])
+                 "src/satsched/configs/cdi_complexity.json", "--out", "/dev/null"])
     assert code == 0
 
 
@@ -413,6 +413,52 @@ def test_cli_budget_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["csi-stability", "--config", str(path)]) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
+    cases = (
+        # 2**2000 - 1 is beyond float range
+        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=4,
+                             r_target_grid=[2000]), 2),
+        ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
+                            r_target_grid=[2000], mc_trials=10, sr_params=HEAVY), 2),
+        # the threshold fits a float, its cube in the upper bound does not
+        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=6, k=5,
+                             r_target_grid=[600]), 0),
+    )
+    for i, (sub, cfg, code) in enumerate(cases):
+        path = tmp_path / f"big{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            upper = [line for line in captured.out.splitlines() if ",upper_bound," in line]
+            assert len(upper) == 1 and math.isfinite(float(upper[0].split(",")[4]))
+
+
+# the bundled config each subcommand runs when --config is absent
+_BUNDLED = {
+    "csi-sumrate": "csi_sumrate",
+    "csi-complexity": "csi_complexity",
+    "csi-stability": "csi_stability",
+    "cdi-converge": "cdi_convergence",
+    "cdi-outage": "cdi_outage_k2",
+    "cdi-complexity": "cdi_complexity",
+}
+
+
+def test_cli_defaults_are_the_bundled_configs(pytestconfig, capsys):
+    def without_wall_time(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    root = pytestconfig.rootpath / "src" / "satsched" / "configs"
+    assert set(cli._SUBCOMMANDS) == set(_BUNDLED)
+    for sub in cli._SUBCOMMANDS:
+        raw = json.loads((root / f"{_BUNDLED[sub]}.json").read_text())
+        rows = run_experiment(ExperimentConfig.from_dict(dict(raw, trials=1, output_path=None)))
+        assert main([sub, "--trials", "1"]) == 0
+        assert without_wall_time(capsys.readouterr().out) == without_wall_time(emit(rows)), sub
 
 
 def test_cli_validate(capsys):
