@@ -10,8 +10,12 @@ every middle slot k solves h(lambda) = 0 with
                 - gamma*(1+gamma)**(K-k),
 
 where the D values collect the influence of the other slots and do not
-depend on slot k's own rate.  h falls from +inf at 0+ to a negative limit
-and crosses zero once, so bisection is exact.  solve_theorem3 iterates
+depend on slot k's own rate.  With two or more D values h is not monotone
+(it rises back toward -tail, its last term, for large lambda), but
+lambda*h(lambda) = 1 - q(lambda) with q(lambda) = sum lambda/(lambda+D)
++ tail*lambda concave and strictly increasing from 0, so h crosses zero
+exactly once and bisection finds it; find_zero_h answers most of the
+bisection's sign tests from q without evaluating h.  solve_theorem3 iterates
 coordinate updates to that stationary profile; aoius runs the same
 coordinate moves over the discrete group rates, picking per slot the best
 of the two groups bracketing the continuous optimum, which makes every
@@ -20,6 +24,7 @@ update, and hence the whole outage trace, monotone non-increasing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,12 +32,16 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from .errors import EnumerationBudgetError, NumericError, ParameterError
-from .outage import GroupCdi, phase1_outage
+from .outage import GroupCdi, _phase1, phase1_outage
 
 _BISECT_MAX_ITERS = 500
 _BRACKET_MAX_DOUBLINGS = 400
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 10_000
+_UNIT_ROUNDOFF = 2.0**-53
+_NEWTON_MAX_STEPS = 200
+_CERTIFY_MAX_WIDENINGS = 60
+_CERTIFY_RANGE = 2.0**500  # D values and tail within [1/range, range]
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,12 @@ def coordinate_context(lambdas_in_order, position: int, gamma_t: float) -> Coord
     k = lam.size
     if not (2 <= position <= k - 1):
         raise ParameterError(f"position must be in [2, {k - 1}], got {position}")
-    g = float(gamma_t)
+    return _coordinate_context(lam.tolist(), position, float(gamma_t))
+
+
+def _coordinate_context(lam: list, position: int, g: float) -> CoordinateContext:
+    """coordinate_context on a list of floats, without the profile checks."""
+    k = len(lam)
     p = position - 1  # 0-based slot of the coordinate
 
     # weighted prefix sums skipping slot p: for target slot i (0-based),
@@ -84,17 +98,17 @@ def coordinate_context(lambdas_in_order, position: int, gamma_t: float) -> Coord
     # i = position (D_{k,k}): gamma * B_{k-1} over slots 0..p-1
     b = 0.0
     for j in range(p):
-        b = (1.0 + g) * b + float(lam[j])
+        b = (1.0 + g) * b + lam[j]
     ds.append(g * b)
     # i > position: (gamma * B~_{i-1} + lam_i) / (gamma * (1+g)^(i-1-p))
     bt = b  # running B over slots != p, currently through slot p-1
     for i in range(p + 1, k):
         # advance through slot i-1, skipping p
         if i - 1 != p:
-            bt = (1.0 + g) * bt + float(lam[i - 1])
+            bt = (1.0 + g) * bt + lam[i - 1]
         else:
             bt = (1.0 + g) * bt  # slot p contributes nothing
-        ds.append((g * bt + float(lam[i])) / (g * (1.0 + g) ** (i - 1 - p)))
+        ds.append((g * bt + lam[i]) / (g * (1.0 + g) ** (i - 1 - p)))
     return CoordinateContext(gamma_t=g, position=position, n_selected=k,
                              d_values=tuple(ds))
 
@@ -109,21 +123,90 @@ def h_function(lam: float, context: CoordinateContext) -> float:
     return 1.0 / lam - sum(1.0 / (lam + d) for d in context.d_values) - tail
 
 
+def _q(x: float, ds: tuple, tail: float) -> float:
+    """q(x) = sum x/(x+D) + tail*x, so that x*h(x) = 1 - q(x)."""
+    q = tail * x
+    for d in ds:
+        q += x / (x + d)
+    return q
+
+
+def _certified_bracket(context: CoordinateContext) -> tuple:
+    """(a, b) such that the computed h is > 0 at every lambda <= a and <= 0
+    at every lambda >= b; (0, inf) when that cannot be certified.
+
+    Newton on q = 1 starts at 1/(sum 1/D + tail), left of the root, and
+    rises monotonically as q is concave.  A bracket around its end point
+    widens until rounding-error bounds (Higham's gamma_n: e_q on computed
+    q, e_h on computed h) prove the sign of h through x*h(x) = 1 - q(x):
+    positive wherever q < (1-e_h)/(1+e_h), non-positive wherever
+    q > (1+e_h)/(1-e_h).  With every D and the tail in [2**-500, 2**500],
+    nothing overflows or underflows at the lambdas find_zero_h probes,
+    all in [2**-400, 2**400].
+    """
+    ds = context.d_values
+    g = context.gamma_t
+    tail = g * (1.0 + g) ** (context.n_selected - context.position)
+    lim = _CERTIFY_RANGE
+    if not (tail <= lim and 1.0 / lim <= min(ds) and max(ds) <= lim):
+        return 0.0, math.inf
+    n = len(ds)
+    e_h = 2 * (n + 4) * _UNIT_ROUNDOFF
+    e_q = 2 * (2 * n + 4) * _UNIT_ROUNDOFF
+    x = 1.0 / (sum(1.0 / d for d in ds) + tail)
+    for _ in range(_NEWTON_MAX_STEPS):
+        q, dq = tail * x, tail
+        for d in ds:
+            s = x + d
+            q += x / s
+            dq += d / s / s
+        step = (1.0 - q) / dq
+        x += step
+        if abs(step) <= 1e-12 * x:
+            break
+    pos_cap = (1.0 - e_h) / (1.0 + e_h)
+    neg_cap = (1.0 + e_h) / (1.0 - e_h)
+    lo, hi = 0.0, math.inf
+    delta = 2.0 * (e_q + 2.0 * e_h) / (x * dq)
+    for _ in range(_CERTIFY_MAX_WIDENINGS):
+        if delta >= 1.0:
+            break
+        if lo == 0.0 and _q(x - x * delta, ds, tail) * (1.0 + e_q) < pos_cap:
+            lo = x - x * delta
+        if hi == math.inf and _q(x + x * delta, ds, tail) * (1.0 - e_q) > neg_cap:
+            hi = x + x * delta
+        if lo > 0.0 and hi < math.inf:
+            break
+        delta *= 2.0
+    return lo, hi
+
+
 def find_zero_h(context: CoordinateContext) -> float:
     """Unique zero of h by geometric bracketing from 1 and bisection to
-    machine-level relative width, so |h(root)| lands well below 1e-9."""
+    machine-level relative width, so |h(root)| lands well below 1e-9.
+    Sign tests outside _certified_bracket's (a, b) skip evaluating h, so
+    the root is plain bisection's, bit for bit."""
+    a, b = _certified_bracket(context)
+
+    def positive(x):
+        if x <= a:
+            return True
+        if x >= b:
+            return False
+        return h_function(x, context) > 0.0
+
     lo = hi = 1.0
-    if h_function(1.0, context) > 0.0:
+    if positive(1.0):
         for _ in range(_BRACKET_MAX_DOUBLINGS):
             hi *= 2.0
-            if h_function(hi, context) <= 0.0:
+            if not positive(hi):
                 break
         else:
             raise NumericError(f"no sign change up to lambda={hi}")
     else:
         for _ in range(_BRACKET_MAX_DOUBLINGS):
             lo /= 2.0
-            if h_function(lo, context) > 0.0:
+            if positive(lo):
                 break
         else:
             raise NumericError(f"no sign change down to lambda={lo}")
@@ -131,7 +214,7 @@ def find_zero_h(context: CoordinateContext) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break
-        if h_function(mid, context) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
@@ -149,16 +232,16 @@ def last_lambda_opt(b_prefix: float, gamma_t: float) -> float:
     return 2.0 * b_prefix / (math.sqrt(gb * gb + 4.0 * b_prefix) + gb)
 
 
-def slot_optimum(lambdas_in_order, position: int, gamma_t: float) -> float:
-    """Continuous optimum of slot `position` (1-based, >= 2) with the other
-    slots held: the zero of h for a middle slot, last_lambda_opt of the
-    B prefix B_{K-1} for the last slot."""
-    k = len(lambdas_in_order)
+def slot_optimum(lam: list, position: int, gamma_t: float) -> float:
+    """Continuous optimum of slot `position` (1-based, >= 2) of the float
+    list `lam` with the other slots held: the zero of h for a middle slot,
+    last_lambda_opt of the B prefix B_{K-1} for the last slot."""
+    k = len(lam)
     if position < k:
-        return find_zero_h(coordinate_context(lambdas_in_order, position, gamma_t))
+        return find_zero_h(_coordinate_context(lam, position, gamma_t))
     b = 0.0
     for j in range(k - 1):
-        b = (1.0 + gamma_t) * b + float(lambdas_in_order[j])
+        b = (1.0 + gamma_t) * b + lam[j]
     return last_lambda_opt(b, gamma_t)
 
 
@@ -192,14 +275,14 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
     if k == 1:
         return Theorem3Solution((lambda_min,), phase1_outage([lambda_min], gamma_t), 0)
 
-    lam = np.full(k, lambda_min, dtype=float)
+    lam = [float(lambda_min)] * k
     for sweeps in range(1, _MAX_SWEEPS + 1):
         delta = 0.0
         for pos in range(2, k + 1):
-            new = max(slot_optimum(lam, pos, gamma_t), lambda_min)
+            new = max(slot_optimum(lam, pos, gamma_t), lam[0])
             delta = max(delta, abs(new - lam[pos - 1]))
             lam[pos - 1] = new
-        if delta <= 1e-12 + _SWEEP_TOL * float(np.max(lam)):
+        if delta <= 1e-12 + _SWEEP_TOL * max(lam):
             break
     else:
         raise NumericError(
@@ -207,7 +290,7 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
             f"(last max change {delta})"
         )
     return Theorem3Solution(
-        lambda_opt=tuple(float(x) for x in lam),
+        lambda_opt=tuple(lam),
         benchmark_outage=phase1_outage(lam, gamma_t),
         iterations=sweeps,
     )
@@ -227,20 +310,19 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
         res[pos - 1] = abs(h_function(float(lam[pos - 1]),
                                       coordinate_context(lam, pos, gamma_t)))
     if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
-        res[k - 1] = abs(lam[k - 1] - slot_optimum(lam, k, gamma_t))
+        res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
     return res
 
 
-def _bracket_pick(window_groups, lambdas, z, current, gamma_t, selection, slot):
+def _bracket_pick(window_groups, lambdas, z, gamma_t, selection, slot):
     """Best group for `slot` among the two window members bracketing z.
 
     The coordinate objective is unimodal in the slot rate with its peak at
     z, so the discrete optimum over the window is one of the bracketing
     members; evaluating both keeps every move non-increasing in outage.
+    `window_groups` is non-empty and `lambdas` a list of floats.
     Returns (group, outage, evaluations).
     """
-    if not window_groups:
-        return None
     below = None
     above = None
     for g in window_groups:
@@ -257,7 +339,7 @@ def _bracket_pick(window_groups, lambdas, z, current, gamma_t, selection, slot):
             continue
         trial = list(selection)
         trial[slot] = cand
-        out = phase1_outage(lambdas[trial], gamma_t)
+        out = _phase1([lambdas[g] for g in trial], gamma_t)
         evals += 1
         key = (out, abs(lambdas[cand] - z), cand)
         if best is None or key < best[0]:
@@ -278,7 +360,6 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
     The returned trace starts at the initialization's outage and is
     monotone non-increasing.
     """
-    lam = cdi.lambdas
     m = cdi.n_groups
     if not (1 <= k <= m):
         raise ParameterError(f"k must be in [1, {m}], got {k}")
@@ -291,18 +372,19 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
     if rng is None:
         rng = default_rng(0)
 
-    first = int(np.argmin(lam))
+    first = int(np.argmin(cdi.lambdas))
+    lam = cdi.lambdas.tolist()
     if k == 1:
-        out = phase1_outage(lam[[first]], gamma_t)
+        out = _phase1([lam[first]], gamma_t)
         return GroupSchedule((first,), out, (out,), 1)
 
     others = np.array([g for g in range(m) if g != first], dtype=int)
     picked = rng.choice(others, size=k - 1, replace=False)
-    picked = picked[np.argsort(lam[picked], kind="stable")]
+    picked = picked[np.argsort(cdi.lambdas[picked], kind="stable")]
     selection = [first] + [int(g) for g in picked]
 
     evals = 1
-    outage = phase1_outage(lam[selection], gamma_t)
+    outage = _phase1([lam[g] for g in selection], gamma_t)
     trace = [outage]
     for _sweep in range(max_iters):
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
@@ -312,12 +394,10 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
             window = [g for g in unselected if lower < lam[g] < upper]
             if not window:
                 continue
-            z = slot_optimum(lam[selection], slot + 1, gamma_t)
-            pick = _bracket_pick(window, lam, z, selection[slot], gamma_t,
-                                 selection, slot)
-            if pick is not None:
-                selection[slot], outage, used = pick
-                evals += used
+            z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
+            selection[slot], outage, used = _bracket_pick(window, lam, z, gamma_t,
+                                                          selection, slot)
+            evals += used
         trace.append(outage)
         if trace[-2] - trace[-1] <= delta:
             break
@@ -333,9 +413,6 @@ def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float, *,
                       max_subsets: int = 2_000_000) -> GroupSchedule:
     """Minimum-outage K-subset by full enumeration (ascending-rate decode
     order within each subset)."""
-    import itertools
-
-    lam = cdi.lambdas
     m = cdi.n_groups
     if not (1 <= k <= m):
         raise ParameterError(f"k must be in [1, {m}], got {k}")
@@ -346,11 +423,12 @@ def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float, *,
         raise EnumerationBudgetError(
             f"comb({m}, {k}) = {n_subsets} exceeds budget {max_subsets}"
         )
-    asc = np.argsort(lam, kind="stable")
+    lam = cdi.lambdas.tolist()
+    asc = np.argsort(cdi.lambdas, kind="stable")
     best_groups = None
     best_outage = math.inf
     for combo in itertools.combinations(asc.tolist(), k):
-        out = phase1_outage(lam[list(combo)], gamma_t)
+        out = _phase1([lam[g] for g in combo], gamma_t)
         if out < best_outage:
             best_outage = out
             best_groups = combo

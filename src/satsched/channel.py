@@ -45,6 +45,8 @@ class RayleighLink:
             raise ParameterError(f"sigma_sq must be positive finite, got {self.sigma_sq}")
         if not (self.tx_power > 0 and math.isfinite(self.tx_power)):
             raise ParameterError(f"tx_power must be positive finite, got {self.tx_power}")
+        if not math.isfinite(self.mean_snr):
+            raise ParameterError(f"mean SNR 2*tx_power*sigma_sq overflows: {self.mean_snr}")
 
     @property
     def snr_rate(self) -> float:

@@ -66,6 +66,8 @@ def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if not args.config:
         del raw["output_path"]  # the bundled defaults print to stdout
     elif raw.get("scenario") != scenario:

@@ -97,18 +97,22 @@ def phase1_outage(lambdas_in_order: np.ndarray, gamma_t: float) -> float:
     Evaluated in log space and returned through expm1, so tiny outages and
     long chains both stay at machine precision.
     """
-    lam = _check_lambdas(lambdas_in_order)
-    gamma_t = _check_gamma(gamma_t)
-    if lam.size == 1:
-        return -math.expm1(-float(lam[0]) * gamma_t)
-    b = float(lam[0])
+    return _phase1(_check_lambdas(lambdas_in_order).tolist(), _check_gamma(gamma_t))
+
+
+def _phase1(lam: list, gamma_t: float) -> float:
+    """phase1_outage on a non-empty list of positive finite floats and a
+    non-negative finite gamma_t, without the checks."""
+    if len(lam) == 1:
+        return -math.expm1(-lam[0] * gamma_t)
+    b = lam[0]
     log_success = 0.0
-    for k in range(1, lam.size):
-        lk = float(lam[k])
+    for k in range(1, len(lam)):
+        lk = lam[k]
         log_success += math.log(lk) - math.log(gamma_t * b + lk)
-        if k < lam.size - 1:
+        if k < len(lam) - 1:
             b = (1.0 + gamma_t) * b + lk
-    log_success -= gamma_t * ((1.0 + gamma_t) * b + float(lam[-1]))
+    log_success -= gamma_t * ((1.0 + gamma_t) * b + lam[-1])
     return -math.expm1(log_success)
 
 

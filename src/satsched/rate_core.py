@@ -191,11 +191,19 @@ def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
         return 0
     k = int(math.log2(1.0 + sat_snr) / r_target + 1e-12)
     # settle the boundary with the exact comparison
-    while k >= 1 and math.expm1(k * r_target * _LN2) > sat_snr:
+    while k >= 1 and not _hop_carries(k, r_target, sat_snr):
         k -= 1
-    while k + 1 <= n_users and math.expm1((k + 1) * r_target * _LN2) <= sat_snr:
+    while k + 1 <= n_users and _hop_carries(k + 1, r_target, sat_snr):
         k += 1
     return min(k, n_users)
+
+
+def _hop_carries(k: int, r_target: float, sat_snr: float) -> bool:
+    """2**(k*r_target) - 1 <= sat_snr for a finite sat_snr."""
+    try:
+        return math.expm1(k * r_target * _LN2) <= sat_snr
+    except OverflowError:  # the power exceeds every finite sat_snr
+        return False
 
 
 def allocate_relay_power(k_users: int, r_target: float, sat_snr: float):

@@ -194,3 +194,35 @@ def best_group_subset(lambdas, k, gamma_t):
         if best is None or out < best[1] - 1e-15:
             best = (ordered, out)
     return best
+
+
+def find_zero_h_bisect(context):
+    """find_zero_h as plain bracketing and bisection, every sign test an h
+    evaluation: geometric bracketing from 1 and bisection to machine-level
+    relative width.  The production root must equal this one bit for bit."""
+    from satsched import NumericError, h_function
+
+    lo = hi = 1.0
+    if h_function(1.0, context) > 0.0:
+        for _ in range(400):
+            hi *= 2.0
+            if h_function(hi, context) <= 0.0:
+                break
+        else:
+            raise NumericError(f"no sign change up to lambda={hi}")
+    else:
+        for _ in range(400):
+            lo /= 2.0
+            if h_function(lo, context) > 0.0:
+                break
+        else:
+            raise NumericError(f"no sign change down to lambda={lo}")
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # interval at floating-point resolution
+            break
+        if h_function(mid, context) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from satsched import (
@@ -22,9 +24,11 @@ from satsched import (
 )
 from satsched.cdi_sched import (
     CoordinateContext,
+    _certified_bracket,
     coordinate_context,
     stationarity_residuals,
 )
+from satsched.outage import _phase1
 
 GAMMA_R002 = 2.0**0.02 - 1.0  # SINR threshold for a 0.02-rate target
 
@@ -95,6 +99,89 @@ def test_find_zero_h_residual_and_uniqueness():
         signs = np.sign([h_function(float(x), ctx) for x in grid])
         flips = np.count_nonzero(np.diff(signs))
         assert flips == 1
+
+
+# rate profiles the root must be exact on, each (rng, k) -> k positive rates
+_RATE_FAMILIES = (
+    lambda rng, k: 1.0 / (2.0 * 10.0 ** (rng.uniform(-10.0, 20.0, size=k) / 10.0)),
+    lambda rng, k: np.exp(rng.uniform(-30.0, 30.0, size=k)),
+    lambda rng, k: np.full(k, math.exp(rng.uniform(-5.0, 5.0))),
+    lambda rng, k: rng.integers(1, 9, size=k) * 2.0 ** int(rng.integers(-20, 21)),
+)
+# rate targets r of the SINR thresholds 2**r - 1
+_RATE_TARGETS = (1e-6, 0.02, 0.1, 0.5, 1.0, 3.0, 8.0)
+
+
+def _root_or_error(find, ctx):
+    try:
+        return find(ctx)
+    except Exception as exc:  # the two finders must fail alike, too
+        return type(exc)
+
+
+def test_find_zero_h_is_bitwise_plain_bisection():
+    # 8 rounds x 4 families x 7 thresholds x every middle slot of K = 3..15:
+    # 20,384 contexts, each root compared with == against the oracle
+    rng = np.random.default_rng(31)
+    checked = 0
+    mismatches = []
+    for rnd in range(8):
+        for family in _RATE_FAMILIES:
+            for r in _RATE_TARGETS:
+                g = 2.0**r - 1.0
+                for k in range(3, 16):
+                    lam = family(rng, k)
+                    if rnd % 2:
+                        lam = np.sort(lam)  # decode order, as the schedulers use
+                    for pos in range(2, k):
+                        ctx = coordinate_context(lam, pos, g)
+                        got = _root_or_error(find_zero_h, ctx)
+                        want = _root_or_error(oracles.find_zero_h_bisect, ctx)
+                        checked += 1
+                        if got != want:
+                            mismatches.append((ctx, got, want))
+    # roots past the doubling range, D values outside the certified range
+    # and overflowing tails: both finders must raise or agree
+    for d_values in ((2.0**450, 2.0**450), (2.0**-450, 2.0**-440), (2.0**600, 1.0),
+                     (2.0**-600, 1.0, 3.0), (1e308, 1e308), (5e-324, 1.0)):
+        for g in (1e-300, 0.5, 1e3, 1e200):
+            ctx = CoordinateContext(gamma_t=g, position=2, n_selected=len(d_values) + 1,
+                                    d_values=d_values)
+            got = _root_or_error(find_zero_h, ctx)
+            want = _root_or_error(oracles.find_zero_h_bisect, ctx)
+            if got != want:
+                mismatches.append((ctx, got, want))
+    assert checked >= 20_000
+    assert not mismatches, mismatches[:3]
+
+
+_D_VALUE = st.floats(-40.0, 40.0).map(lambda e: 2.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d_values=st.lists(_D_VALUE, min_size=2, max_size=14),
+       r=st.sampled_from(_RATE_TARGETS) | st.floats(1e-6, 8.0),
+       offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_certified_bracket_signs(d_values, r, offsets):
+    # the computed h is positive at and left of a, non-positive at and right
+    # of b, which is all find_zero_h relies on
+    ctx = CoordinateContext(gamma_t=2.0**r - 1.0, position=2,
+                            n_selected=len(d_values) + 1, d_values=tuple(d_values))
+    a, b = _certified_bracket(ctx)
+    assert 0.0 < a < b < math.inf
+    left = [a, math.nextafter(a, 0.0)] + [a * (1.0 - t / 2.0) for t in offsets]
+    right = [b, math.nextafter(b, math.inf)] + [b * (1.0 + t) for t in offsets]
+    assert all(h_function(x, ctx) > 0.0 for x in left)
+    assert all(h_function(x, ctx) <= 0.0 for x in right)
+    assert find_zero_h(ctx) == oracles.find_zero_h_bisect(ctx)
+
+
+def test_unchecked_phase1_is_bitwise_phase1_outage():
+    rng = np.random.default_rng(37)
+    for i in range(2000):
+        lam = _RATE_FAMILIES[i % 4](rng, int(rng.integers(1, 16)))
+        g = 2.0 ** _RATE_TARGETS[i % 7] - 1.0
+        assert _phase1(lam.tolist(), g) == phase1_outage(lam, g)
 
 
 def test_coordinate_context_validation():

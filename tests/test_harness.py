@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satsched import ConfigError, cli, harness
@@ -435,6 +437,65 @@ def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
         if code == 0:
             upper = [line for line in captured.out.splitlines() if ",upper_bound," in line]
             assert len(upper) == 1 and math.isfinite(float(upper[0].split(",")[4]))
+
+
+# one small valid config per subcommand, every count within _CAPS
+_SMALL = {
+    "csi-sumrate": dict(scenario="csi_sumrate", seed=1, trials=2, r_target_grid=[0.9],
+                        n_users=4),
+    "csi-complexity": dict(scenario="csi_complexity", seed=1, trials=1,
+                           r_target_grid=[0.6, 1.2], n_users=6),
+    "csi-stability": dict(scenario="csi_stability", seed=1, trials=2, r_target_grid=[0.9],
+                          n_users=6),
+    "cdi-converge": dict(scenario="cdi_convergence", seed=1, trials=1, r_target_grid=[0.02],
+                         m_groups=8, k=4, max_iters=5),
+    "cdi-outage": dict(scenario="cdi_outage", seed=1, trials=2, r_target_grid=[0.1],
+                       m_groups=6, k=2, sr_params=dict(HEAVY), mc_trials=100, p2=100.0),
+    "cdi-complexity": dict(scenario="cdi_complexity", seed=1, trials=1, r_target_grid=[0.1],
+                           m_groups=6, k=3),
+}
+# the largest counts a fuzzed config may run, so no case starts a large enumeration
+_CAPS = {"trials": 2, "n_users": 8, "m_groups": 8, "mc_trials": 200, "max_iters": 5}
+_ODD_NUMBERS = st.sampled_from([0, -1, 5e-324, 1e-300, 1e-6, 0.5, 3, 1000.0, 2000.0,
+                                1e308, -1e308])
+_FIELD_VALUES = (
+    _JSON
+    | _ODD_NUMBERS
+    | st.lists(st.floats() | _ODD_NUMBERS, min_size=1, max_size=3)
+    | st.fixed_dictionaries({name: st.floats() | _ODD_NUMBERS for name in HEAVY})
+)
+
+
+def _capped(raw):
+    if not isinstance(raw, dict):
+        return raw
+    raw = {**raw, "mc_trials": raw.get("mc_trials", _CAPS["mc_trials"]),
+           "max_iters": raw.get("max_iters", _CAPS["max_iters"])}
+    for name, cap in _CAPS.items():
+        if type(raw.get(name)) is int:
+            raw[name] = min(raw[name], cap)
+    if isinstance(raw.get("r_target_grid"), list):
+        raw["r_target_grid"] = raw["r_target_grid"][:3]
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(sub=st.sampled_from(sorted(_SMALL)),
+       changed=st.dictionaries(st.sampled_from(_FIELDS), _FIELD_VALUES, max_size=3),
+       dropped=st.sets(st.sampled_from(_FIELDS), max_size=1),
+       whole=st.booleans(), other=_JSON)
+@example(sub="csi-sumrate", changed={}, dropped=set(), whole=True, other=[1, 2])
+@example(sub="csi-sumrate", changed={"sat_snr": 1e308, "r_target_grid": [1000]},
+         dropped=set(), whole=False, other=None)
+def test_cli_exit_code_contract(sub, changed, dropped, whole, other):
+    # any JSON value as a --config file: exit 0, 2 or 3, never an exception
+    raw = other if whole else {k: v for k, v in {**_SMALL[sub], **changed}.items()
+                               if k not in dropped}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(_capped(raw)))
+        code = main([sub, "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2, 3)
 
 
 # the bundled config each subcommand runs when --config is absent
