@@ -8,26 +8,22 @@ from .channel import (
     SrParams,
     sample_rayleigh_snr,
     sample_sr_snr,
-    sr_snr_pdf,
 )
 from .cdi_sched import (
     CoordinateContext,
     GroupSchedule,
     Theorem3Solution,
     aoius,
-    coordinate_context,
     exhaustive_groups,
     find_zero_h,
     h_function,
     last_lambda_opt,
     solve_theorem3,
-    stationarity_residuals,
 )
 from .csi_bounds import (
     BoundsResult,
     feasibility_check,
     lower_bound_snrs,
-    phi,
     sum_rate_bounds,
     upper_bound_snrs,
 )
@@ -49,12 +45,11 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .harness import ExperimentConfig, ResultRow, emit, load_rows, run_experiment, trial_rng
+from .harness import ExperimentConfig, ResultRow, emit, run_experiment, trial_rng
 from .outage import (
     GroupCdi,
     McStats,
     OutageReport,
-    closed_form_report,
     monte_carlo_outage,
     phase1_outage,
     phase2_outage,
@@ -63,12 +58,9 @@ from .outage import (
 from .rate_core import (
     RateReport,
     Schedule,
-    allocate_relay_power,
     awgn_capacity,
     evaluate_schedule,
     max_supported_users,
-    relay_sinr_chain,
-    satellite_sinr_chain,
     sinr_threshold,
     throughput_power_split,
 )

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, default_rng
+from numpy.random import Generator
 
 from .errors import EnumerationBudgetError, NumericError, ParameterError
 from .outage import GroupCdi, _phase1, phase1_outage
@@ -42,6 +42,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 _NEWTON_MAX_STEPS = 200
 _CERTIFY_MAX_WIDENINGS = 60
 _CERTIFY_RANGE = 2.0**500  # D values and tail within [1/range, range]
+_MAX_SUBSETS = 2_000_000  # exhaustive_groups' enumeration budget
 
 
 @dataclass(frozen=True)
@@ -68,27 +69,14 @@ class CoordinateContext:
             raise ParameterError(f"gamma_t must be positive finite, got {self.gamma_t}")
 
 
-def coordinate_context(lambdas_in_order, position: int, gamma_t: float) -> CoordinateContext:
-    """Build the middle-slot context from a selected rate profile.
+def _coordinate_context(lam: list, position: int, g: float) -> CoordinateContext:
+    """The middle-slot context of slot `position` in the float list `lam`.
 
     The profile entry at `position` itself is ignored: its analytic
     contribution to every D cancels, so the D values are computed from the
     other slots only and the context is exactly independent of the
     coordinate being optimized.
     """
-    lam = np.asarray(lambdas_in_order, dtype=float)
-    if lam.ndim != 1 or lam.size < 3:
-        raise ParameterError("need at least 3 slots for a middle coordinate")
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-        raise ParameterError("lambdas must be positive finite")
-    k = lam.size
-    if not (2 <= position <= k - 1):
-        raise ParameterError(f"position must be in [2, {k - 1}], got {position}")
-    return _coordinate_context(lam.tolist(), position, float(gamma_t))
-
-
-def _coordinate_context(lam: list, position: int, g: float) -> CoordinateContext:
-    """coordinate_context on a list of floats, without the profile checks."""
     k = len(lam)
     p = position - 1  # 0-based slot of the coordinate
 
@@ -296,24 +284,6 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
     )
 
 
-def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) -> np.ndarray:
-    """Per-slot violation of the optimality system; interior middle slots
-    report |h|, projected slots and slot 1 report distance to lambda_min's
-    pin, the last slot its closed-form mismatch."""
-    lam = np.asarray(lambdas_in_order, dtype=float)
-    k = lam.size
-    res = np.zeros(k)
-    res[0] = abs(lam[0] - lambda_min)
-    for pos in range(2, k):
-        if lam[pos - 1] <= lambda_min * (1.0 + 1e-9):
-            continue  # projected coordinate, equality not expected
-        res[pos - 1] = abs(h_function(float(lam[pos - 1]),
-                                      coordinate_context(lam, pos, gamma_t)))
-    if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
-        res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
-    return res
-
-
 def _bracket_pick(window_groups, lambdas, z, gamma_t, selection, slot):
     """Best group for `slot` among the two window members bracketing z.
 
@@ -347,12 +317,12 @@ def _bracket_pick(window_groups, lambdas, z, gamma_t, selection, slot):
     return best[1], best[2], evals
 
 
-def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
-          max_iters: int = 100, rng: Generator | None = None) -> GroupSchedule:
+def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 0.0,
+          max_iters: int = 100) -> GroupSchedule:
     """Alternating per-slot group reselection.
 
     Slot 1 is pinned to the smallest-rate group.  The other slots start as
-    a random draw (sorted by rate) and are revisited in sweeps: each middle
+    a draw from rng (sorted by rate) and are revisited in sweeps: each middle
     slot computes the continuous optimum z from find_zero_h, the final slot
     from last_lambda_opt, and moves to the best bracketing group inside its
     ordering window.  Sweeps stop once the end-of-sweep outage improves by
@@ -369,8 +339,6 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
         raise ParameterError(f"delta must be non-negative, got {delta}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    if rng is None:
-        rng = default_rng(0)
 
     first = int(np.argmin(cdi.lambdas))
     lam = cdi.lambdas.tolist()
@@ -409,19 +377,19 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, delta: float = 0.0,
     )
 
 
-def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float, *,
-                      max_subsets: int = 2_000_000) -> GroupSchedule:
+def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float) -> GroupSchedule:
     """Minimum-outage K-subset by full enumeration (ascending-rate decode
-    order within each subset)."""
+    order within each subset).  Raises EnumerationBudgetError when
+    comb(M, K) exceeds _MAX_SUBSETS."""
     m = cdi.n_groups
     if not (1 <= k <= m):
         raise ParameterError(f"k must be in [1, {m}], got {k}")
     if not (gamma_t > 0 and math.isfinite(gamma_t)):
         raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
     n_subsets = math.comb(m, k)
-    if n_subsets > max_subsets:
+    if n_subsets > _MAX_SUBSETS:
         raise EnumerationBudgetError(
-            f"comb({m}, {k}) = {n_subsets} exceeds budget {max_subsets}"
+            f"comb({m}, {k}) = {n_subsets} exceeds budget {_MAX_SUBSETS}"
         )
     lam = cdi.lambdas.tolist()
     asc = np.argsort(cdi.lambdas, kind="stable")

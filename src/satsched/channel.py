@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .errors import NumericError, ParameterError
-
-# Truncation contract for the in-house 1F1 series.
-_SERIES_RTOL = 1e-12
-_SERIES_MAX_TERMS = 500
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -101,43 +97,6 @@ def sample_rayleigh_snr(link: RayleighLink, count: int, rng: Generator) -> np.nd
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     return rng.exponential(scale=1.0 / link.snr_rate, size=count)
-
-
-def _hyp1f1_series(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """1F1(a; b; x) for x >= 0 by direct term recursion.
-
-    Terms are positive here, so the running total is monotone and the
-    relative-tail stop is safe.  Raises NumericError if 500 terms do not
-    reach 1e-12 relative.
-    """
-    x = np.asarray(x, dtype=float)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for n in range(_SERIES_MAX_TERMS):
-        term = term * ((a + n) / ((n + 1.0) * (b + n))) * x
-        total = total + term
-        if np.all(term <= _SERIES_RTOL * total):
-            return total
-    raise NumericError(
-        "1F1 series did not converge: a=%r b=%r max|x|=%r after %d terms, "
-        "last relative term %r"
-        % (a, b, float(np.max(x)), _SERIES_MAX_TERMS, float(np.max(term / total)))
-    )
-
-
-def sr_snr_pdf(params: SrParams, s):
-    """Density of the satellite SNR tx_power*|h|^2 at s (scalar or array)."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0) or not np.all(np.isfinite(s_arr)):
-        raise ParameterError("SNR argument must be finite and non-negative")
-    two_p_b = 2.0 * params.tx_power * params.b0
-    denom = 2.0 * params.b0 * params.m_s + params.omega
-    pref = (2.0 * params.b0 * params.m_s / denom) ** params.m_s / two_p_b
-    arg = params.omega * s_arr / (two_p_b * denom)
-    out = pref * np.exp(-s_arr / two_p_b) * _hyp1f1_series(params.m_s, 1.0, arg)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(out)
-    return out
 
 
 def sample_sr_snr(params: SrParams, count: int, rng: Generator) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Feasibility test and sum-rate sandwich for terrestrial user selection.
 
-The building block is phi(a, S): the smallest pool element >= a, i.e. the
-cheapest SNR that can absorb a decode threshold.  Running phi from the last
-decode slot backwards yields the economy selection S_hat: the K cheapest
-SNRs that could possibly close the SINR chain.  The instance supports K
-users exactly when that recursion completes, and the best selection's SNR
-profile is sandwiched between the economy selection (with the strongest
-user substituted into slot 1) and a geometric profile anchored at the
-strongest SNR.
+Filling the decode slots from the last one backwards, each with the
+smallest remaining SNR that clears its threshold (the cheapest SNR that can
+absorb it), yields the economy selection S_hat: the K cheapest SNRs that
+could possibly close the SINR chain.  The instance supports K users exactly
+when that recursion completes, and the best selection's SNR profile is
+sandwiched between the economy selection (with the strongest user
+substituted into slot 1) and a geometric profile anchored at the strongest
+SNR.
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ class BoundsResult:
     lb_rate: float
     ub_rate: float
     feasible: bool
-
-
-def phi(threshold: float, pool) -> float | None:
-    """Smallest element of pool that is >= threshold, or None."""
-    arr = np.asarray(pool, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("pool must be a non-empty 1-D collection")
-    if math.isnan(threshold):
-        raise ParameterError("threshold must not be NaN")
-    eligible = arr[arr >= threshold]
-    if eligible.size == 0:
-        return None
-    return float(eligible.min())
 
 
 def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
@@ -114,7 +101,8 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k == 1:
         return np.array([s_max])
-    out = s_max / np.power(1.0 + gamma_t, np.arange(k, dtype=float))
+    with np.errstate(over="ignore"):  # an overflowing power is inf: slot 0
+        out = s_max / np.power(1.0 + gamma_t, np.arange(k, dtype=float))
     try:
         out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
     except OverflowError:
@@ -125,7 +113,7 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
 def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     """True when some k-user selection closes the full SINR chain.
 
-    Equivalent to the economy recursion completing: a slot's phi success
+    Equivalent to the economy recursion completing: a slot's economy pick
     already implies its threshold is at most the strongest SNR, and a slot
     with no admissible element cannot be filled by any selection.
     """

@@ -244,6 +244,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 # (n, k) -> read-only combination table, least recently used first
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_BYTES = 64 * 2**20
+_MAX_SUBSETS = 2_000_000  # exhaustive's enumeration budget
 
 
 def _build_combination_table(n: int, k: int) -> np.ndarray:
@@ -282,18 +283,17 @@ def _combination_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def exhaustive(csi: CsiRealization, k: int, r_target: float, *,
-               max_subsets: int = 2_000_000) -> SchedulerOutcome:
+def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     """Enumerate every K-subset in descending-SNR order and keep the
     feasible one with the largest SNR sum, the first in lexicographic
     order on a tie.  Raises EnumerationBudgetError when comb(N, K) exceeds
-    max_subsets."""
+    _MAX_SUBSETS."""
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     n_subsets = math.comb(csi.n_users, k)
-    if n_subsets > max_subsets:
+    if n_subsets > _MAX_SUBSETS:
         raise EnumerationBudgetError(
-            f"comb({csi.n_users}, {k}) = {n_subsets} exceeds budget {max_subsets}"
+            f"comb({csi.n_users}, {k}) = {n_subsets} exceeds budget {_MAX_SUBSETS}"
         )
     if max_supported_users(csi.sat_snr, r_target, k) < k:
         return _infeasible(csi, n_subsets, 0)

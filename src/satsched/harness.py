@@ -28,7 +28,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from time import perf_counter_ns
 
 import numpy as np
@@ -193,9 +193,6 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "r_target_grid": list(self.r_target_grid)}
-
 
 def trial_rng(seed: int, *key) -> np.random.Generator:
     """The documented splitting rule: entropy = [seed, *key]."""
@@ -237,7 +234,7 @@ def _csi_schedulers(csi, k: int, r: float, algs) -> dict:
 
 def _cdi_schedulers(cfg: ExperimentConfig, cdi, k: int, gamma_t: float, rng) -> dict:
     """{algorithm: (schedule, ns)} for the two group selectors."""
-    return {"aoius": _timed(aoius, cdi, k, gamma_t, cfg.delta, cfg.max_iters, rng),
+    return {"aoius": _timed(aoius, cdi, k, gamma_t, rng, cfg.delta, cfg.max_iters),
             "exhaustive_groups": _timed(exhaustive_groups, cdi, k, gamma_t)}
 
 
@@ -287,7 +284,7 @@ def _cdi_convergence(cfg: ExperimentConfig, _x: float):
 
     def trial(rng, key):
         cdi = _draw_cdi(cfg, rng)
-        sched, ns = _timed(aoius, cdi, cfg.k, gamma_t, cfg.delta, cfg.max_iters, rng)
+        sched, ns = _timed(aoius, cdi, cfg.k, gamma_t, rng, cfg.delta, cfg.max_iters)
         bench, b_ns = _timed(solve_theorem3, float(cdi.lambdas.min()), cfg.k, gamma_t)
         # a list value is a per-sweep trace: one row per sweep
         return {("aoius", "outage_mean"): (list(sched.trace), ns),
@@ -405,26 +402,3 @@ def emit(rows, format: str = "csv", path: str | None = None) -> str:
         except OSError as exc:
             raise ConfigError(f"cannot write output to {path}: {exc}") from exc
     return text
-
-
-def load_rows(path: str) -> list:
-    """Read back an emitted table (either format) as ResultRow records."""
-    with open(path) as fh:
-        text = fh.read()
-    rows = []
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        if payload.get("columns") != list(_CSV_COLUMNS):
-            raise ConfigError("unexpected columns in json table")
-        records = payload["rows"]
-    else:
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != _CSV_COLUMNS:
-            raise ConfigError("unexpected csv header")
-        records = list(reader)
-    for rec in records:
-        rows.append(ResultRow(scenario=rec[0], algorithm=rec[1], x=float(rec[2]),
-                              metric=rec[3], value=float(rec[4]), stderr=float(rec[5]),
-                              seed=int(rec[6]), wall_time_ns=int(rec[7])))
-    return rows

@@ -72,8 +72,7 @@ class OutageReport:
     p1: float
     p2: float
     total: float
-    method: str  # "closed_form" or "monte_carlo"
-    mc_stats: McStats | None = None
+    mc_stats: McStats
 
 
 def _check_lambdas(lambdas_in_order) -> np.ndarray:
@@ -122,7 +121,8 @@ def phase2_outage(sr: SrParams, k_users: int, r_target: float) -> float:
         raise ParameterError(f"k_users must be >= 1, got {k_users}")
     if not (r_target >= 0 and math.isfinite(r_target)):
         raise ParameterError(f"r_target must be non-negative finite, got {r_target}")
-    threshold = np.expm1(k_users * r_target * _LN2)
+    with np.errstate(over="ignore"):  # beyond float range: outage 1
+        threshold = np.expm1(k_users * r_target * _LN2)
     if threshold == 0.0:
         return 0.0
     x0 = float(threshold) / (2.0 * sr.b0 * sr.tx_power)
@@ -155,16 +155,6 @@ def total_outage(p1: float, p2: float) -> float:
     return p1 + p2 - p1 * p2
 
 
-def closed_form_report(lambdas_in_order, sr: SrParams | None, k_users: int,
-                       r_target: float) -> OutageReport:
-    """Convenience wrapper composing both phases; sr=None models an ideal
-    satellite hop (no phase-2 outage)."""
-    gamma_t = sinr_threshold(r_target)
-    p1 = phase1_outage(lambdas_in_order, gamma_t)
-    p2 = phase2_outage(sr, k_users, r_target) if sr is not None else 0.0
-    return OutageReport(p1=p1, p2=p2, total=total_outage(p1, p2), method="closed_form")
-
-
 def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
                        trials: int, rng: Generator) -> OutageReport:
     """Empirical outage over seeded trials.
@@ -179,7 +169,8 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
         raise ParameterError(f"trials must be >= 1, got {trials}")
     gamma_t = sinr_threshold(r_target)
     k = lam.size
-    threshold2 = float(np.expm1(k * r_target * _LN2))
+    with np.errstate(over="ignore"):  # beyond float range: every draw fails
+        threshold2 = float(np.expm1(k * r_target * _LN2))
 
     snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
     phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
@@ -199,7 +190,6 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
         p1=p1,
         p2=p2,
         total=total,
-        method="monte_carlo",
         mc_stats=McStats(trials=trials, std_error=se(total),
                          p1_std_error=se(p1), p2_std_error=se(p2)),
     )

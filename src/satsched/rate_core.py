@@ -27,6 +27,7 @@ def sinr_threshold(r_target: float) -> float:
     if not (r_target >= 0 and math.isfinite(r_target)):
         raise ParameterError(f"r_target must be non-negative finite, got {r_target}")
     try:
+        math.pow(2.0, r_target)  # 2**r_target itself must be a float
         return math.expm1(r_target * _LN2)
     except OverflowError:
         raise ParameterError(f"r_target {r_target} needs an SINR beyond float range") from None
@@ -134,16 +135,6 @@ def _checked_snr_list(snrs_in_order) -> list:
     return vals
 
 
-def relay_sinr_chain(snrs_in_order: np.ndarray) -> np.ndarray:
-    """SINRs at the relay for users in decode order.
-
-    Slot k is decoded against the residual interference of slots k+1..K
-    plus unit noise, so the last slot sees clean SNR.
-    """
-    out, _ = _chain_back_to_front(_checked_snr_list(snrs_in_order), 1.0)
-    return np.array(out)
-
-
 def _checked_alpha_list(alphas_in_sat_order) -> list:
     a = np.asarray(alphas_in_sat_order, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -165,17 +156,6 @@ def _sat_noise_over_power(sat_snr: float) -> float:
     return 0.0 if math.isinf(sat_snr) else 1.0 / sat_snr if sat_snr > 0 else math.inf
 
 
-def satellite_sinr_chain(alphas_in_sat_order: np.ndarray, sat_snr: float) -> np.ndarray:
-    """SINRs at the satellite given power fractions in decode order.
-
-    gamma_j = alpha_j / (sum_{i>j} alpha_i + 1/sat_snr); the final position
-    reduces to alpha_K * sat_snr.  sat_snr may be +inf (noise-free limit).
-    """
-    inv = _sat_noise_over_power(sat_snr)
-    out, _ = _chain_back_to_front(_checked_alpha_list(alphas_in_sat_order), inv)
-    return np.array(out)
-
-
 def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
     """Largest K <= n_users the relay-satellite hop can carry at r_target,
     i.e. the largest K with 2**(K*r_target) - 1 <= sat_snr."""
@@ -187,46 +167,26 @@ def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
         raise ParameterError(f"sat_snr must be non-negative, got {sat_snr}")
     if math.isinf(sat_snr):
         return n_users
-    if sat_snr < math.expm1(r_target * _LN2):
-        return 0
-    k = int(math.log2(1.0 + sat_snr) / r_target + 1e-12)
+    estimate = math.log2(1.0 + sat_snr) / r_target + 1e-12
+    k = n_users if estimate >= n_users else int(estimate)
     # settle the boundary with the exact comparison
     while k >= 1 and not _hop_carries(k, r_target, sat_snr):
         k -= 1
     while k + 1 <= n_users and _hop_carries(k + 1, r_target, sat_snr):
         k += 1
-    return min(k, n_users)
+    return k
 
 
 def _hop_carries(k: int, r_target: float, sat_snr: float) -> bool:
-    """2**(k*r_target) - 1 <= sat_snr for a finite sat_snr."""
+    """2**(k*r_target) - 1 <= sat_snr for a finite sat_snr.
+
+    math.pow rather than expm1 of k*r_target*ln2, whose rounded product
+    puts 2**11 - 1 above 2047.0 and 2**1024 - 1 below the largest float;
+    2**x is exact at every integer x."""
     try:
-        return math.expm1(k * r_target * _LN2) <= sat_snr
+        return math.pow(2.0, k * r_target) - 1.0 <= sat_snr
     except OverflowError:  # the power exceeds every finite sat_snr
         return False
-
-
-def allocate_relay_power(k_users: int, r_target: float, sat_snr: float):
-    """Minimal power split supporting k_users at r_target over the satellite
-    hop, leftover budget added to the first decoded position.  Returns the
-    fractions in satellite decode order, or None when even the minimal split
-    exceeds the unit budget.
-
-    Position j (1-based) gets (gamma_t/sat_snr)*(1+gamma_t)**(K-j); the
-    minimal total is (2**(K*r_target) - 1)/sat_snr.  An infinite sat_snr is
-    allocated against the tightest supporting SNR 2**(K*r_target) - 1 so
-    every satellite SINR still clears gamma_t in the noise-free limit.
-    """
-    if k_users < 1:
-        raise ParameterError(f"k_users must be >= 1, got {k_users}")
-    gamma_t = sinr_threshold(r_target)
-    if max_supported_users(sat_snr, r_target, k_users) < k_users:
-        return None
-    s_eff = sat_snr if math.isfinite(sat_snr) else float(np.expm1(k_users * r_target * _LN2))
-    powers = np.arange(k_users - 1, -1, -1, dtype=float)
-    alphas = (gamma_t / s_eff) * np.power(1.0 + gamma_t, powers)
-    alphas[0] += max(0.0, 1.0 - alphas.sum())
-    return alphas
 
 
 def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
@@ -236,8 +196,8 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     can carry their sum; otherwise every target starts at r_target and the
     remaining satellite capacity is granted in decode order.  Unused budget
     goes to the first-decoded position, whose power interferes with nobody.
-    Returns None exactly when k positions at r_target do not fit, the same
-    condition as allocate_relay_power.
+    Returns None exactly when the satellite hop cannot carry k positions at
+    r_target, i.e. when 2**(k*r_target) - 1 > sat_snr.
     """
     vals = _checked_snr_list(snrs_in_order)
     k = len(vals)

@@ -16,12 +16,16 @@ from scipy.linalg import solve_triangular
 from scipy.special import hyp1f1
 
 
-def chain_sinrs(snrs_in_order):
-    """Decode-order SINRs with a plain loop: slot k against slots k+1..K."""
+def chain_sinrs(snrs_in_order, noise=1.0):
+    """Decode-order SINRs with a plain loop: slot k against slots k+1..K
+    plus noise.  The relay chain has unit noise; the satellite chain takes
+    power fractions and noise 1/sat_snr, where noise 0 (an infinite
+    satellite SNR) gives a slot with nothing after it infinite SINR."""
     s = list(map(float, snrs_in_order))
     out = []
     for k in range(len(s)):
-        out.append(s[k] / (sum(s[k + 1:]) + 1.0))
+        denom = sum(s[k + 1:]) + noise
+        out.append(s[k] / denom if denom > 0 else math.inf)
     return out
 
 
@@ -226,3 +230,23 @@ def find_zero_h_bisect(context):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) -> np.ndarray:
+    """Per-slot violation of the optimality system; interior middle slots
+    report |h|, projected slots and slot 1 report distance to lambda_min's
+    pin, the last slot its closed-form mismatch."""
+    from satsched.cdi_sched import _coordinate_context, h_function, slot_optimum
+
+    lam = np.asarray(lambdas_in_order, dtype=float)
+    k = lam.size
+    res = np.zeros(k)
+    res[0] = abs(lam[0] - lambda_min)
+    for pos in range(2, k):
+        if lam[pos - 1] <= lambda_min * (1.0 + 1e-9):
+            continue  # projected coordinate, equality not expected
+        res[pos - 1] = abs(h_function(float(lam[pos - 1]),
+                                      _coordinate_context(lam.tolist(), pos, gamma_t)))
+    if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
+        res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
+    return res

@@ -15,19 +15,16 @@ from satsched import (
     GroupCdi,
     ParameterError,
     aoius,
+    cdi_sched,
     exhaustive_groups,
     find_zero_h,
     h_function,
     last_lambda_opt,
     phase1_outage,
+    sinr_threshold,
     solve_theorem3,
 )
-from satsched.cdi_sched import (
-    CoordinateContext,
-    _certified_bracket,
-    coordinate_context,
-    stationarity_residuals,
-)
+from satsched.cdi_sched import CoordinateContext, _certified_bracket, _coordinate_context
 from satsched.outage import _phase1
 
 GAMMA_R002 = 2.0**0.02 - 1.0  # SINR threshold for a 0.02-rate target
@@ -90,7 +87,7 @@ def test_find_zero_h_residual_and_uniqueness():
         k = int(rng.integers(3, 7))
         pos = int(rng.integers(2, k))
         lam = np.sort(rng.uniform(0.02, 3.0, size=k))
-        ctx = coordinate_context(lam, pos, float(rng.uniform(0.05, 1.5)))
+        ctx = _coordinate_context(lam.tolist(), pos, float(rng.uniform(0.05, 1.5)))
         root = find_zero_h(ctx)
         assert root > 0
         assert abs(h_function(root, ctx)) < 1e-9
@@ -134,7 +131,7 @@ def test_find_zero_h_is_bitwise_plain_bisection():
                     if rnd % 2:
                         lam = np.sort(lam)  # decode order, as the schedulers use
                     for pos in range(2, k):
-                        ctx = coordinate_context(lam, pos, g)
+                        ctx = _coordinate_context(lam.tolist(), pos, g)
                         got = _root_or_error(find_zero_h, ctx)
                         want = _root_or_error(oracles.find_zero_h_bisect, ctx)
                         checked += 1
@@ -186,13 +183,9 @@ def test_unchecked_phase1_is_bitwise_phase1_outage():
 
 def test_coordinate_context_validation():
     with pytest.raises(ParameterError):
-        coordinate_context(np.array([0.1, 0.2]), 2, 0.5)  # needs 3 slots
-    with pytest.raises(ParameterError):
-        coordinate_context(np.array([0.1, 0.2, 0.4]), 3, 0.5)  # last slot
-    with pytest.raises(ParameterError):
-        coordinate_context(np.array([0.1, -0.2, 0.4]), 2, 0.5)
-    with pytest.raises(ParameterError):
         CoordinateContext(gamma_t=0.5, position=2, n_selected=3, d_values=(1.0,))
+    with pytest.raises(ParameterError):  # the last slot is not a middle slot
+        _coordinate_context([0.1, 0.2, 0.4], 3, 0.5)
 
 
 def test_solve_theorem3_two_slots_closed():
@@ -212,7 +205,7 @@ def test_solve_theorem3_stationarity():
         assert np.all(np.diff(lam) >= 0)
         interior = lam[lam > 0.05 * (1 + 1e-9)]
         assert np.all(np.diff(interior) > 0)
-        res = stationarity_residuals(lam, 0.05, GAMMA_R002)
+        res = oracles.stationarity_residuals(lam, 0.05, GAMMA_R002)
         assert np.max(res) < 1e-9
 
 
@@ -264,6 +257,10 @@ def test_aoius_two_slot_one_shot_rule():
         assert out.groups[0] == first
         assert out.outage == pytest.approx(
             phase1_outage(lam[[first, best]], GAMMA_R002), rel=1e-12)
+        # for pairs the one-shot rule is the enumerated optimum
+        g = sinr_threshold(0.1)
+        pair = aoius(cdi, 2, g, rng=np.random.default_rng(2))
+        assert pair.outage <= exhaustive_groups(cdi, 2, g).outage * (1.0 + 1e-9) + 1e-15
 
 
 def test_aoius_trace_monotone_and_above_benchmark():
@@ -309,14 +306,15 @@ def test_aoius_determinism():
 
 def test_aoius_validation():
     cdi = GroupCdi(np.array([0.1, 0.2, 0.3]))
+    rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        aoius(cdi, 4, 0.5)
+        aoius(cdi, 4, 0.5, rng)
     with pytest.raises(ParameterError):
-        aoius(cdi, 0, 0.5)
+        aoius(cdi, 0, 0.5, rng)
     with pytest.raises(ParameterError):
-        aoius(cdi, 2, 0.5, delta=-0.1)
+        aoius(cdi, 2, 0.5, rng, delta=-0.1)
     with pytest.raises(ParameterError):
-        aoius(cdi, 2, 0.5, max_iters=0)
+        aoius(cdi, 2, 0.5, rng, max_iters=0)
 
 
 def test_exhaustive_groups_matches_brute_force():
@@ -337,12 +335,17 @@ def test_exhaustive_groups_single_subset():
     assert got.evaluations == 1
 
 
-def test_exhaustive_groups_budget():
+def test_exhaustive_groups_budget(monkeypatch):
     cdi = GroupCdi(np.linspace(0.1, 3.0, 30))
     with pytest.raises(EnumerationBudgetError):
         exhaustive_groups(cdi, 15, 0.5)
-    got = exhaustive_groups(cdi, 2, 0.5, max_subsets=500)
+    # the budget is inclusive: comb(30, 2) = 435 subsets
+    monkeypatch.setattr(cdi_sched, "_MAX_SUBSETS", 435)
+    got = exhaustive_groups(cdi, 2, 0.5)
     assert got.evaluations == math.comb(30, 2)
+    monkeypatch.setattr(cdi_sched, "_MAX_SUBSETS", 434)
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive_groups(cdi, 2, 0.5)
 
 
 def test_aoius_cheaper_than_exhaustive():

@@ -1,5 +1,4 @@
-"""Feasibility and sum-rate bound tests: the threshold selector, the
-economy recursion, the closed-form upper profile, and the sandwich
+"""Feasibility and sum-rate bound tests: the economy recursion, the closed-form upper profile, and the sandwich
 property, all pinned against brute-force enumeration."""
 
 import math
@@ -16,19 +15,12 @@ from satsched import (
     exhaustive,
     feasibility_check,
     lower_bound_snrs,
-    phi,
     sinr_threshold,
     sum_rate_bounds,
     upper_bound_snrs,
 )
 
 BIG_SAT = float(2**60)
-
-
-def test_phi_hand_values():
-    assert phi(2.0, [1.0, 3.0, 5.0]) == 3.0
-    assert phi(6.0, [1.0, 3.0, 5.0]) is None
-    assert phi(3.0, [1.0, 3.0, 5.0]) == 3.0  # boundary inclusion
 
 
 def test_lower_bound_hand_example():

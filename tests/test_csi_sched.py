@@ -14,7 +14,6 @@ from satsched import (
     CsiRealization,
     EnumerationBudgetError,
     ParameterError,
-    allocate_relay_power,
     awgn_capacity,
     baseline_opportunistic,
     baseline_tdma,
@@ -22,9 +21,9 @@ from satsched import (
     exhaustive,
     gius,
     lbus,
-    relay_sinr_chain,
     sinr_threshold,
     sum_rate_bounds,
+    throughput_power_split,
 )
 
 BIG_SAT = float(2**60)
@@ -35,7 +34,7 @@ def _chain_ok(outcome, csi, r_target):
     snrs = csi.user_snrs[users]
     gamma_t = sinr_threshold(r_target)
     assert np.all(np.diff(snrs) <= 1e-12)  # descending decode order
-    return bool(np.all(relay_sinr_chain(snrs) >= gamma_t * (1 - 1e-12)))
+    return bool(np.all(np.array(oracles.chain_sinrs(snrs)) >= gamma_t * (1 - 1e-12)))
 
 
 def test_determine_k_hand_values():
@@ -150,7 +149,7 @@ def test_outputs_feasible_and_ordered():
             if not out.feasible:
                 continue
             assert _chain_ok(out, csi, r)
-            assert allocate_relay_power(k, r, csi.sat_snr) is not None
+            assert 2.0 ** (k * r) - 1.0 <= csi.sat_snr  # the satellite hop carries k
             assert all(rate >= r - 1e-9 for rate in out.rate_report.per_user_rates)
 
 
@@ -179,13 +178,16 @@ def test_lbus_infeasible_is_a_value():
     assert out.rate_report.sum_rate == 0.0
 
 
-def test_exhaustive_budget_guard():
+def test_exhaustive_budget_guard(monkeypatch):
     csi = CsiRealization(np.ones(30) * 10.0, BIG_SAT)
     with pytest.raises(EnumerationBudgetError):
         exhaustive(csi, 15, 0.1)
-    # explicit budget raise allows the run
-    out = exhaustive(csi, 3, 0.1, max_subsets=5000)
-    assert out.feasible
+    # the budget is inclusive: comb(30, 3) = 4060 subsets
+    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 4060)
+    assert exhaustive(csi, 3, 0.1).feasible
+    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 4059)
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive(csi, 3, 0.1)
 
 
 def test_exhaustive_single_subset():
@@ -218,12 +220,13 @@ def test_exhaustive_matches_itertools_reference():
     assert compared > 100
 
 
-def test_exhaustive_budget_checked_before_any_table():
+def test_exhaustive_budget_checked_before_any_table(monkeypatch):
     csi_sched._TABLE_CACHE.clear()
     with pytest.raises(EnumerationBudgetError):
         exhaustive(CsiRealization(np.ones(30) * 10.0, BIG_SAT), 15, 0.1)
+    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 10)
     with pytest.raises(EnumerationBudgetError):
-        exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1, max_subsets=10)
+        exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1)
     assert not csi_sched._TABLE_CACHE
 
 
@@ -273,7 +276,7 @@ def test_parameter_validation():
         with pytest.raises(ParameterError):
             scheduler(csi, 2, 0.0)
     # r_target = 0 leaves no positive SINR threshold to schedule against
-    for call in (lambda: determine_k(csi, 0.0), lambda: allocate_relay_power(2, 0.0, BIG_SAT),
+    for call in (lambda: determine_k(csi, 0.0), lambda: throughput_power_split([5.0, 3.0], 0.0, BIG_SAT),
                  lambda: sum_rate_bounds(csi, 2, 0.0)):
         with pytest.raises(ParameterError):
             call()

@@ -10,13 +10,12 @@ import pytest
 import oracles
 from satsched import (
     NumericError,
-    OutageReport,
     ParameterError,
     SrParams,
-    closed_form_report,
     monte_carlo_outage,
     phase1_outage,
     phase2_outage,
+    sinr_threshold,
     total_outage,
 )
 
@@ -159,26 +158,10 @@ def test_total_outage_values():
             total_outage(*bad)
 
 
-def test_closed_form_report_composition():
-    lam = np.array([0.05, 0.1, 0.3])
-    sr = SrParams(tx_power=1000.0, **HEAVY)
-    rep = closed_form_report(lam, sr, 3, 0.4)
-    gamma = 2.0**0.4 - 1.0
-    assert rep.method == "closed_form"
-    assert rep.p1 == pytest.approx(phase1_outage(lam, gamma), rel=1e-12)
-    assert rep.p2 == pytest.approx(phase2_outage(sr, 3, 0.4), rel=1e-12)
-    assert rep.total == pytest.approx(1 - (1 - rep.p1) * (1 - rep.p2), rel=1e-12)
-    assert rep.mc_stats is None
-    ideal = closed_form_report(lam, None, 3, 0.4)
-    assert ideal.p2 == 0.0
-    assert ideal.total == ideal.p1
-
-
 def test_mc_two_user_perfect_satellite():
     rng = np.random.default_rng(606)
     rep = monte_carlo_outage(np.array([0.1, 0.1]), None, 1.0, 100_000, rng)
     want = 1.0 - 0.5 * math.exp(-0.3)
-    assert rep.method == "monte_carlo"
     assert rep.p2 == 0.0
     assert abs(rep.p1 - want) <= 3.0 * rep.mc_stats.p1_std_error
     assert abs(rep.total - want) <= 3.0 * rep.mc_stats.std_error
@@ -189,10 +172,11 @@ def test_mc_with_satellite_hop():
     sr = SrParams(tx_power=1000.0, **HEAVY)
     rng = np.random.default_rng(1234)
     rep = monte_carlo_outage(lam, sr, 0.5, 50_000, rng)
-    cf = closed_form_report(lam, sr, 2, 0.5)
-    assert abs(rep.p1 - cf.p1) <= 3.0 * rep.mc_stats.p1_std_error + 1e-9
-    assert abs(rep.p2 - cf.p2) <= 3.0 * rep.mc_stats.p2_std_error + 1e-9
-    assert abs(rep.total - cf.total) <= 3.0 * rep.mc_stats.std_error + 1e-9
+    p1 = phase1_outage(lam, sinr_threshold(0.5))
+    p2 = phase2_outage(sr, 2, 0.5)
+    assert abs(rep.p1 - p1) <= 3.0 * rep.mc_stats.p1_std_error + 1e-9
+    assert abs(rep.p2 - p2) <= 3.0 * rep.mc_stats.p2_std_error + 1e-9
+    assert abs(rep.total - total_outage(p1, p2)) <= 3.0 * rep.mc_stats.std_error + 1e-9
 
 
 def test_mc_single_trial_is_indicator():
@@ -232,7 +216,9 @@ def test_report_probabilities_in_range():
         k = int(rng.integers(1, 6))
         lam = np.sort(rng.uniform(0.01, 1.0, size=k))
         r = float(rng.uniform(0.05, 1.5))
-        rep = closed_form_report(lam, SrParams(tx_power=1000.0, **HEAVY), k, r)
-        for p in (rep.p1, rep.p2, rep.total):
+        p1 = phase1_outage(lam, sinr_threshold(r))
+        p2 = phase2_outage(SrParams(tx_power=1000.0, **HEAVY), k, r)
+        total = total_outage(p1, p2)
+        for p in (p1, p2, total):
             assert 0.0 <= p <= 1.0
-        assert rep.total >= max(rep.p1, rep.p2) - 1e-15
+        assert total >= max(p1, p2) - 1e-15

@@ -1,0 +1,56 @@
+"""Package-wide checks: every public function has a caller outside the
+tests, and the README's python examples run as written."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "satsched"
+
+
+def _public_defs(tree):
+    """Public top-level functions and the public methods of public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def _references(tree):
+    """(name, node) for each Name, Attribute and string constant; the
+    benchmark's tracer names the functions it wraps in strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def test_every_public_function_has_a_caller():
+    # a function only the tests call is API kept alive for the tests alone;
+    # an `__init__` re-export is an import, not a reference, so it does not count
+    trees = {path: ast.parse(path.read_text())
+             for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]}
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    scripts = set(re.findall(r'"satsched\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    assert ("cli", "main") in scripts
+    uncalled = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in _public_defs(trees[path]):
+            own = {id(node) for node in ast.walk(fn)}
+            if (path.stem, fn.name) not in scripts and not any(
+                    name == fn.name and id(node) not in own for name, node in refs):
+                uncalled.append(f"{path.stem}.{fn.name}")
+    assert not uncalled, f"public functions nothing in src/ or perfbench/ calls: {uncalled}"
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,8 +1,9 @@
 """Rate arithmetic tests: capacities, both SINR chains, the supported-user
 bound, power splitting, and schedule evaluation, pinned to hand-solved
-values and brute-force recomputation."""
+values and the plain-loop chain oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,15 +17,13 @@ from satsched import (
     CsiRealization,
     ParameterError,
     Schedule,
-    allocate_relay_power,
     awgn_capacity,
     evaluate_schedule,
     max_supported_users,
-    relay_sinr_chain,
-    satellite_sinr_chain,
     sinr_threshold,
     throughput_power_split,
 )
+from satsched.rate_core import _chain_back_to_front, _sat_noise_over_power
 
 snr_arrays = hnp.arrays(
     dtype=float,
@@ -54,21 +53,25 @@ def test_capacity_threshold_roundtrip(r):
     assert awgn_capacity(sinr_threshold(r)) == pytest.approx(r, rel=1e-12)
 
 
+def _relay_chain(snrs):
+    return _chain_back_to_front(list(map(float, snrs)), 1.0)[0]
+
+
+def _sat_chain(alphas, sat_snr):
+    return _chain_back_to_front(list(map(float, alphas)), _sat_noise_over_power(sat_snr))[0]
+
+
 def test_relay_chain_hand_values():
-    assert np.allclose(relay_sinr_chain(np.array([10.0, 4.0])), [2.0, 4.0])
-    assert np.allclose(relay_sinr_chain(np.array([8.0, 4.0, 1.0])),
-                       [8.0 / 6.0, 2.0, 1.0])
-    assert np.allclose(relay_sinr_chain(np.array([7.0])), [7.0])
-    with pytest.raises(ParameterError):
-        relay_sinr_chain(np.array([]))
-    with pytest.raises(ParameterError):
-        relay_sinr_chain(np.array([1.0, -2.0]))
+    for chain in (_relay_chain, oracles.chain_sinrs):
+        assert np.allclose(chain([10.0, 4.0]), [2.0, 4.0])
+        assert np.allclose(chain([8.0, 4.0, 1.0]), [8.0 / 6.0, 2.0, 1.0])
+        assert np.allclose(chain([7.0]), [7.0])
 
 
 @given(snr_arrays)
 @settings(max_examples=100, deadline=None)
 def test_relay_chain_telescopes(snrs):
-    gammas = relay_sinr_chain(snrs)
+    gammas = np.array(_relay_chain(snrs))
     lhs = np.prod(1.0 + gammas)
     assert lhs == pytest.approx(1.0 + snrs.sum(), rel=1e-9)
     # matches the plain-loop oracle slot by slot
@@ -76,16 +79,14 @@ def test_relay_chain_telescopes(snrs):
 
 
 def test_satellite_chain_hand_values():
-    assert np.allclose(satellite_sinr_chain(np.array([1.0]), 100.0), [100.0])
-    out = satellite_sinr_chain(np.array([0.6, 0.4]), 10.0)
-    assert np.allclose(out, [1.2, 4.0])
-    out = satellite_sinr_chain(np.array([0.5, 0.5]), math.inf)
-    assert out[0] == pytest.approx(1.0, rel=1e-15)
-    assert math.isinf(out[1])
-    out = satellite_sinr_chain(np.array([0.9, 0.1]), 10.0)
-    assert np.allclose(out, [4.5, 1.0])
-    with pytest.raises(ConstraintError):
-        satellite_sinr_chain(np.array([0.8, 0.4]), 10.0)
+    for chain in (_sat_chain,
+                  lambda a, s: oracles.chain_sinrs(a, 0.0 if math.isinf(s) else 1.0 / s)):
+        assert np.allclose(chain([1.0], 100.0), [100.0])
+        assert np.allclose(chain([0.6, 0.4], 10.0), [1.2, 4.0])
+        out = chain([0.5, 0.5], math.inf)
+        assert out[0] == pytest.approx(1.0, rel=1e-15)
+        assert math.isinf(out[1])
+        assert np.allclose(chain([0.9, 0.1], 10.0), [4.5, 1.0])
 
 
 @given(st.integers(1, 6), st.floats(0.5, 200.0))
@@ -93,9 +94,10 @@ def test_satellite_chain_hand_values():
 def test_satellite_chain_telescopes_at_full_power(k, sat_snr):
     # equal full-budget split: sum of slot capacities equals C(S_DR)
     alphas = np.full(k, 1.0 / k)
-    gammas = satellite_sinr_chain(alphas, sat_snr)
+    gammas = _sat_chain(alphas, sat_snr)
     total = sum(awgn_capacity(float(g)) for g in gammas)
     assert total == pytest.approx(awgn_capacity(sat_snr), rel=1e-9)
+    assert np.allclose(gammas, oracles.chain_sinrs(alphas, 1.0 / sat_snr), rtol=1e-12)
 
 
 def test_max_supported_users_values():
@@ -110,41 +112,30 @@ def test_max_supported_users_values():
         max_supported_users(10.0, 0.0, 5)
 
 
-def test_allocate_relay_power_hand_values():
-    assert np.allclose(allocate_relay_power(1, 1.0, 10.0), [1.0])
-    alphas = allocate_relay_power(2, 1.0, 10.0)
-    assert np.allclose(alphas, [0.9, 0.1])
-    assert np.allclose(satellite_sinr_chain(alphas, 10.0), [4.5, 1.0])
-    assert allocate_relay_power(4, 1.0, 10.0) is None  # 2**4 - 1 > 10
-
-
-@given(st.integers(1, 12), st.floats(0.05, 2.5), st.floats(0.5, 1e6))
-@settings(max_examples=150, deadline=None)
-def test_allocate_feasible_iff_supported(k, r, sat_snr):
-    alphas = allocate_relay_power(k, r, sat_snr)
-    supported = max_supported_users(sat_snr, r, k) >= k
-    assert (alphas is not None) == supported
-    if alphas is not None:
-        gamma_t = sinr_threshold(r)
-        assert alphas.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(alphas > 0)
-        gammas = satellite_sinr_chain(alphas, sat_snr)
-        assert np.all(gammas >= gamma_t * (1.0 - 1e-9))
-        # minimal split pins every position after the first to gamma_t
-        assert np.allclose(gammas[1:], gamma_t, rtol=1e-9)
-
-
-def test_allocate_with_infinite_satellite():
-    alphas = allocate_relay_power(3, 1.0, math.inf)
-    gammas = satellite_sinr_chain(alphas, math.inf)
-    assert np.all(gammas >= 1.0 - 1e-12)
+def test_max_supported_users_exact_boundaries():
+    # sat_snr = 2**n - 1 carries exactly n users at rate 1, the next float
+    # below it n - 1; above 2**53 the float 2**n stands for 2**n - 1
+    for n in range(1, 1024):
+        boundary = 2.0**n - 1.0
+        assert max_supported_users(boundary, 1.0, 2000) == n
+        assert max_supported_users(math.nextafter(boundary, 0.0), 1.0, 2000) == n - 1
+    dbl_max = sys.float_info.max  # 2**1024 - 1 exceeds every float
+    assert max_supported_users(dbl_max, 1.0, 2000) == 1023
+    assert max_supported_users(dbl_max, 0.5, 3000) == 2047
+    # a tiny rate target caps at n_users instead of converting an infinite
+    # or 10**300-sized estimate
+    assert max_supported_users(1e308, 5e-324, 4) == 4
+    assert max_supported_users(dbl_max, 1e-300, 10**6) == 10**6
+    assert sinr_threshold(1023.0) == math.expm1(1023.0 * math.log(2.0))
+    with pytest.raises(ParameterError):
+        sinr_threshold(1024.0)
 
 
 def test_throughput_split_passes_relay_rates():
     snrs = np.array([10.0, 4.0])
     alphas = throughput_power_split(snrs, 1.0, float(2**60))
-    gammas = satellite_sinr_chain(np.asarray(alphas), float(2**60))
-    relay = relay_sinr_chain(snrs)
+    gammas = np.array(oracles.chain_sinrs(alphas, 2.0**-60))
+    relay = np.array(oracles.chain_sinrs(snrs))
     assert np.all(gammas >= relay - 1e-9)
     assert sum(alphas) == pytest.approx(1.0, abs=1e-9)
 
@@ -154,7 +145,7 @@ def test_throughput_split_satellite_limited():
     # per-slot satellite rates still sum to the cut-set capacity
     snrs = np.array([30.0, 8.0])
     alphas = throughput_power_split(snrs, 1.0, 10.0)
-    gammas = satellite_sinr_chain(np.asarray(alphas), 10.0)
+    gammas = oracles.chain_sinrs(alphas, 0.1)
     rates = [awgn_capacity(float(g)) for g in gammas]
     assert all(r >= 1.0 - 1e-9 for r in rates)
     assert sum(rates) == pytest.approx(awgn_capacity(10.0), rel=1e-9)
