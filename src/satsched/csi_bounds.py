@@ -13,6 +13,7 @@ SNR.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,25 +45,22 @@ def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
     return s
 
 
-def _economy_recursion(s: np.ndarray, k: int, gamma_t: float):
-    """Fill decode slots K..1 with the cheapest admissible SNRs.
+def _economy_recursion(asc: list, k: int, gamma_t: float) -> list:
+    """Fill decode slots K..1 with the cheapest admissible SNRs of asc, a
+    list of SNRs in ascending order.
 
     Returns the picks in fill order (slot K first), stopping early when a
     slot has no admissible element left, so K users fit exactly when all K
     picks are made.  Slot thresholds gamma*(tail+1) grow with every pick,
     so elements once below threshold stay inadmissible and one
-    left-to-right sweep of the ascending SNR list fills all slots.  No
-    pick depends on K.
+    left-to-right sweep of asc fills all slots.  No pick depends on K.
     """
-    asc = np.sort(s).tolist()
     picks = []
     tail_sum = 0.0
     i = 0
     n = len(asc)
     while len(picks) < k:
-        threshold = gamma_t * (tail_sum + 1.0)
-        while i < n and asc[i] < threshold:
-            i += 1
+        i = bisect_left(asc, gamma_t * (tail_sum + 1.0), i)
         if i == n:
             break
         picks.append(asc[i])
@@ -77,7 +75,7 @@ def lower_bound_snrs(snrs, k: int, gamma_t: float):
     None when the instance cannot support k users at gamma_t.
     """
     s = _check_selection_args(snrs, k, gamma_t)
-    hat = _economy_recursion(s, k, gamma_t)
+    hat = _economy_recursion(np.sort(s).tolist(), k, gamma_t)
     if len(hat) < k:
         return None
     hat.reverse()  # decode order
@@ -118,7 +116,7 @@ def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     with no admissible element cannot be filled by any selection.
     """
     s = _check_selection_args(snrs, k, gamma_t)
-    return len(_economy_recursion(s, k, gamma_t)) == k
+    return len(_economy_recursion(np.sort(s).tolist(), k, gamma_t)) == k
 
 
 def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResult:
@@ -128,14 +126,13 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     infeasible instance lb_snrs is None and lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
-    s = _check_selection_args(csi.user_snrs, k, gamma_t)
+    # lower_bound_snrs checks the arguments for both bounds
+    lb = lower_bound_snrs(csi.user_snrs, k, gamma_t)
     sat_cap = awgn_capacity(csi.sat_snr)
-
-    lb = lower_bound_snrs(s, k, gamma_t)
     feasible = lb is not None
     lb_rate = min(awgn_capacity(float(lb.sum())), sat_cap) if feasible else 0.0
 
-    ub = upper_bound_snrs(float(s.max()), k, gamma_t)
+    ub = upper_bound_snrs(float(csi.user_snrs.max()), k, gamma_t)
     ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
 
     return BoundsResult(

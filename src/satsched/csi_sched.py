@@ -8,21 +8,25 @@ sum (hence the sum rate).
 gius: greedy windowed depth-first search.  Slot budgets T_k track how much
 SNR the remaining chain can still absorb; each slot picks the largest SNR
 inside a window that provably cannot exclude all completions, backtracking
-on dead ends.
+on dead ends.  A window is a contiguous range of positions in the
+descending SNR order, found by bisection; walking it visits the candidates
+in the order a scan of all N users would.
 
-lbus: low-complexity selection seeded by the economy profile.  The first
-slot is pinned to the strongest user, candidate SNRs for the final slot are
-scanned strongest-first inside their admissible interval, and middle slots
-K-1..2 take the cheapest SNR that still closes the chain.
+lbus: low-complexity selection seeded by the economy profile, on a single
+ascending sort of the SNRs.  The first slot is pinned to the strongest
+user, candidate SNRs for the final slot are scanned strongest-first inside
+their admissible interval, and middle slots K-1..2 take the cheapest SNR
+that still closes the chain.
 
 exhaustive: enumerate all K-subsets (descending order within a subset) and
 keep the feasible one with the largest SNR sum.  The subsets are positions
 in the descending SNR order, read from a table of the lexicographic
 K-combinations of 0..N-1 that is built on first use for each (N, K) and
 then cached read-only; the cache keeps at most _TABLE_CACHE_BYTES (64 MiB)
-of tables and evicts the least recently used.  A call gathers the SNRs one
-slot at a time, from the last decode slot to the first, keeping only a
-running tail sum and a feasibility mask per subset.
+of tables and evicts the least recently used.  A call scores the subsets
+in batches of _CHUNK_SUBSETS: it gathers their SNRs one slot at a time,
+from the last decode slot to the first, keeping only a running tail sum
+and a feasibility mask per subset.
 
 baseline_tdma / baseline_opportunistic: orthogonal and single-user
 references.
@@ -31,9 +35,10 @@ references.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -80,7 +85,7 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     """
     gamma_t = sinr_threshold(r_target)
     upper = max_supported_users(csi.sat_snr, r_target, csi.n_users)
-    return len(_economy_recursion(csi.user_snrs, upper, gamma_t))
+    return len(_economy_recursion(np.sort(csi.user_snrs).tolist(), upper, gamma_t))
 
 
 def _descending_order(snrs: np.ndarray) -> np.ndarray:
@@ -92,7 +97,7 @@ def _finish(users, csi, k, r_target, candidates, backtracks) -> SchedulerOutcome
     alphas = throughput_power_split(csi.user_snrs[list(users)], r_target, csi.sat_snr)
     if alphas is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
-    schedule = Schedule(users=tuple(users), alphas=tuple(alphas))
+    schedule = Schedule(users=tuple(users), alphas=tuple(alphas.tolist()))
     report = evaluate_schedule(schedule, csi, r_target)
     return SchedulerOutcome(
         schedule=schedule,
@@ -129,115 +134,159 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     of the n globally smallest SNRs: anything larger starves the cheapest
     possible completion, so the window never discards all completions and
     the search is exact for feasibility.
+
+    The search runs on positions in the stable descending SNR order, where
+    the window lower <= S <= upper is a contiguous range: bisect on the
+    negated SNRs finds its ends, and the walk skips positions already
+    chosen.  The visit order is unchanged from a scan of all N users
+    (strongest first, equal SNRs in ascending index order), so are the
+    picks, candidates_examined and backtracks.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
         return _infeasible(csi, 0, 0)
 
-    order = _descending_order(s)
-    # plain-list lookups: numpy scalar access would dominate the search
-    s_list = s.tolist()
-    asc = np.sort(s)
+    # plain lists: numpy scalar access would dominate the search
+    order = _descending_order(s).tolist()
+    desc = s[order].tolist()
+    neg = [-v for v in desc]  # ascending, for bisect
     # lmin[n] = sum of the n smallest SNRs
-    lmin = np.concatenate([[0.0], np.cumsum(asc)])
-    s_min = float(asc[0])
+    lmin = list(accumulate(reversed(desc), initial=0.0))
+    n = len(desc)
+    # the last slot's window ends where SNRs drop below gamma_t; the other
+    # slots' floor is the smallest SNR, so their windows run to the end
+    last_end = bisect_right(neg, -gamma_t)
+    free = [True] * n
     candidates = 0
     backtracks = 0
-    chosen: list[int] = []
+    chosen: list[int] = []  # on success, slot K's pick first
 
-    def search(depth: int, available: list, t_prev: float) -> bool:
+    def search(depth: int, start: int, t_prev: float) -> bool:
+        """Fill slot depth < k from the positions from start on; on success
+        the picks of slots K..depth are on chosen."""
         nonlocal candidates, backtracks
-        if depth > k:
-            return True
-        lower = gamma_t if depth == k else s_min
-        if depth == 1:
-            upper = math.inf
-        else:
-            upper = min(t_prev - 1.0 - float(lmin[k - depth]), s_list[chosen[-1]])
-        window = [u for u in order if available[u] and lower <= s_list[u] <= upper]
+        window = list(compress(range(start, n), free[start:]))
         candidates += len(window)
-        for u in window:
-            s_u = s_list[u]
-            t_here = s_u / gamma_t if depth == 1 else min(t_prev - s_u, s_u / gamma_t)
-            chosen.append(u)
-            available[u] = False
-            if search(depth + 1, available, t_here):
+        l_rest = lmin[k - depth - 1]
+        for p in window:
+            s_p = desc[p]
+            # min() spelled out: the builtin call costs more than the math
+            t_here = t_prev - s_p
+            absorb = s_p / gamma_t
+            if absorb < t_here:
+                t_here = absorb
+            upper = t_here - 1.0 - l_rest
+            if s_p < upper:
+                upper = s_p
+            # the next window starts at the first SNR <= upper; a NaN
+            # bound (inf - inf) admits nobody
+            nxt = bisect_left(neg, -upper) if upper == upper else n
+            free[p] = False
+            if depth + 1 == k:
+                # slot K's upper bound already makes T_K >= 1
+                found = free[nxt:last_end].count(True)
+                candidates += found
+                if found:
+                    chosen.extend((free.index(True, nxt, last_end), p))
+                    return True
+            elif search(depth + 1, nxt, t_here):
+                chosen.append(p)
                 return True
-            available[u] = True
-            chosen.pop()
+            free[p] = True
             backtracks += 1
         return False
 
-    if not search(1, [True] * s.size, math.inf):
+    if k == 1:
+        # the strongest user, when it clears gamma_t
+        candidates = last_end
+        chosen.append(0)
+        found = last_end > 0
+    else:
+        found = search(1, 0, math.inf)
+    if not found:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish(chosen, csi, k, r_target, candidates, backtracks)
+    return _finish([order[p] for p in reversed(chosen)], csi, k, r_target,
+                   candidates, backtracks)
 
 
 def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     """Economy-seeded low-complexity selection.
 
-    Infeasibility is a value here (schedule None), not an error.
+    Runs on a single stable ascending argsort of the SNRs: the economy
+    fill, the strongest user (bisect_left on the largest SNR), the
+    final-slot candidates (one bisect_left..bisect_right range, walked
+    strongest first with equal SNRs in ascending index order) and the
+    middle-slot sweeps all read that one list.  Infeasibility is a value
+    here (schedule None), not an error.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
         return _infeasible(csi, 0, 0)
 
-    order = _descending_order(s).tolist()
+    # stable ascending argsort: equal SNRs keep ascending index order
     s_list = s.tolist()
-    first = order[0]
-    s_max = s_list[first]
-    candidates = 0
+    users = sorted(range(len(s_list)), key=s_list.__getitem__)
+    snrs = [s_list[u] for u in users]
+    s_max = snrs[-1]
+    # the strongest user is the lowest index among the largest SNRs
+    top = bisect_left(snrs, s_max)
+    first = users[top]
 
     if k == 1:
         if s_max < gamma_t:
             return _infeasible(csi, 0, 0)
         return _finish([first], csi, 1, r_target, 1, 0)
 
-    # economy recursion; only its last slot seeds the scan window
-    picks = _economy_recursion(s, k, gamma_t)
+    # economy fill; only its last slot's pick seeds the final-slot window
+    picks = _economy_recursion(snrs, k, gamma_t)
     if len(picks) < k:
         return _infeasible(csi, 0, 0)
     last_low = picks[0]
     last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
 
-    # strongest-first scan over admissible final-slot SNRs
-    pool = order[1:]
-    finals = [u for u in pool if last_low <= s_list[u] <= last_high]
-    candidates += len(finals)
-    # ascending SNR, equal SNRs in ascending index order
-    asc_users = sorted(pool, key=s_list.__getitem__)
-    asc_snrs = [s_list[u] for u in asc_users]
-    n_pool = len(asc_users)
-    for u_last in finals:
-        # middle thresholds only grow along the back-to-front fill, so one
-        # ascending sweep with a moving pointer covers all slots
-        chosen = [u_last]
-        tail_sum = s_list[u_last]
-        last_pick = s_list[u_last]
-        i = 0
-        ok = True
-        for _slot in range(k - 1, 1, -1):
-            threshold = max(gamma_t * (tail_sum + 1.0), last_pick)
-            i = bisect_left(asc_snrs, threshold, i)
-            if i < n_pool and asc_users[i] == u_last:
+    # the other users, still ascending
+    del users[top], snrs[top]
+    n = len(snrs)
+    lo = bisect_left(snrs, last_low)
+    hi = max(bisect_right(snrs, last_high), lo)
+    candidates = hi - lo
+    mids = k - 2
+    picked = [0] * mids  # middle slots K-1..2, by position in snrs
+    # strongest-first scan over admissible final-slot SNRs, equal SNRs in
+    # ascending index order
+    while hi > lo:
+        group = hi - 1
+        if group > lo and snrs[group - 1] == snrs[group]:
+            group = bisect_left(snrs, snrs[group], lo, group)
+        for q in range(group, hi):
+            # middle thresholds only grow along the back-to-front fill, so
+            # one ascending sweep with a moving pointer covers all slots
+            tail_sum = last_pick = snrs[q]
+            i = 0
+            for slot in range(mids):
+                threshold = gamma_t * (tail_sum + 1.0)
+                i = bisect_left(snrs, last_pick if last_pick > threshold else threshold, i)
+                if i == q:
+                    i += 1
+                if i == n:
+                    candidates += slot + 1
+                    break
+                last_pick = snrs[i]
+                tail_sum += last_pick
+                picked[slot] = i
                 i += 1
-            candidates += 1
-            if i == n_pool:
-                ok = False
-                break
-            last_pick = asc_snrs[i]
-            chosen.append(asc_users[i])
-            i += 1
-            tail_sum += last_pick
-        # the first slot's chain constraint is not guaranteed by
-        # construction, so verify before accepting
-        if ok and s_max >= gamma_t * (tail_sum + 1.0):
-            chosen.reverse()
-            return _finish([first] + chosen, csi, k, r_target, candidates, 0)
+            else:
+                candidates += mids
+                # the first slot's chain constraint is not guaranteed by
+                # construction, so verify before accepting
+                if s_max >= gamma_t * (tail_sum + 1.0):
+                    chosen = [first, *(users[p] for p in reversed(picked)), users[q]]
+                    return _finish(chosen, csi, k, r_target, candidates, 0)
+        hi = group
     return _infeasible(csi, candidates, 0)
 
 
@@ -245,6 +294,10 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_BYTES = 64 * 2**20
 _MAX_SUBSETS = 2_000_000  # exhaustive's enumeration budget
+# subsets per exhaustive batch: its float temporaries stay below 128 KiB,
+# glibc's default mmap threshold, so they are reused instead of being
+# mapped, faulted in and unmapped again for every call
+_CHUNK_SUBSETS = 16_000
 
 
 def _build_combination_table(n: int, k: int) -> np.ndarray:
@@ -302,11 +355,16 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
     desc = s[order]
     # combinations of descending positions are themselves descending
     table = _combination_table(csi.n_users, k)
-    feasible, sums = sic_chains_close((desc[table[slot]] for slot in range(k - 1, -1, -1)),
-                                      gamma_t)
-    sums[~feasible] = -np.inf
-    best = int(np.argmax(sums))
-    if not feasible[best]:
+    best, best_sum = -1, -math.inf
+    for start in range(0, n_subsets, _CHUNK_SUBSETS):
+        part = table[:, start:start + _CHUNK_SUBSETS]
+        feasible, sums = sic_chains_close((desc[part[slot]] for slot in range(k - 1, -1, -1)),
+                                          gamma_t)
+        sums[~feasible] = -np.inf
+        j = int(np.argmax(sums))
+        if sums[j] > best_sum:  # strict: an earlier chunk wins a tie
+            best, best_sum = start + j, sums[j]
+    if best < 0:
         return _infeasible(csi, n_subsets, 0)
     return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0)
 

@@ -107,6 +107,12 @@ def _chain_back_to_front(vals: list, inv: float):
     return out, tail
 
 
+def _chain_capacities(sinrs: list) -> list:
+    """awgn_capacity of each chain SINR, unchecked: _chain_back_to_front
+    never yields a NaN or a negative SINR, and log1p(inf) is inf."""
+    return [math.log1p(g) / _LN2 for g in sinrs]
+
+
 def sic_chains_close(slot_snrs, gamma_t: float):
     """Batched decode-chain test: which chains clear gamma_t in every slot.
 
@@ -204,7 +210,7 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     if max_supported_users(sat_snr, r_target, k) < k:
         return None
     chain, _ = _chain_back_to_front(vals, 1.0)
-    relay_rates = [awgn_capacity(g) for g in chain]
+    relay_rates = _chain_capacities(chain)
     cap = awgn_capacity(sat_snr)
     if math.isinf(cap) or sum(relay_rates) <= cap:
         targets = relay_rates
@@ -274,10 +280,7 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
     relay, total_snr = _chain_back_to_front(snrs, 1.0)
     inv = _sat_noise_over_power(csi.sat_snr)
     sat, _ = _chain_back_to_front(_checked_alpha_list(schedule.alphas), inv)
-    rates = tuple(
-        min(awgn_capacity(relay[k]), awgn_capacity(sat[k]))
-        for k in range(schedule.n_users)
-    )
+    rates = tuple(map(min, _chain_capacities(relay), _chain_capacities(sat)))
     terrestrial_cap = awgn_capacity(total_snr)
     satellite_cap = awgn_capacity(csi.sat_snr)
     sum_rate = min(terrestrial_cap, satellite_cap)

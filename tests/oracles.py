@@ -2,7 +2,8 @@
 
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
-paths it is used to check.
+paths it is used to check.  The exception is the pair of earlier CSI
+scheduler versions at the end, kept verbatim as equivalence references.
 """
 
 from __future__ import annotations
@@ -250,3 +251,159 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
     if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
         res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
     return res
+
+
+# The two CSI schedulers below are earlier production versions, kept
+# unchanged so the current gius and lbus can be held to the same picks,
+# rate reports and work counters.  They share the production entry checks,
+# economy fill and _finish, which the current versions also call.
+
+
+def gius_scan(csi, k, r_target):
+    """gius with its window rebuilt by scanning all N users at every node."""
+    from satsched.csi_sched import (
+        InternalConsistencyError,
+        _descending_order,
+        _entry_checks,
+        _finish,
+        _infeasible,
+        max_supported_users,
+    )
+
+    gamma_t = _entry_checks(csi, k, r_target)
+    s = csi.user_snrs
+    if max_supported_users(csi.sat_snr, r_target, k) < k:
+        return _infeasible(csi, 0, 0)
+
+    order = _descending_order(s)
+    # plain-list lookups: numpy scalar access would dominate the search
+    s_list = s.tolist()
+    asc = np.sort(s)
+    # lmin[n] = sum of the n smallest SNRs
+    lmin = np.concatenate([[0.0], np.cumsum(asc)])
+    s_min = float(asc[0])
+    candidates = 0
+    backtracks = 0
+    chosen: list[int] = []
+
+    def search(depth: int, available: list, t_prev: float) -> bool:
+        nonlocal candidates, backtracks
+        if depth > k:
+            return True
+        lower = gamma_t if depth == k else s_min
+        if depth == 1:
+            upper = math.inf
+        else:
+            upper = min(t_prev - 1.0 - float(lmin[k - depth]), s_list[chosen[-1]])
+        window = [u for u in order if available[u] and lower <= s_list[u] <= upper]
+        candidates += len(window)
+        for u in window:
+            s_u = s_list[u]
+            t_here = s_u / gamma_t if depth == 1 else min(t_prev - s_u, s_u / gamma_t)
+            chosen.append(u)
+            available[u] = False
+            if search(depth + 1, available, t_here):
+                return True
+            available[u] = True
+            chosen.pop()
+            backtracks += 1
+        return False
+
+    if not search(1, [True] * s.size, math.inf):
+        raise InternalConsistencyError(
+            "first-slot candidates exhausted although k came from determine_k"
+        )
+    return _finish(chosen, csi, k, r_target, candidates, backtracks)
+
+
+def _economy_recursion(s, k, gamma_t):
+    """The economy fill as lbus_two_sorts called it: its own ascending sort
+    of s, then a linear sweep."""
+    asc = np.sort(s).tolist()
+    picks = []
+    tail_sum = 0.0
+    i = 0
+    n = len(asc)
+    while len(picks) < k:
+        threshold = gamma_t * (tail_sum + 1.0)
+        while i < n and asc[i] < threshold:
+            i += 1
+        if i == n:
+            break
+        picks.append(asc[i])
+        tail_sum += asc[i]
+        i += 1
+    return picks
+
+
+def lbus_two_sorts(csi, k, r_target):
+    """lbus with a descending argsort, a second sort inside the economy
+    fill and a third for its middle-slot sweep."""
+    from bisect import bisect_left
+
+    from satsched.csi_sched import (
+        _descending_order,
+        _entry_checks,
+        _finish,
+        _infeasible,
+        max_supported_users,
+    )
+
+    gamma_t = _entry_checks(csi, k, r_target)
+    s = csi.user_snrs
+    if max_supported_users(csi.sat_snr, r_target, k) < k:
+        return _infeasible(csi, 0, 0)
+
+    order = _descending_order(s).tolist()
+    s_list = s.tolist()
+    first = order[0]
+    s_max = s_list[first]
+    candidates = 0
+
+    if k == 1:
+        if s_max < gamma_t:
+            return _infeasible(csi, 0, 0)
+        return _finish([first], csi, 1, r_target, 1, 0)
+
+    # economy recursion; only its last slot seeds the scan window
+    picks = _economy_recursion(s, k, gamma_t)
+    if len(picks) < k:
+        return _infeasible(csi, 0, 0)
+    last_low = picks[0]
+    last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+
+    # strongest-first scan over admissible final-slot SNRs
+    pool = order[1:]
+    finals = [u for u in pool if last_low <= s_list[u] <= last_high]
+    candidates += len(finals)
+    # ascending SNR, equal SNRs in ascending index order
+    asc_users = sorted(pool, key=s_list.__getitem__)
+    asc_snrs = [s_list[u] for u in asc_users]
+    n_pool = len(asc_users)
+    for u_last in finals:
+        # middle thresholds only grow along the back-to-front fill, so one
+        # ascending sweep with a moving pointer covers all slots
+        chosen = [u_last]
+        tail_sum = s_list[u_last]
+        last_pick = s_list[u_last]
+        i = 0
+        ok = True
+        for _slot in range(k - 1, 1, -1):
+            threshold = max(gamma_t * (tail_sum + 1.0), last_pick)
+            i = bisect_left(asc_snrs, threshold, i)
+            if i < n_pool and asc_users[i] == u_last:
+                i += 1
+            candidates += 1
+            if i == n_pool:
+                ok = False
+                break
+            last_pick = asc_snrs[i]
+            chosen.append(asc_users[i])
+            i += 1
+            tail_sum += last_pick
+        # the first slot's chain constraint is not guaranteed by
+        # construction, so verify before accepting
+        if ok and s_max >= gamma_t * (tail_sum + 1.0):
+            chosen.reverse()
+            return _finish([first] + chosen, csi, k, r_target, candidates, 0)
+    return _infeasible(csi, candidates, 0)

@@ -13,6 +13,7 @@ from satsched import csi_sched
 from satsched import (
     CsiRealization,
     EnumerationBudgetError,
+    InternalConsistencyError,
     ParameterError,
     awgn_capacity,
     baseline_opportunistic,
@@ -178,6 +179,80 @@ def test_lbus_infeasible_is_a_value():
     assert out.rate_report.sum_rate == 0.0
 
 
+def _equivalence_instances(count, seed, max_tied_users=32):
+    """(csi, r_target) pairs cycling through every combination of four SNR
+    laws (exponential, small integers with many ties, log-uniform, all
+    equal), three satellite SNRs and six rate targets.  N is drawn from
+    1-32, and from 1-max_tied_users for the small integers."""
+    rng = np.random.default_rng(seed)
+    draws = (
+        lambda n: rng.exponential(10.0, size=n),
+        lambda n: rng.integers(0, 12, size=n).astype(float),
+        lambda n: np.power(10.0, rng.uniform(-3.0, 4.0, size=n)),
+        lambda n: np.full(n, float(rng.uniform(0.1, 50.0))),
+    )
+    for i in range(count):
+        n = int(rng.integers(1, 33))
+        if i % 4 == 1:
+            n = min(n, max_tied_users)
+        csi = CsiRealization(draws[i % 4](n), (BIG_SAT, 100.0, 5.0)[i // 4 % 3])
+        yield csi, (0.1, 0.3, 0.6, 0.9, 1.2, 1.8)[i // 12 % 6]
+
+
+def _outcome(scheduler, csi, k, r_target):
+    """Everything a scheduler reports, or the type of what it raised."""
+    try:
+        out = scheduler(csi, k, r_target)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return out.schedule, out.rate_report, out.stats
+
+
+def test_gius_matches_scan_version():
+    # same picks, power split, rate report and work counters as the version
+    # that rebuilt every window by scanning all N users.  gius backtracks
+    # exponentially when many users share an SNR at a low rate target (over
+    # 11 million candidates at N=27 small integers and r=0.3), so the
+    # small-integer instances stop at N=14 here
+    compared = 0
+    for i, (csi, r) in enumerate(_equivalence_instances(480, 77, max_tied_users=14)):
+        for k in range(1, determine_k(csi, r) + 1):
+            assert _outcome(gius, csi, k, r) == _outcome(oracles.gius_scan, csi, k, r), (i, k)
+            compared += 1
+    assert compared > 2500
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gius_matches_scan_version_beyond_determine_k():
+    # a k above determine_k exhausts the first slot and raises; SNRs near
+    # the float limit make the window bound inf - inf = NaN
+    rng = np.random.default_rng(78)
+    instances = [(CsiRealization(np.full(4, 1e308), BIG_SAT), 0.3),
+                 (CsiRealization(np.array([1e308, 9e307, 5e307, 1.0]), BIG_SAT), 0.1)]
+    instances += [(CsiRealization(rng.integers(0, 6, size=int(rng.integers(1, 9))).astype(float),
+                                  (BIG_SAT, 100.0, 5.0)[i % 3]), (0.3, 0.9, 1.8)[i // 3 % 3])
+                  for i in range(300)]
+    raised = 0
+    for csi, r in instances:
+        for k in range(1, csi.n_users + 1):
+            new = _outcome(gius, csi, k, r)
+            assert new == _outcome(oracles.gius_scan, csi, k, r), (csi, r, k)
+            raised += new is InternalConsistencyError
+    assert raised > 100
+
+
+def test_lbus_matches_two_sort_version():
+    # same picks, power split, rate report and candidate count as the
+    # version with a descending argsort and two more sorts; k one above
+    # determine_k covers the infeasible outcome
+    compared = 0
+    for i, (csi, r) in enumerate(_equivalence_instances(1500, 79)):
+        for k in range(1, min(determine_k(csi, r) + 1, csi.n_users) + 1):
+            assert _outcome(lbus, csi, k, r) == _outcome(oracles.lbus_two_sorts, csi, k, r), (i, k)
+            compared += 1
+    assert compared > 8000
+
+
 def test_exhaustive_budget_guard(monkeypatch):
     csi = CsiRealization(np.ones(30) * 10.0, BIG_SAT)
     with pytest.raises(EnumerationBudgetError):
@@ -218,6 +293,26 @@ def test_exhaustive_matches_itertools_reference():
                     assert out.schedule.users == want
                     compared += 1
     assert compared > 100
+
+
+def test_exhaustive_batches_keep_the_first_best(monkeypatch):
+    # the subsets are scored in batches; with many equal SNRs the best sum
+    # recurs in later batches, and the first subset in enumeration order
+    # must still win: 20 equal SNRs make comb(20, 6) = 38760 equal sums
+    same = CsiRealization(np.full(20, 50.0), BIG_SAT)
+    assert math.comb(20, 6) > 2 * csi_sched._CHUNK_SUBSETS
+    assert exhaustive(same, 6, 0.1).schedule.users == (0, 1, 2, 3, 4, 5)
+    rng = np.random.default_rng(2211)
+    instances = [CsiRealization(rng.integers(0, 8, size=int(rng.integers(1, 13))).astype(float),
+                                (BIG_SAT, 100.0)[i % 2]) for i in range(60)]
+    for batch in (1, 7):
+        monkeypatch.setattr(csi_sched, "_CHUNK_SUBSETS", batch)
+        for csi in instances:
+            for k in range(1, min(csi.n_users, 5) + 1):
+                for r in (0.1, 0.6):
+                    want = oracles.exhaustive_itertools(csi.user_snrs, csi.sat_snr, k, r)
+                    out = exhaustive(csi, k, r)
+                    assert (out.schedule.users if out.feasible else None) == want, (csi, k, r)
 
 
 def test_exhaustive_budget_checked_before_any_table(monkeypatch):
