@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .errors import EnumerationBudgetError, NumericError, ParameterError
+from .errors import NumericError, ParameterError, budgeted_comb
 from .outage import GroupCdi, _phase1, phase1_outage
 
 _BISECT_MAX_ITERS = 500
@@ -42,7 +42,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _NEWTON_MAX_STEPS = 200
 _CERTIFY_MAX_WIDENINGS = 60
 _CERTIFY_RANGE = 2.0**500  # D values and tail within [1/range, range]
-_MAX_SUBSETS = 2_000_000  # exhaustive_groups' enumeration budget
 
 
 @dataclass(frozen=True)
@@ -317,6 +316,14 @@ def _bracket_pick(window_groups, lambdas, z, gamma_t, selection, slot):
     return best[1], best[2], evals
 
 
+def _selector_checks(m: int, k: int, gamma_t: float) -> None:
+    """The group selectors' shared checks: 1 <= k <= m and gamma_t > 0 finite."""
+    if not (1 <= k <= m):
+        raise ParameterError(f"k must be in [1, {m}], got {k}")
+    if not (gamma_t > 0 and math.isfinite(gamma_t)):
+        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
+
+
 def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 0.0,
           max_iters: int = 100) -> GroupSchedule:
     """Alternating per-slot group reselection.
@@ -331,10 +338,7 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 
     monotone non-increasing.
     """
     m = cdi.n_groups
-    if not (1 <= k <= m):
-        raise ParameterError(f"k must be in [1, {m}], got {k}")
-    if not (gamma_t > 0 and math.isfinite(gamma_t)):
-        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
+    _selector_checks(m, k, gamma_t)
     if delta < 0:
         raise ParameterError(f"delta must be non-negative, got {delta}")
     if max_iters < 1:
@@ -380,17 +384,9 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 
 def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float) -> GroupSchedule:
     """Minimum-outage K-subset by full enumeration (ascending-rate decode
     order within each subset).  Raises EnumerationBudgetError when
-    comb(M, K) exceeds _MAX_SUBSETS."""
-    m = cdi.n_groups
-    if not (1 <= k <= m):
-        raise ParameterError(f"k must be in [1, {m}], got {k}")
-    if not (gamma_t > 0 and math.isfinite(gamma_t)):
-        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
-    n_subsets = math.comb(m, k)
-    if n_subsets > _MAX_SUBSETS:
-        raise EnumerationBudgetError(
-            f"comb({m}, {k}) = {n_subsets} exceeds budget {_MAX_SUBSETS}"
-        )
+    comb(M, K) exceeds the budget of errors.budgeted_comb."""
+    _selector_checks(cdi.n_groups, k, gamma_t)
+    n_subsets = budgeted_comb(cdi.n_groups, k)
     lam = cdi.lambdas.tolist()
     asc = np.argsort(cdi.lambdas, kind="stable")
     best_groups = None

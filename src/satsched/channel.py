@@ -72,7 +72,8 @@ class SrParams:
 
 @dataclass(frozen=True)
 class CsiRealization:
-    """Instantaneous SNRs: one entry per ground user plus the satellite SNR."""
+    """Instantaneous SNRs: one entry per ground user plus the satellite SNR,
+    positive and finite (a huge one models an unconstrained satellite hop)."""
 
     user_snrs: np.ndarray
     sat_snr: float
@@ -84,8 +85,8 @@ class CsiRealization:
         if not np.all(np.isfinite(snrs)) or np.any(snrs < 0):
             raise ParameterError("user SNRs must be finite and non-negative")
         object.__setattr__(self, "user_snrs", snrs)
-        if not (self.sat_snr >= 0):
-            raise ParameterError(f"sat_snr must be non-negative, got {self.sat_snr}")
+        if not (0 < self.sat_snr < math.inf):
+            raise ParameterError(f"sat_snr must be positive finite, got {self.sat_snr}")
 
     @property
     def n_users(self) -> int:

@@ -1,6 +1,7 @@
 """Command-line entry point: one subcommand per experiment scenario.
 
-Exit codes: 0 success, 2 configuration problems, 3 numeric failures.
+Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
+including a count too large to allocate.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, EnumerationBudgetError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

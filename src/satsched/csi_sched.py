@@ -44,12 +44,13 @@ import numpy as np
 
 from .channel import CsiRealization
 from .csi_bounds import _economy_recursion
-from .errors import EnumerationBudgetError, InternalConsistencyError, ParameterError
+from .errors import InternalConsistencyError, ParameterError, budgeted_comb
 from .rate_core import (
+    EMPTY_RATE_REPORT,
     RateReport,
     Schedule,
+    _binding_hop,
     awgn_capacity,
-    empty_rate_report,
     evaluate_schedule,
     max_supported_users,
     sic_chains_close,
@@ -109,7 +110,7 @@ def _finish(users, csi, k, r_target, candidates, backtracks) -> SchedulerOutcome
 def _infeasible(csi, candidates, backtracks) -> SchedulerOutcome:
     return SchedulerOutcome(
         schedule=None,
-        rate_report=empty_rate_report(csi.sat_snr),
+        rate_report=EMPTY_RATE_REPORT,
         stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks),
     )
 
@@ -293,7 +294,6 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 # (n, k) -> read-only combination table, least recently used first
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_BYTES = 64 * 2**20
-_MAX_SUBSETS = 2_000_000  # exhaustive's enumeration budget
 # subsets per exhaustive batch: its float temporaries stay below 128 KiB,
 # glibc's default mmap threshold, so they are reused instead of being
 # mapped, faulted in and unmapped again for every call
@@ -340,14 +340,10 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
     """Enumerate every K-subset in descending-SNR order and keep the
     feasible one with the largest SNR sum, the first in lexicographic
     order on a tie.  Raises EnumerationBudgetError when comb(N, K) exceeds
-    _MAX_SUBSETS."""
+    the budget of errors.budgeted_comb."""
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
-    n_subsets = math.comb(csi.n_users, k)
-    if n_subsets > _MAX_SUBSETS:
-        raise EnumerationBudgetError(
-            f"comb({csi.n_users}, {k}) = {n_subsets} exceeds budget {_MAX_SUBSETS}"
-        )
+    n_subsets = budgeted_comb(csi.n_users, k)
     if max_supported_users(csi.sat_snr, r_target, k) < k:
         return _infeasible(csi, n_subsets, 0)
 
@@ -380,12 +376,12 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
         share = 1.0 / len(kept)
         rates = [share * awgn_capacity(float(s[u])) for u in kept]
         if rates[-1] >= r_target:
+            total = float(sum(rates))
             sat_cap = awgn_capacity(csi.sat_snr)
-            sum_rate = min(float(sum(rates)), sat_cap)
             report = RateReport(
                 per_user_rates=tuple(rates),
-                sum_rate=sum_rate,
-                binding_hop="terrestrial" if float(sum(rates)) <= sat_cap else "satellite",
+                sum_rate=min(total, sat_cap),
+                binding_hop=_binding_hop(total, sat_cap),
                 meets_target=True,
             )
             schedule = Schedule(users=tuple(kept), alphas=None)
@@ -400,9 +396,7 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
 
 def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOutcome:
     """Single-user reference: schedule only the strongest user."""
-    gamma_t = sinr_threshold(r_target)
-    if gamma_t == 0.0:
-        raise ParameterError("r_target must be positive")
+    _entry_checks(csi, 1, r_target)
     s = csi.user_snrs
     best = int(_descending_order(s)[0])
     rate = min(awgn_capacity(float(s[best])), awgn_capacity(csi.sat_snr))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget."""
+
+import math
+
+_MAX_SUBSETS = 2_000_000  # the exhaustive searches' enumeration budget
 
 
 class ParameterError(ValueError):
@@ -20,6 +24,14 @@ class NumericError(RuntimeError):
 
 class EnumerationBudgetError(RuntimeError):
     """An exhaustive search would exceed its subset budget."""
+
+
+def budgeted_comb(n: int, k: int) -> int:
+    """comb(n, k); raises EnumerationBudgetError when it exceeds _MAX_SUBSETS."""
+    n_subsets = math.comb(n, k)
+    if n_subsets > _MAX_SUBSETS:
+        raise EnumerationBudgetError(f"comb({n}, {k}) = {n_subsets} exceeds budget {_MAX_SUBSETS}")
+    return n_subsets
 
 
 class InternalConsistencyError(RuntimeError):

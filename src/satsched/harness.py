@@ -58,9 +58,8 @@ SCENARIOS = (
     "cdi_complexity",
 )
 
-# satellite SNR used when the CSI experiments leave the second hop
-# unconstrained: finite so splits and SINRs stay well defined, huge so the
-# terrestrial hop always binds
+# satellite SNR of the CSI experiments' unconstrained second hop: satellite
+# SNRs are finite, and this one is so large the terrestrial hop always binds
 UNCONSTRAINED_SAT_SNR = float(2**60)
 
 
@@ -77,10 +76,6 @@ class ResultRow:
 
 
 _CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
-
-
-_INT_FIELDS = ("seed", "trials", "n_users", "m_groups", "mc_trials", "max_iters")
-_FLOAT_FIELDS = ("p1_sigma_sq", "sat_snr", "p2", "delta", "cdi_low_db", "cdi_high_db")
 
 
 def _is_int(v) -> bool:
@@ -121,11 +116,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name in _INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in _FLOAT_FIELDS:
-            _check_finite(name, getattr(self, name))
+        # the field annotations (strings here) mark the int and float fields
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not _is_int(v):
+                raise ConfigError(f"{f.name} must be an int, got {v!r}")
+            if f.type == "float":
+                _check_finite(f.name, v)
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.trials < 1:

@@ -31,9 +31,8 @@ from scipy import special
 
 from .channel import SrParams, sample_sr_snr
 from .errors import NumericError, ParameterError
-from .rate_core import sic_chains_close, sinr_threshold
+from .rate_core import _LN2, sic_chains_close, sinr_threshold
 
-_LN2 = math.log(2.0)
 _PHASE2_RTOL = 1e-12
 _PHASE2_MAX_TERMS = 1000
 
@@ -115,17 +114,22 @@ def _phase1(lam: list, gamma_t: float) -> float:
     return -math.expm1(log_success)
 
 
+def _phase2_threshold(k_users: int, r_target: float) -> float:
+    """Satellite SNR 2**(k_users*r_target) - 1; inf beyond float range."""
+    with np.errstate(over="ignore"):
+        return float(np.expm1(k_users * r_target * _LN2))
+
+
 def phase2_outage(sr: SrParams, k_users: int, r_target: float) -> float:
     """Probability the satellite hop cannot carry k_users * r_target."""
     if k_users < 1:
         raise ParameterError(f"k_users must be >= 1, got {k_users}")
     if not (r_target >= 0 and math.isfinite(r_target)):
         raise ParameterError(f"r_target must be non-negative finite, got {r_target}")
-    with np.errstate(over="ignore"):  # beyond float range: outage 1
-        threshold = np.expm1(k_users * r_target * _LN2)
+    threshold = _phase2_threshold(k_users, r_target)
     if threshold == 0.0:
         return 0.0
-    x0 = float(threshold) / (2.0 * sr.b0 * sr.tx_power)
+    x0 = threshold / (2.0 * sr.b0 * sr.tx_power)
     denom = 2.0 * sr.b0 * sr.m_s + sr.omega
     z = sr.omega / denom
     pref = (2.0 * sr.b0 * sr.m_s / denom) ** sr.m_s
@@ -155,29 +159,24 @@ def total_outage(p1: float, p2: float) -> float:
     return p1 + p2 - p1 * p2
 
 
-def monte_carlo_outage(lambdas_in_order, sr: SrParams | None, r_target: float,
+def monte_carlo_outage(lambdas_in_order, sr: SrParams, r_target: float,
                        trials: int, rng: Generator) -> OutageReport:
     """Empirical outage over seeded trials.
 
     Per trial, user SNRs are exponential with the given rates and the
-    satellite SNR is shadowed-Rician (sr=None forces the satellite hop
-    perfect).  All user SNRs are drawn from rng first, then all satellite
-    SNRs, so the estimate is a function of rng's state.
+    satellite SNR is shadowed-Rician.  All user SNRs are drawn from rng
+    first, then all satellite SNRs, so the estimate is a function of rng's
+    state and p1 does not depend on sr.
     """
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     gamma_t = sinr_threshold(r_target)
     k = lam.size
-    with np.errstate(over="ignore"):  # beyond float range: every draw fails
-        threshold2 = float(np.expm1(k * r_target * _LN2))
 
     snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
     phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
-    if sr is not None:
-        phase2_fail = sample_sr_snr(sr, trials, rng) < threshold2
-    else:
-        phase2_fail = np.zeros(trials, dtype=bool)
+    phase2_fail = sample_sr_snr(sr, trials, rng) < _phase2_threshold(k, r_target)
 
     p1 = int(np.count_nonzero(phase1_fail)) / trials
     p2 = int(np.count_nonzero(phase2_fail)) / trials

@@ -37,8 +37,6 @@ def awgn_capacity(snr: float) -> float:
     """log2(1 + snr); snr may be +inf."""
     if math.isnan(snr) or snr < 0:
         raise ParameterError(f"snr must be non-negative, got {snr}")
-    if math.isinf(snr):
-        return math.inf
     return math.log1p(snr) / _LN2
 
 
@@ -50,7 +48,8 @@ class Schedule:
         by the schedulers here).
     alphas: relay power fractions in *satellite decode position* order, or
         None for orthogonal access where no split applies.  The satellite
-        decodes relay slot k k-th.
+        decodes relay slot k k-th.  Fractions within _ALPHA_TOL of [0, 1]
+        are stored clamped to it.
     """
 
     users: tuple
@@ -65,13 +64,13 @@ class Schedule:
             raise ConstraintError("user indices must be non-negative")
         if self.alphas is not None:
             alphas = tuple(float(a) for a in self.alphas)
-            object.__setattr__(self, "alphas", alphas)
             if len(alphas) != len(users):
                 raise ConstraintError("alphas must have one entry per user")
-            if any(a < -_ALPHA_TOL or a > 1 + _ALPHA_TOL for a in alphas):
+            if not all(-_ALPHA_TOL <= a <= 1 + _ALPHA_TOL for a in alphas):
                 raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
             if sum(alphas) > 1 + _ALPHA_TOL:
                 raise ConstraintError(f"alphas sum to {sum(alphas)} > 1")
+            object.__setattr__(self, "alphas", tuple(min(max(a, 0.0), 1.0) for a in alphas))
 
     @property
     def n_users(self) -> int:
@@ -87,7 +86,7 @@ class RateReport:
 
 
 def _chain_back_to_front(vals: list, inv: float):
-    """Successive-decoding SINRs with denominator tail + inv, last slot first.
+    """Successive-decoding SINRs with denominator tail + inv > 0, last slot first.
 
     Plain floats on purpose: chains are a handful of slots and sit on every
     scheduler's hot path, where ndarray temporaries cost more than the math.
@@ -97,19 +96,14 @@ def _chain_back_to_front(vals: list, inv: float):
     tail = 0.0
     for k in range(len(vals) - 1, -1, -1):
         v = vals[k]
-        denom = tail + inv
-        if denom > 0.0:
-            out[k] = v / denom
-        else:
-            # zero interference and noise-free: any positive power saturates
-            out[k] = math.inf if v > 0.0 else 0.0
+        out[k] = v / (tail + inv)
         tail += v
     return out, tail
 
 
 def _chain_capacities(sinrs: list) -> list:
     """awgn_capacity of each chain SINR, unchecked: _chain_back_to_front
-    never yields a NaN or a negative SINR, and log1p(inf) is inf."""
+    never yields a NaN or a negative SINR."""
     return [math.log1p(g) / _LN2 for g in sinrs]
 
 
@@ -141,27 +135,6 @@ def _checked_snr_list(snrs_in_order) -> list:
     return vals
 
 
-def _checked_alpha_list(alphas_in_sat_order) -> list:
-    a = np.asarray(alphas_in_sat_order, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("alphas must be a non-empty 1-D array")
-    vals = a.tolist()
-    total = 0.0
-    for v in vals:
-        if not (-_ALPHA_TOL <= v <= 1 + _ALPHA_TOL):
-            raise ConstraintError("alphas must lie in [0, 1]")
-        total += v
-    if total > 1 + _ALPHA_TOL:
-        raise ConstraintError(f"alphas sum to {total} > 1")
-    return [0.0 if v < 0.0 else (1.0 if v > 1.0 else v) for v in vals]
-
-
-def _sat_noise_over_power(sat_snr: float) -> float:
-    if math.isnan(sat_snr) or sat_snr < 0:
-        raise ParameterError(f"sat_snr must be non-negative, got {sat_snr}")
-    return 0.0 if math.isinf(sat_snr) else 1.0 / sat_snr if sat_snr > 0 else math.inf
-
-
 def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
     """Largest K <= n_users the relay-satellite hop can carry at r_target,
     i.e. the largest K with 2**(K*r_target) - 1 <= sat_snr."""
@@ -169,10 +142,8 @@ def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
         raise ParameterError(f"r_target must be positive, got {r_target}")
     if n_users < 0:
         raise ParameterError(f"n_users must be non-negative, got {n_users}")
-    if math.isnan(sat_snr) or sat_snr < 0:
-        raise ParameterError(f"sat_snr must be non-negative, got {sat_snr}")
-    if math.isinf(sat_snr):
-        return n_users
+    if not (sat_snr >= 0 and math.isfinite(sat_snr)):
+        raise ParameterError(f"sat_snr must be non-negative finite, got {sat_snr}")
     estimate = math.log2(1.0 + sat_snr) / r_target + 1e-12
     k = n_users if estimate >= n_users else int(estimate)
     # settle the boundary with the exact comparison
@@ -212,7 +183,7 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     chain, _ = _chain_back_to_front(vals, 1.0)
     relay_rates = _chain_capacities(chain)
     cap = awgn_capacity(sat_snr)
-    if math.isinf(cap) or sum(relay_rates) <= cap:
+    if sum(relay_rates) <= cap:
         targets = relay_rates
     else:
         surplus = cap - k * r_target
@@ -221,15 +192,6 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
             extra = min(max(rate - r_target, 0.0), max(surplus, 0.0))
             targets.append(r_target + extra)
             surplus -= extra
-    if math.isinf(sat_snr):
-        # chain SINRs above the last position depend only on power ratios
-        alphas = [0.0] * k
-        alphas[-1] = 1.0
-        tail = 1.0
-        for j in range(k - 2, -1, -1):
-            alphas[j] = math.expm1(targets[j] * _LN2) * tail
-            tail += alphas[j]
-        return np.array(alphas) / tail
     alphas = [0.0] * k
     inv = 1.0 / sat_snr
     tail = 0.0
@@ -246,13 +208,9 @@ def _binding_hop(terrestrial_cap: float, satellite_cap: float) -> str:
     return "terrestrial" if terrestrial_cap <= satellite_cap else "satellite"
 
 
-def empty_rate_report(sat_snr: float) -> RateReport:
-    return RateReport(
-        per_user_rates=(),
-        sum_rate=0.0,
-        binding_hop=_binding_hop(0.0, awgn_capacity(sat_snr)),
-        meets_target=False,
-    )
+# no user served: a zero terrestrial cut never exceeds the satellite's
+EMPTY_RATE_REPORT = RateReport(per_user_rates=(), sum_rate=0.0, binding_hop="terrestrial",
+                               meets_target=False)
 
 
 def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) -> RateReport:
@@ -268,18 +226,17 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
     binding_hop names the smaller cut-set.
     """
     if schedule.n_users == 0:
-        return empty_rate_report(csi.sat_snr)
+        return EMPTY_RATE_REPORT
     if schedule.alphas is None:
         raise ParameterError("schedule has no power split to evaluate")
     users = schedule.users
     if max(users) >= csi.n_users:
         raise ParameterError("schedule references a user outside the realization")
     all_snrs = csi.user_snrs
-    # the realization constructor already vetted the SNRs
+    # the realization already vetted the SNRs, the Schedule its alphas
     snrs = [float(all_snrs[u]) for u in users]
     relay, total_snr = _chain_back_to_front(snrs, 1.0)
-    inv = _sat_noise_over_power(csi.sat_snr)
-    sat, _ = _chain_back_to_front(_checked_alpha_list(schedule.alphas), inv)
+    sat, _ = _chain_back_to_front(schedule.alphas, 1.0 / csi.sat_snr)
     rates = tuple(map(min, _chain_capacities(relay), _chain_capacities(sat)))
     terrestrial_cap = awgn_capacity(total_snr)
     satellite_cap = awgn_capacity(csi.sat_snr)

@@ -15,7 +15,7 @@ from satsched import (
     GroupCdi,
     ParameterError,
     aoius,
-    cdi_sched,
+    errors,
     exhaustive_groups,
     find_zero_h,
     h_function,
@@ -340,10 +340,10 @@ def test_exhaustive_groups_budget(monkeypatch):
     with pytest.raises(EnumerationBudgetError):
         exhaustive_groups(cdi, 15, 0.5)
     # the budget is inclusive: comb(30, 2) = 435 subsets
-    monkeypatch.setattr(cdi_sched, "_MAX_SUBSETS", 435)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 435)
     got = exhaustive_groups(cdi, 2, 0.5)
     assert got.evaluations == math.comb(30, 2)
-    monkeypatch.setattr(cdi_sched, "_MAX_SUBSETS", 434)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 434)
     with pytest.raises(EnumerationBudgetError):
         exhaustive_groups(cdi, 2, 0.5)
 

@@ -106,7 +106,6 @@ def test_csi_realization_validation():
         CsiRealization(np.array([-1.0, 2.0]), 10.0)
     with pytest.raises(ParameterError):
         CsiRealization(np.array([1.0, np.nan]), 10.0)
-    with pytest.raises(ParameterError):
-        CsiRealization(np.array([1.0]), -2.0)
-    # infinite satellite SNR is a legitimate modelling limit
-    assert CsiRealization(np.array([1.0]), np.inf).sat_snr == np.inf
+    for sat_snr in (-2.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            CsiRealization(np.array([1.0]), sat_snr)

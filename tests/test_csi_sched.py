@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from satsched import csi_sched
+from satsched import csi_sched, errors
 from satsched import (
     CsiRealization,
     EnumerationBudgetError,
@@ -258,9 +258,9 @@ def test_exhaustive_budget_guard(monkeypatch):
     with pytest.raises(EnumerationBudgetError):
         exhaustive(csi, 15, 0.1)
     # the budget is inclusive: comb(30, 3) = 4060 subsets
-    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 4060)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 4060)
     assert exhaustive(csi, 3, 0.1).feasible
-    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 4059)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 4059)
     with pytest.raises(EnumerationBudgetError):
         exhaustive(csi, 3, 0.1)
 
@@ -319,7 +319,7 @@ def test_exhaustive_budget_checked_before_any_table(monkeypatch):
     csi_sched._TABLE_CACHE.clear()
     with pytest.raises(EnumerationBudgetError):
         exhaustive(CsiRealization(np.ones(30) * 10.0, BIG_SAT), 15, 0.1)
-    monkeypatch.setattr(csi_sched, "_MAX_SUBSETS", 10)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 10)
     with pytest.raises(EnumerationBudgetError):
         exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1)
     assert not csi_sched._TABLE_CACHE

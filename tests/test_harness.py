@@ -421,12 +421,21 @@ def test_cli_rejects_fractional_user_count(tmp_path, capsys):
 
 
 def test_cli_budget_error_exit_code(tmp_path, capsys):
-    cfg = dict(scenario="csi_stability", seed=1, trials=1, n_users=26, k=13,
-               r_target_grid=[0.9])
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["csi-stability", "--config", str(path)]) == 3
-    assert "numeric error" in capsys.readouterr().err
+    cases = (
+        ("csi-stability", dict(scenario="csi_stability", seed=1, trials=1, n_users=26, k=13,
+                               r_target_grid=[0.9])),
+        # counts whose arrays need PiB, so allocating them fails at once
+        ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
+                            r_target_grid=[0.5], mc_trials=10**15, sr_params=HEAVY)),
+        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=10**15,
+                             r_target_grid=[0.9])),
+    )
+    for i, (sub, cfg) in enumerate(cases):
+        path = tmp_path / f"huge{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error") and err.count("\n") == 1
 
 
 def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):

@@ -160,7 +160,10 @@ def test_total_outage_values():
 
 def test_mc_two_user_perfect_satellite():
     rng = np.random.default_rng(606)
-    rep = monte_carlo_outage(np.array([0.1, 0.1]), None, 1.0, 100_000, rng)
+    # at this relay power the satellite SNR falls below 2**2 - 1 with
+    # probability about 1e-11, so no trial's satellite hop fails
+    sr = SrParams(tx_power=1e12, **HEAVY)
+    rep = monte_carlo_outage(np.array([0.1, 0.1]), sr, 1.0, 100_000, rng)
     want = 1.0 - 0.5 * math.exp(-0.3)
     assert rep.p2 == 0.0
     assert abs(rep.p1 - want) <= 3.0 * rep.mc_stats.p1_std_error
@@ -181,7 +184,8 @@ def test_mc_with_satellite_hop():
 
 def test_mc_single_trial_is_indicator():
     rng = np.random.default_rng(7)
-    rep = monte_carlo_outage(np.array([0.1, 0.2]), None, 0.5, 1, rng)
+    rep = monte_carlo_outage(np.array([0.1, 0.2]), SrParams(tx_power=1000.0, **HEAVY), 0.5, 1,
+                             rng)
     assert rep.total in (0.0, 1.0)
     assert rep.mc_stats.trials == 1
 

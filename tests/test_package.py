@@ -1,7 +1,9 @@
 """Package-wide checks: every public function has a caller outside the
-tests, and the README's python examples run as written."""
+tests, the benchmark's tracer finds every function it wraps, and the
+README's python examples run as written."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -47,6 +49,16 @@ def test_every_public_function_has_a_caller():
                     name == fn.name and id(node) not in own for name, node in refs):
                 uncalled.append(f"{path.stem}.{fn.name}")
     assert not uncalled, f"public functions nothing in src/ or perfbench/ calls: {uncalled}"
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # Tracer() looks up each SPANNED and COUNTED name and fails on a missing one
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = tracer.Tracer()._wrappers
+    assert len(wrapped) == len(tracer.SPANNED) + len(tracer.COUNTED)
 
 
 def test_readme_python_examples_run():

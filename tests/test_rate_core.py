@@ -23,7 +23,7 @@ from satsched import (
     sinr_threshold,
     throughput_power_split,
 )
-from satsched.rate_core import _chain_back_to_front, _sat_noise_over_power
+from satsched.rate_core import _ALPHA_TOL, _chain_back_to_front
 
 snr_arrays = hnp.arrays(
     dtype=float,
@@ -58,7 +58,7 @@ def _relay_chain(snrs):
 
 
 def _sat_chain(alphas, sat_snr):
-    return _chain_back_to_front(list(map(float, alphas)), _sat_noise_over_power(sat_snr))[0]
+    return _chain_back_to_front(list(map(float, alphas)), 1.0 / sat_snr)[0]
 
 
 def test_relay_chain_hand_values():
@@ -79,13 +79,9 @@ def test_relay_chain_telescopes(snrs):
 
 
 def test_satellite_chain_hand_values():
-    for chain in (_sat_chain,
-                  lambda a, s: oracles.chain_sinrs(a, 0.0 if math.isinf(s) else 1.0 / s)):
+    for chain in (_sat_chain, lambda a, s: oracles.chain_sinrs(a, 1.0 / s)):
         assert np.allclose(chain([1.0], 100.0), [100.0])
         assert np.allclose(chain([0.6, 0.4], 10.0), [1.2, 4.0])
-        out = chain([0.5, 0.5], math.inf)
-        assert out[0] == pytest.approx(1.0, rel=1e-15)
-        assert math.isinf(out[1])
         assert np.allclose(chain([0.9, 0.1], 10.0), [4.5, 1.0])
 
 
@@ -106,10 +102,11 @@ def test_max_supported_users_values():
     assert max_supported_users(0.5, 1.0, 10) == 0
     assert max_supported_users(7.0, 1.0, 10) == 3  # 2**3 - 1 == 7 exactly
     assert max_supported_users(6.999, 1.0, 10) == 2
-    assert max_supported_users(math.inf, 0.1, 25) == 25
     assert max_supported_users(1000.0, 1.2, 3) == 3
     with pytest.raises(ParameterError):
         max_supported_users(10.0, 0.0, 5)
+    with pytest.raises(ParameterError):
+        max_supported_users(math.inf, 0.1, 25)
 
 
 def test_max_supported_users_exact_boundaries():
@@ -160,6 +157,12 @@ def test_schedule_validation():
         Schedule(users=(0, 1), alphas=(0.9, 0.2))
     with pytest.raises(ConstraintError):
         Schedule(users=(0, 1), alphas=(0.5,))
+    # within _ALPHA_TOL of [0, 1]: stored clamped
+    clamped = Schedule(users=(0, 1), alphas=(1.0 + _ALPHA_TOL / 2, -_ALPHA_TOL / 2))
+    assert clamped.alphas == (1.0, 0.0)
+    for bad in (-2 * _ALPHA_TOL, math.nan):
+        with pytest.raises(ConstraintError):
+            Schedule(users=(0,), alphas=(bad,))
 
 
 def test_evaluate_schedule_hand_example():
