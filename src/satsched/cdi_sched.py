@@ -324,7 +324,7 @@ def _selector_checks(m: int, k: int, gamma_t: float) -> None:
         raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
 
 
-def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 0.0,
+def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
           max_iters: int = 100) -> GroupSchedule:
     """Alternating per-slot group reselection.
 
@@ -332,15 +332,13 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 
     a draw from rng (sorted by rate) and are revisited in sweeps: each middle
     slot computes the continuous optimum z from find_zero_h, the final slot
     from last_lambda_opt, and moves to the best bracketing group inside its
-    ordering window.  Sweeps stop once the end-of-sweep outage improves by
-    at most delta (delta=0 stops on exact equality) or after max_iters.
+    ordering window.  Sweeps stop after the first sweep that does not lower
+    the outage, or after max_iters.
     The returned trace starts at the initialization's outage and is
     monotone non-increasing.
     """
     m = cdi.n_groups
     _selector_checks(m, k, gamma_t)
-    if delta < 0:
-        raise ParameterError(f"delta must be non-negative, got {delta}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
 
@@ -371,7 +369,7 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator, delta: float = 
                                                           selection, slot)
             evals += used
         trace.append(outage)
-        if trace[-2] - trace[-1] <= delta:
+        if trace[-1] >= trace[-2]:
             break
     return GroupSchedule(
         groups=tuple(selection),

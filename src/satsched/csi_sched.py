@@ -107,7 +107,7 @@ def _finish(users, csi, k, r_target, candidates, backtracks) -> SchedulerOutcome
     )
 
 
-def _infeasible(csi, candidates, backtracks) -> SchedulerOutcome:
+def _infeasible(candidates, backtracks) -> SchedulerOutcome:
     return SchedulerOutcome(
         schedule=None,
         rate_report=EMPTY_RATE_REPORT,
@@ -146,7 +146,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
 
     # plain lists: numpy scalar access would dominate the search
     order = _descending_order(s).tolist()
@@ -226,7 +226,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
 
     # stable ascending argsort: equal SNRs keep ascending index order
     s_list = s.tolist()
@@ -239,13 +239,13 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 
     if k == 1:
         if s_max < gamma_t:
-            return _infeasible(csi, 0, 0)
+            return _infeasible(0, 0)
         return _finish([first], csi, 1, r_target, 1, 0)
 
     # economy fill; only its last slot's pick seeds the final-slot window
     picks = _economy_recursion(snrs, k, gamma_t)
     if len(picks) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
     last_low = picks[0]
     last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
 
@@ -288,7 +288,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                     chosen = [first, *(users[p] for p in reversed(picked)), users[q]]
                     return _finish(chosen, csi, k, r_target, candidates, 0)
         hi = group
-    return _infeasible(csi, candidates, 0)
+    return _infeasible(candidates, 0)
 
 
 # (n, k) -> read-only combination table, least recently used first
@@ -345,7 +345,7 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
     s = csi.user_snrs
     n_subsets = budgeted_comb(csi.n_users, k)
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, n_subsets, 0)
+        return _infeasible(n_subsets, 0)
 
     order = _descending_order(s)
     desc = s[order]
@@ -361,7 +361,7 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
         if sums[j] > best_sum:  # strict: an earlier chunk wins a tie
             best, best_sum = start + j, sums[j]
     if best < 0:
-        return _infeasible(csi, n_subsets, 0)
+        return _infeasible(n_subsets, 0)
     return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0)
 
 
@@ -391,7 +391,7 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
                 stats=SchedulerStats(len(kept), 0),
             )
         kept.pop()  # weakest is last in descending order
-    return _infeasible(csi, 0, 0)
+    return _infeasible(0, 0)
 
 
 def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOutcome:
@@ -401,7 +401,7 @@ def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOut
     best = int(_descending_order(s)[0])
     rate = min(awgn_capacity(float(s[best])), awgn_capacity(csi.sat_snr))
     if rate < r_target:
-        return _infeasible(csi, 1, 0)
+        return _infeasible(1, 0)
     schedule = Schedule(users=(best,), alphas=(1.0,))
     report = evaluate_schedule(schedule, csi, r_target)
     return SchedulerOutcome(

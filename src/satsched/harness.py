@@ -61,6 +61,8 @@ SCENARIOS = (
 # satellite SNR of the CSI experiments' unconstrained second hop: satellite
 # SNRs are finite, and this one is so large the terrestrial hop always binds
 UNCONSTRAINED_SAT_SNR = float(2**60)
+# CDI group mean SNRs are drawn dB-uniform on [low, high]
+_CDI_LOW_DB, _CDI_HIGH_DB = -10.0, 20.0
 
 
 @dataclass(frozen=True)
@@ -101,16 +103,12 @@ class ExperimentConfig:
     r_target_grid: tuple
     n_users: int = 0
     m_groups: int = 0
-    k: object = "auto"  # "auto" or a positive int
+    k: int | None = None  # CDI slot count; CSI tables size theirs with determine_k
     p1_sigma_sq: float = 5.0
-    sat_snr: float = UNCONSTRAINED_SAT_SNR
     sr_params: dict | None = None
     p2: float = 1000.0
     mc_trials: int = 10_000
-    delta: float = 0.0
     max_iters: int = 50
-    cdi_low_db: float = -10.0
-    cdi_high_db: float = 20.0
     output_path: str | None = None
 
     def __post_init__(self):
@@ -133,31 +131,22 @@ class ExperimentConfig:
         if not grid or any(r <= 0 for r in grid):
             raise ConfigError("r_target_grid must be non-empty with positive entries")
         object.__setattr__(self, "r_target_grid", grid)
-        if self.k != "auto" and not (_is_int(self.k) and self.k >= 1):
-            raise ConfigError(f"k must be 'auto' or a positive int, got {self.k!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         csi = self.scenario.startswith("csi")
         if csi:
             if self.n_users < 1:
                 raise ConfigError("csi scenarios need n_users >= 1")
-            if self.k != "auto" and self.k > self.n_users:
-                raise ConfigError("k cannot exceed n_users")
+            if self.k is not None:
+                raise ConfigError(f"'k' is for cdi scenarios; csi ones use determine_k, "
+                                  f"got {self.k!r}")
             if not (self.p1_sigma_sq > 0):
                 raise ConfigError("p1_sigma_sq must be positive")
-            if not (self.sat_snr > 0):
-                raise ConfigError("sat_snr must be positive")
         else:
             if self.m_groups < 2:
                 raise ConfigError("cdi scenarios need m_groups >= 2")
-            if self.k == "auto":
-                raise ConfigError("cdi scenarios need an explicit k")
-            if self.k > self.m_groups:
-                raise ConfigError("k cannot exceed m_groups")
-            if self.cdi_low_db >= self.cdi_high_db:
-                raise ConfigError("cdi_low_db must be below cdi_high_db")
-            if self.delta < 0:
-                raise ConfigError("delta must be non-negative")
+            if not (_is_int(self.k) and 1 <= self.k <= self.m_groups):
+                raise ConfigError(f"cdi scenarios need an int k in [1, m_groups], got {self.k!r}")
             if self.max_iters < 1:
                 raise ConfigError("max_iters must be a positive int")
         if self.scenario == "cdi_outage":
@@ -204,14 +193,14 @@ def _mean_stderr(values) -> tuple:
 
 
 def _draw_csi_k(cfg: ExperimentConfig, r: float, rng) -> tuple:
-    """A CSI draw and its slot count: cfg.k, or determine_k when "auto"."""
+    """A CSI draw with the unconstrained satellite, and its determine_k slot count."""
     link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
-    csi = CsiRealization(sample_rayleigh_snr(link, cfg.n_users, rng), cfg.sat_snr)
-    return csi, determine_k(csi, r) if cfg.k == "auto" else cfg.k
+    csi = CsiRealization(sample_rayleigh_snr(link, cfg.n_users, rng), UNCONSTRAINED_SAT_SNR)
+    return csi, determine_k(csi, r)
 
 
 def _draw_cdi(cfg: ExperimentConfig, rng) -> GroupCdi:
-    db = rng.uniform(cfg.cdi_low_db, cfg.cdi_high_db, size=cfg.m_groups)
+    db = rng.uniform(_CDI_LOW_DB, _CDI_HIGH_DB, size=cfg.m_groups)
     return GroupCdi.from_sigma_sq(np.power(10.0, db / 10.0), tx_power=1.0)
 
 
@@ -231,7 +220,7 @@ def _csi_schedulers(csi, k: int, r: float, algs) -> dict:
 
 def _cdi_schedulers(cfg: ExperimentConfig, cdi, k: int, gamma_t: float, rng) -> dict:
     """{algorithm: (schedule, ns)} for the two group selectors."""
-    return {"aoius": _timed(aoius, cdi, k, gamma_t, rng, cfg.delta, cfg.max_iters),
+    return {"aoius": _timed(aoius, cdi, k, gamma_t, rng, cfg.max_iters),
             "exhaustive_groups": _timed(exhaustive_groups, cdi, k, gamma_t)}
 
 
@@ -281,7 +270,7 @@ def _cdi_convergence(cfg: ExperimentConfig, _x: float):
 
     def trial(rng, key):
         cdi = _draw_cdi(cfg, rng)
-        sched, ns = _timed(aoius, cdi, cfg.k, gamma_t, rng, cfg.delta, cfg.max_iters)
+        sched, ns = _timed(aoius, cdi, cfg.k, gamma_t, rng, cfg.max_iters)
         bench, b_ns = _timed(solve_theorem3, float(cdi.lambdas.min()), cfg.k, gamma_t)
         # a list value is a per-sweep trace: one row per sweep
         return {("aoius", "outage_mean"): (list(sched.trace), ns),

@@ -273,7 +273,7 @@ def gius_scan(csi, k, r_target):
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
 
     order = _descending_order(s)
     # plain-list lookups: numpy scalar access would dominate the search
@@ -352,7 +352,7 @@ def lbus_two_sorts(csi, k, r_target):
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     if max_supported_users(csi.sat_snr, r_target, k) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
 
     order = _descending_order(s).tolist()
     s_list = s.tolist()
@@ -362,13 +362,13 @@ def lbus_two_sorts(csi, k, r_target):
 
     if k == 1:
         if s_max < gamma_t:
-            return _infeasible(csi, 0, 0)
+            return _infeasible(0, 0)
         return _finish([first], csi, 1, r_target, 1, 0)
 
     # economy recursion; only its last slot seeds the scan window
     picks = _economy_recursion(s, k, gamma_t)
     if len(picks) < k:
-        return _infeasible(csi, 0, 0)
+        return _infeasible(0, 0)
     last_low = picks[0]
     last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
 
@@ -406,4 +406,4 @@ def lbus_two_sorts(csi, k, r_target):
         if ok and s_max >= gamma_t * (tail_sum + 1.0):
             chosen.reverse()
             return _finish([first] + chosen, csi, k, r_target, candidates, 0)
-    return _infeasible(csi, candidates, 0)
+    return _infeasible(candidates, 0)

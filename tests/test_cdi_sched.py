@@ -312,8 +312,6 @@ def test_aoius_validation():
     with pytest.raises(ParameterError):
         aoius(cdi, 0, 0.5, rng)
     with pytest.raises(ParameterError):
-        aoius(cdi, 2, 0.5, rng, delta=-0.1)
-    with pytest.raises(ParameterError):
         aoius(cdi, 2, 0.5, rng, max_iters=0)
 
 

@@ -2,6 +2,7 @@
 property, all pinned against brute-force enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_upper_bound_hand_values():
     assert np.allclose(upper_bound_snrs(100.0, 3, 1.0), [100.0, 50.0, 49.0])
     assert np.allclose(upper_bound_snrs(100.0, 1, 1.0), [100.0])
     assert np.allclose(upper_bound_snrs(100.0, 2, 3.0), [100.0, 100.0 / 3.0 - 1.0])
+
+
+def test_upper_bound_overflowing_power_is_a_value():
+    # (1 + gamma_t)**(K-2) overflows a float: the final slot is -1, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ub = upper_bound_snrs(10.0, 5, sinr_threshold(600.0))
+    assert ub[0] == 10.0
+    assert ub[-1] == -1.0
 
 
 def test_upper_bound_sum_identity():

@@ -160,7 +160,10 @@ def test_from_dict_returns_config_or_config_error(raw):
         return
     for name in ("seed", "trials", "n_users", "m_groups", "mc_trials", "max_iters"):
         assert type(getattr(cfg, name)) is int, name
-    assert cfg.k == "auto" or type(cfg.k) is int
+    if cfg.scenario.startswith("csi"):
+        assert cfg.k is None
+    else:
+        assert type(cfg.k) is int and 1 <= cfg.k <= cfg.m_groups
     assert all(type(r) is float and math.isfinite(r) for r in cfg.r_target_grid)
 
 
@@ -420,10 +423,31 @@ def test_cli_rejects_fractional_user_count(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_dropped_and_csi_only_keys(tmp_path, capsys):
+    csi = dict(scenario="csi_sumrate", seed=1, trials=20, n_users=6, r_target_grid=[1.8])
+    cdi = dict(scenario="cdi_complexity", seed=1, trials=1, m_groups=6, k=3,
+               r_target_grid=[0.1])
+    cases = (
+        ("csi-sumrate", dict(csi, k=6), "k"),  # determine_k sizes every CSI table
+        ("csi-sumrate", dict(csi, k="auto"), "k"),
+        ("csi-sumrate", dict(csi, sat_snr=100.0), "sat_snr"),
+        ("cdi-complexity", dict(cdi, delta=0.0), "delta"),
+        ("cdi-complexity", dict(cdi, cdi_low_db=-10.0), "cdi_low_db"),
+        ("cdi-complexity", dict(cdi, cdi_high_db=20.0), "cdi_high_db"),
+    )
+    for i, (sub, cfg, key) in enumerate(cases):
+        path = tmp_path / f"dropped{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(path)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key) in err and "Traceback" not in err, err
+
+
 def test_cli_budget_error_exit_code(tmp_path, capsys):
     cases = (
-        ("csi-stability", dict(scenario="csi_stability", seed=1, trials=1, n_users=26, k=13,
-                               r_target_grid=[0.9])),
+        # determine_k sizes this draw's slot count past the enumeration budget
+        ("csi-stability", dict(scenario="csi_stability", seed=1, trials=1, n_users=26,
+                               r_target_grid=[0.5])),
         # counts whose arrays need PiB, so allocating them fails at once
         ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
                             r_target_grid=[0.5], mc_trials=10**15, sr_params=HEAVY)),
@@ -445,8 +469,8 @@ def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
                              r_target_grid=[2000]), 2),
         ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
                             r_target_grid=[2000], mc_trials=10, sr_params=HEAVY), 2),
-        # the threshold fits a float, its cube in the upper bound does not
-        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=6, k=5,
+        # the threshold fits a float, and no user reaches it
+        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=6,
                              r_target_grid=[600]), 0),
         # the threshold fits, the satellite hop's 2**1200 - 1 does not
         ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,

@@ -211,7 +211,7 @@ def test_validation_errors():
     with pytest.raises(ParameterError):
         phase2_outage(sr, 2, -0.1)
     with pytest.raises(ParameterError):
-        monte_carlo_outage(np.array([0.1]), None, 0.5, 0, np.random.default_rng(1))
+        monte_carlo_outage(np.array([0.1]), sr, 0.5, 0, np.random.default_rng(1))
 
 
 def test_report_probabilities_in_range():

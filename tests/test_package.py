@@ -1,11 +1,16 @@
 """Package-wide checks: every public function has a caller outside the
-tests, the benchmark's tracer finds every function it wraps, and the
-README's python examples run as written."""
+tests, every config field is set by a bundled table or the benchmark, the
+benchmark's tracer finds every function it wraps, and the README's python
+examples run as written."""
 
 import ast
+import dataclasses
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+from satsched.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satsched"
@@ -49,6 +54,17 @@ def test_every_public_function_has_a_caller():
                     name == fn.name and id(node) not in own for name, node in refs):
                 uncalled.append(f"{path.stem}.{fn.name}")
     assert not uncalled, f"public functions nothing in src/ or perfbench/ calls: {uncalled}"
+
+
+def test_every_config_field_is_set_by_a_table_or_the_benchmark():
+    # a field no bundled config and no benchmark table sets is a knob kept for nobody
+    keys = {key for path in (SRC / "configs").glob("*.json")
+            for key in json.loads(path.read_text())}
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    keys |= {node.value for node in ast.walk(workloads)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unset = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in keys]
+    assert not unset, f"config fields no table or benchmark sets: {unset}"
 
 
 def test_benchmark_tracer_finds_every_traced_function():
