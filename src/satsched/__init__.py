@@ -8,6 +8,7 @@ from .channel import (
     SrParams,
     sample_rayleigh_snr,
     sample_sr_snr,
+    sr_snr_below,
 )
 from .cdi_sched import (
     CoordinateContext,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,24 +284,16 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
     )
 
 
-def _bracket_pick(window_groups, lambdas, z, gamma_t, selection, slot):
-    """Best group for `slot` among the two window members bracketing z.
+def _bracket_pick(below, above, lambdas, z, gamma_t, selection, slot):
+    """Best group for `slot` of the two window members bracketing z:
+    `below` has the largest rate <= z, `above` the smallest rate > z, and
+    either may be None, not both.
 
     The coordinate objective is unimodal in the slot rate with its peak at
     z, so the discrete optimum over the window is one of the bracketing
     members; evaluating both keeps every move non-increasing in outage.
-    `window_groups` is non-empty and `lambdas` a list of floats.
-    Returns (group, outage, evaluations).
+    `lambdas` is a list of floats.  Returns (group, outage, evaluations).
     """
-    below = None
-    above = None
-    for g in window_groups:
-        if lambdas[g] <= z:
-            if below is None or lambdas[g] > lambdas[below]:
-                below = g
-        else:
-            if above is None or lambdas[g] < lambdas[above]:
-                above = g
     best = None
     evals = 0
     for cand in (below, above):
@@ -336,6 +329,11 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     the outage, or after max_iters.
     The returned trace starts at the initialization's outage and is
     monotone non-increasing.
+
+    Each window is a bisected range of one stable ascending order of the
+    rates, less the groups the other slots hold, so a slot visit costs
+    O(log M + K) instead of a scan of all M groups.  Ties resolve as in
+    that scan: among equal rates the lowest group index.
     """
     m = cdi.n_groups
     _selector_checks(m, k, gamma_t)
@@ -353,21 +351,50 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     picked = picked[np.argsort(cdi.lambdas[picked], kind="stable")]
     selection = [first] + [int(g) for g in picked]
 
+    # one stable ascending order of the rates, equal rates in index order:
+    # a slot's window lower < rate < upper is the bisected range of it
+    asc = np.argsort(cdi.lambdas, kind="stable").tolist()
+    asc_lam = [lam[g] for g in asc]
+    free = [True] * m
+    for g in selection:
+        free[g] = False
+
+    def first_free(start, stop):
+        """First position in [start, stop) whose group is free, or None."""
+        for p in range(start, stop):
+            if free[asc[p]]:
+                return p
+        return None
+
+    def last_free(start, stop):
+        """Last position in [start, stop) whose group is free, or None."""
+        for p in range(stop - 1, start - 1, -1):
+            if free[asc[p]]:
+                return p
+        return None
+
     evals = 1
     outage = _phase1([lam[g] for g in selection], gamma_t)
     trace = [outage]
     for _sweep in range(max_iters):
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
-            unselected = [g for g in range(m) if g not in selection or g == selection[slot]]
-            lower = lam[selection[slot - 1]]
-            upper = lam[selection[slot + 1]] if slot < k - 1 else math.inf
-            window = [g for g in unselected if lower < lam[g] < upper]
-            if not window:
-                continue
-            z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
-            selection[slot], outage, used = _bracket_pick(window, lam, z, gamma_t,
-                                                          selection, slot)
-            evals += used
+            free[selection[slot]] = True  # the slot's own group stays eligible
+            lo = bisect_right(asc_lam, lam[selection[slot - 1]])
+            hi = bisect_left(asc_lam, lam[selection[slot + 1]], lo) if slot < k - 1 else m
+            if first_free(lo, hi) is not None:
+                z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
+                mid = bisect_right(asc_lam, z, lo, hi)
+                above = first_free(mid, hi)
+                below = last_free(lo, mid)
+                if below is not None:
+                    # among equal rates the lowest index, first in the run
+                    below = first_free(bisect_left(asc_lam, asc_lam[below], lo, below), below + 1)
+                below = None if below is None else asc[below]
+                above = None if above is None else asc[above]
+                selection[slot], outage, used = _bracket_pick(below, above, lam, z, gamma_t,
+                                                              selection, slot)
+                evals += used
+            free[selection[slot]] = False
         trace.append(outage)
         if trace[-1] >= trace[-2]:
             break

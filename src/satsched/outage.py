@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator
 from scipy import special
 
-from .channel import SrParams, sample_sr_snr
+from .channel import SrParams, sr_snr_below
 from .errors import NumericError, ParameterError
 from .rate_core import _LN2, sic_chains_close, sinr_threshold
 
@@ -144,7 +144,10 @@ def phase2_outage(sr: SrParams, k_users: int, r_target: float) -> float:
         # gammainc factors only shrink
         ratio = max((sr.m_s + n) * z / (n + 1.0), z)
         if ratio < 1.0 and coeff * ratio / (1.0 - ratio) <= _PHASE2_RTOL * acc:
-            return min(1.0, pref * acc)
+            p2 = pref * acc
+            if not math.isfinite(p2):
+                raise NumericError(f"phase-2 outage is not finite: pref={pref!r} sum={acc!r}")
+            return min(1.0, p2)
     raise NumericError(
         "phase-2 series did not converge: z=%r x0=%r after %d terms"
         % (z, x0, _PHASE2_MAX_TERMS)
@@ -166,7 +169,9 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams, r_target: float,
     Per trial, user SNRs are exponential with the given rates and the
     satellite SNR is shadowed-Rician.  All user SNRs are drawn from rng
     first, then all satellite SNRs, so the estimate is a function of rng's
-    state and p1 does not depend on sr.
+    state and p1 does not depend on sr.  The satellite hop fails where
+    sr_snr_below says its SNR falls short of 2**(K*r_target) - 1, which is
+    the comparison of the sampled SNRs, bit for bit.
     """
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
@@ -174,9 +179,11 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams, r_target: float,
     gamma_t = sinr_threshold(r_target)
     k = lam.size
 
-    snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
+    # rng.exponential(scale=1/lam) draws the same stream, scaled the same way
+    snrs = rng.standard_exponential((trials, k))
+    snrs *= 1.0 / lam
     phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
-    phase2_fail = sample_sr_snr(sr, trials, rng) < _phase2_threshold(k, r_target)
+    phase2_fail = sr_snr_below(sr, trials, rng, _phase2_threshold(k, r_target))
 
     p1 = int(np.count_nonzero(phase1_fail)) / trials
     p2 = int(np.count_nonzero(phase2_fail)) / trials

@@ -2,8 +2,9 @@
 
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
-paths it is used to check.  The exception is the pair of earlier CSI
-scheduler versions at the end, kept verbatim as equivalence references.
+paths it is used to check.  The exceptions are the earlier versions of
+the CSI schedulers, the CDI group selector and the Monte-Carlo estimator
+at the end, kept verbatim as equivalence references.
 """
 
 from __future__ import annotations
@@ -407,3 +408,124 @@ def lbus_two_sorts(csi, k, r_target):
             chosen.reverse()
             return _finish([first] + chosen, csi, k, r_target, candidates, 0)
     return _infeasible(candidates, 0)
+
+
+# The CDI group selector and Monte-Carlo estimator below are earlier
+# production versions, kept unchanged so the current aoius and
+# monte_carlo_outage can be held to the same picks, traces and estimates.
+
+
+def _bracket_pick_scan(window_groups, lambdas, z, gamma_t, selection, slot):
+    """Best group for `slot` among the two window members bracketing z.
+
+    The coordinate objective is unimodal in the slot rate with its peak at
+    z, so the discrete optimum over the window is one of the bracketing
+    members; evaluating both keeps every move non-increasing in outage.
+    `window_groups` is non-empty and `lambdas` a list of floats.
+    Returns (group, outage, evaluations).
+    """
+    from satsched.outage import _phase1
+
+    below = None
+    above = None
+    for g in window_groups:
+        if lambdas[g] <= z:
+            if below is None or lambdas[g] > lambdas[below]:
+                below = g
+        else:
+            if above is None or lambdas[g] < lambdas[above]:
+                above = g
+    best = None
+    evals = 0
+    for cand in (below, above):
+        if cand is None:
+            continue
+        trial = list(selection)
+        trial[slot] = cand
+        out = _phase1([lambdas[g] for g in trial], gamma_t)
+        evals += 1
+        key = (out, abs(lambdas[cand] - z), cand)
+        if best is None or key < best[0]:
+            best = (key, cand, out)
+    return best[1], best[2], evals
+
+
+def aoius_scan(cdi, k, gamma_t, rng, max_iters=100):
+    """aoius with each slot's window rebuilt by scanning all M groups."""
+    from satsched import GroupSchedule, ParameterError
+    from satsched.cdi_sched import _selector_checks, slot_optimum
+    from satsched.outage import _phase1
+
+    m = cdi.n_groups
+    _selector_checks(m, k, gamma_t)
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+
+    first = int(np.argmin(cdi.lambdas))
+    lam = cdi.lambdas.tolist()
+    if k == 1:
+        out = _phase1([lam[first]], gamma_t)
+        return GroupSchedule((first,), out, (out,), 1)
+
+    others = np.array([g for g in range(m) if g != first], dtype=int)
+    picked = rng.choice(others, size=k - 1, replace=False)
+    picked = picked[np.argsort(cdi.lambdas[picked], kind="stable")]
+    selection = [first] + [int(g) for g in picked]
+
+    evals = 1
+    outage = _phase1([lam[g] for g in selection], gamma_t)
+    trace = [outage]
+    for _sweep in range(max_iters):
+        for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
+            unselected = [g for g in range(m) if g not in selection or g == selection[slot]]
+            lower = lam[selection[slot - 1]]
+            upper = lam[selection[slot + 1]] if slot < k - 1 else math.inf
+            window = [g for g in unselected if lower < lam[g] < upper]
+            if not window:
+                continue
+            z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
+            selection[slot], outage, used = _bracket_pick_scan(window, lam, z, gamma_t,
+                                                               selection, slot)
+            evals += used
+        trace.append(outage)
+        if trace[-1] >= trace[-2]:
+            break
+    return GroupSchedule(
+        groups=tuple(selection),
+        outage=outage,
+        trace=tuple(trace),
+        evaluations=evals,
+    )
+
+
+def monte_carlo_outage_sampled(lambdas_in_order, sr, r_target, trials, rng):
+    """monte_carlo_outage with every satellite SNR sampled in full and
+    compared with the phase-2 threshold."""
+    from satsched import McStats, OutageReport, ParameterError, sample_sr_snr, sinr_threshold
+    from satsched.outage import _check_lambdas, _phase2_threshold
+    from satsched.rate_core import sic_chains_close
+
+    lam = _check_lambdas(lambdas_in_order)
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    gamma_t = sinr_threshold(r_target)
+    k = lam.size
+
+    snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
+    phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
+    phase2_fail = sample_sr_snr(sr, trials, rng) < _phase2_threshold(k, r_target)
+
+    p1 = int(np.count_nonzero(phase1_fail)) / trials
+    p2 = int(np.count_nonzero(phase2_fail)) / trials
+    total = int(np.count_nonzero(phase1_fail | phase2_fail)) / trials
+
+    def se(p):
+        return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+    return OutageReport(
+        p1=p1,
+        p2=p2,
+        total=total,
+        mc_stats=McStats(trials=trials, std_error=se(total),
+                         p1_std_error=se(p1), p2_std_error=se(p2)),
+    )

@@ -304,6 +304,26 @@ def test_aoius_determinism():
     assert a == b
 
 
+def test_aoius_matches_the_window_scan():
+    # the bisected windows against aoius as it scanned all M groups per
+    # slot: same picks, outage, trace and evaluations; a third of the
+    # instances draw small-integer rates, so equal rates meet in windows
+    rng = np.random.default_rng(120)
+    instances = [(int(m), 0) for m in rng.integers(2, 41, size=1_000)]
+    instances += [(500, 10), (500, 2), (500, 25)]
+    for i, (m, k) in enumerate(instances):
+        if i % 3 == 0:
+            cdi = GroupCdi(rng.integers(1, 6, size=m) / 8.0)
+        else:
+            cdi = _draw_cdi(rng, m)
+        k = k or int(rng.integers(1, m + 1))
+        gamma_t = sinr_threshold(float(rng.choice([0.02, 0.1, 0.5, 1.0])))
+        seed = int(rng.integers(1 << 30))
+        got = aoius(cdi, k, gamma_t, np.random.default_rng(seed))
+        want = oracles.aoius_scan(cdi, k, gamma_t, np.random.default_rng(seed))
+        assert got == want, (m, k)
+
+
 def test_aoius_validation():
     cdi = GroupCdi(np.array([0.1, 0.2, 0.3]))
     rng = np.random.default_rng(0)

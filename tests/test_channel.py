@@ -15,11 +15,14 @@ from satsched import (
     ParameterError,
     RayleighLink,
     SrParams,
+    channel,
     sample_rayleigh_snr,
     sample_sr_snr,
+    sr_snr_below,
 )
 
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
+AVERAGE = dict(omega=0.835, b0=0.126, m_s=10.1)
 
 
 def test_rayleigh_rate_and_mean():
@@ -95,6 +98,83 @@ def test_sr_params_validation():
         SrParams(omega=1.0, b0=0.0, m_s=0.739, tx_power=1.0)
     with pytest.raises(ParameterError):
         sample_sr_snr(SrParams(tx_power=1.0, **HEAVY), -5, default_rng(0))
+    with pytest.raises(ParameterError):
+        sr_snr_below(SrParams(tx_power=1.0, **HEAVY), 0, default_rng(0), 1.0)
+    # derived scales that overflow: the mean SNR, and 2*b0*m_s + omega,
+    # which the closed-form phase-2 outage divides by
+    with pytest.raises(ParameterError, match="mean SNR"):
+        SrParams(omega=1e308, b0=1e308, m_s=0.739, tx_power=1000.0)
+    with pytest.raises(ParameterError, match="mean SNR"):
+        SrParams(tx_power=1.7e308, **AVERAGE)
+    with pytest.raises(ParameterError, match="2\\*b0\\*m_s"):
+        SrParams(omega=1.0, b0=1e300, m_s=1e10, tx_power=1e-10)
+
+
+# the largest relay power of each set keeps its mean SNR finite, while the
+# SNR composition overflows to inf on the draws far enough above the mean
+SR_MASK_CASES = [pytest.param(shadowing, tx_power, id=f"{name}-{tx_power:g}")
+                 for name, shadowing, powers in (("heavy", HEAVY, (1.0, 1000.0, 1.7e308)),
+                                                 ("average", AVERAGE, (1.0, 1000.0, 1.6e308)))
+                 for tx_power in powers]
+
+
+@pytest.mark.parametrize("shadowing, tx_power", SR_MASK_CASES)
+def test_sr_snr_below_is_the_sampled_comparison(shadowing, tx_power):
+    sr = SrParams(tx_power=tx_power, **shadowing)
+    count = 400
+    with np.errstate(over="ignore"):
+        samples = sample_sr_snr(sr, count, default_rng(29))
+    # every sampled value and its neighbours, where a rounding error in the
+    # bounds would show, plus the extremes; inf < inf is False
+    thresholds = np.concatenate([samples, np.nextafter(samples, np.inf),
+                                 np.nextafter(samples, -np.inf), [0.0, 5e-324, np.inf]])
+    if shadowing is AVERAGE and tx_power > 1e308:
+        assert np.isinf(samples).any()
+    for threshold in thresholds:
+        rng = default_rng(29)
+        with np.errstate(over="ignore"):
+            got = sr_snr_below(sr, count, rng, float(threshold))
+        assert got.dtype == bool
+        assert np.array_equal(got, samples < threshold), threshold
+    # the generator ends where sample_sr_snr leaves it
+    ref = default_rng(29)
+    with np.errstate(over="ignore"):
+        sample_sr_snr(sr, count, ref)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("shadowing", [HEAVY, AVERAGE], ids=["heavy", "average"])
+def test_sr_snr_below_at_the_triangle_bounds(monkeypatch, shadowing):
+    # a LOS phase along the scatter or against it puts the SNR on an end of
+    # the triangle-inequality interval, where only the slack keeps the
+    # bounds from settling a draw wrongly (a zero slack fails here)
+    sr = SrParams(tx_power=1000.0, **shadowing)
+    amp, phase, scatter_re, scatter_im = channel._sr_fade(sr, 1000, default_rng(5))
+    phase = np.arctan2(scatter_im, scatter_re) % (2.0 * np.pi)
+    phase[::2] = (phase[::2] + np.pi) % (2.0 * np.pi)
+    fade = (amp, phase, scatter_re, scatter_im)
+    monkeypatch.setattr(channel, "_sr_fade", lambda *_: fade)
+    snrs = channel._sr_power(sr, *fade)
+    for threshold in np.concatenate([snrs, np.nextafter(snrs, np.inf),
+                                     np.nextafter(snrs, -np.inf)]):
+        assert np.array_equal(sr_snr_below(sr, 1000, None, threshold), snrs < threshold)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 1000, 10_000])
+def test_trig_of_a_gathered_subset_is_bitwise_the_full_arrays(size):
+    # sr_snr_below composes the undecided draws on a gathered subset and
+    # relies on np.cos and np.sin giving each element the bits it gets in
+    # the full array, at the estimator's sizes up to the bundled 10,000
+    rng = default_rng(size)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    full = {fn: fn(phase).view(np.uint64) for fn in (np.cos, np.sin)}
+    for n_sub in sorted({1, 2, 3, 5, 8, 17, 63, 257, size // 2, size}):
+        if not 1 <= n_sub <= size:
+            continue
+        for idx in (np.sort(rng.choice(size, size=n_sub, replace=False)),
+                    np.arange(size - n_sub, size)):
+            for fn, bits in full.items():
+                assert np.array_equal(fn(phase[idx]).view(np.uint64), bits[idx]), fn
 
 
 def test_csi_realization_validation():

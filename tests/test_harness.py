@@ -492,6 +492,20 @@ def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
             assert values == [1.0] * 4
 
 
+def test_cli_rejects_overflowing_satellite_parameters(tmp_path, capsys):
+    # 2*b0*m_s + omega overflows; the closed-form outage once read 1.0
+    # here against a Monte-Carlo outage near 0, and the run exited 0
+    path = tmp_path / "huge_sr.json"
+    path.write_text(json.dumps(dict(scenario="cdi_outage", seed=1, trials=2, m_groups=10, k=2,
+                                    r_target_grid=[0.02], mc_trials=200, p2=1000.0,
+                                    sr_params=dict(omega=1e308, b0=1e308, m_s=0.739))))
+    assert main(["cdi-outage", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "overflows" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # one small valid config per subcommand, every count within _CAPS
 _SMALL = {
     "csi-sumrate": dict(scenario="csi_sumrate", seed=1, trials=2, r_target_grid=[0.9],

@@ -3,6 +3,7 @@ a triangular-substitution solve, and nested quadrature) plus the Monte-Carlo
 estimator's self-consistency."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_phase2_saturates_at_one():
     assert phase2_outage(sr, 5000, 0.02) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_phase2_rejects_overflowing_parameters():
+    # 2*b0*m_s + omega overflows here, so the series prefactor is NaN; it
+    # was once clamped to an outage of 1.0
+    with pytest.raises(ParameterError):
+        SrParams(omega=1e308, b0=1e308, m_s=0.739, tx_power=1000.0)
+    unchecked = types.SimpleNamespace(omega=1e308, b0=1e308, m_s=0.739, tx_power=1000.0)
+    with pytest.raises(NumericError, match="not finite"):
+        phase2_outage(unchecked, 2, 0.02)
+
+
 def test_phase2_monotone_in_k():
     sr = SrParams(tx_power=1000.0, **HEAVY)
     vals = [phase2_outage(sr, k, 0.1) for k in range(1, 40)]
@@ -188,6 +199,26 @@ def test_mc_single_trial_is_indicator():
                              rng)
     assert rep.total in (0.0, 1.0)
     assert rep.mc_stats.trials == 1
+
+
+def test_mc_matches_the_fully_sampled_estimator():
+    # the satellite mask and the scaled standard exponentials change no
+    # estimate and leave the generator where full sampling leaves it
+    for shadowing, tx_power in ((HEAVY, 1000.0), (HEAVY, 10.0),
+                                (dict(omega=0.835, b0=0.126, m_s=10.1), 100.0)):
+        sr = SrParams(tx_power=tx_power, **shadowing)
+        rng = np.random.default_rng(2024)
+        for k in (1, 2, 3, 4):
+            lam = np.sort(rng.uniform(0.01, 1.0, size=k))
+            # 600 * k >= 1024 for k >= 2: a phase-2 threshold of inf
+            for r in (0.0, 0.02, 0.1, 0.5, 1.0, 3.0, 600.0):
+                seed = int(rng.integers(1 << 30))
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = monte_carlo_outage(lam, sr, r, 2_000, got_rng)
+                want = oracles.monte_carlo_outage_sampled(lam, sr, r, 2_000, want_rng)
+                assert got == want, (k, r)
+                assert got_rng.random() == want_rng.random()
 
 
 def test_mc_determinism():
