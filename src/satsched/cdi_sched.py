@@ -36,7 +36,6 @@ from .errors import NumericError, ParameterError, budgeted_comb
 from .outage import GroupCdi, _phase1, phase1_outage
 
 _BISECT_MAX_ITERS = 500
-_BRACKET_MAX_DOUBLINGS = 400
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 10_000
 _UNIT_ROUNDOFF = 2.0**-53
@@ -170,8 +169,8 @@ def _certified_bracket(context: CoordinateContext) -> tuple:
 
 
 def find_zero_h(context: CoordinateContext) -> float:
-    """Unique zero of h by geometric bracketing from 1 and bisection to
-    machine-level relative width, so |h(root)| lands well below 1e-9.
+    """Unique zero of h by bracketing from 1 to the float range's ends and
+    bisection to machine-level relative width, so |h(root)| lands well below 1e-9.
     Sign tests outside _certified_bracket's (a, b) skip evaluating h, so
     the root is plain bisection's, bit for bit."""
     a, b = _certified_bracket(context)
@@ -185,14 +184,14 @@ def find_zero_h(context: CoordinateContext) -> float:
 
     lo = hi = 1.0
     if positive(1.0):
-        for _ in range(_BRACKET_MAX_DOUBLINGS):
+        while hi < 2.0**1023:  # the largest power of two a float holds
             hi *= 2.0
             if not positive(hi):
                 break
         else:
             raise NumericError(f"no sign change up to lambda={hi}")
     else:
-        for _ in range(_BRACKET_MAX_DOUBLINGS):
+        while lo > 2.0**-1074:  # the smallest positive float
             lo /= 2.0
             if positive(lo):
                 break
@@ -223,14 +222,18 @@ def last_lambda_opt(b_prefix: float, gamma_t: float) -> float:
 def slot_optimum(lam: list, position: int, gamma_t: float) -> float:
     """Continuous optimum of slot `position` (1-based, >= 2) of the float
     list `lam` with the other slots held: the zero of h for a middle slot,
-    last_lambda_opt of the B prefix B_{K-1} for the last slot."""
+    last_lambda_opt of the B prefix B_{K-1} for the last slot.  A D value,
+    tail or B prefix beyond float range raises NumericError."""
     k = len(lam)
-    if position < k:
-        return find_zero_h(_coordinate_context(lam, position, gamma_t))
-    b = 0.0
-    for j in range(k - 1):
-        b = (1.0 + gamma_t) * b + lam[j]
-    return last_lambda_opt(b, gamma_t)
+    try:
+        if position < k:
+            return find_zero_h(_coordinate_context(lam, position, gamma_t))
+        b = 0.0
+        for j in range(k - 1):
+            b = (1.0 + gamma_t) * b + lam[j]
+        return last_lambda_opt(b, gamma_t)
+    except (OverflowError, ParameterError) as exc:
+        raise NumericError(f"slot {position} of {k} is beyond float range: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _descending_order(snrs: np.ndarray) -> np.ndarray:
     return np.argsort(-snrs, kind="stable")
 
 
-def _finish(users, csi, k, r_target, candidates, backtracks) -> SchedulerOutcome:
+def _finish(users, csi, r_target, candidates, backtracks) -> SchedulerOutcome:
     alphas = throughput_power_split(csi.user_snrs[list(users)], r_target, csi.sat_snr)
     if alphas is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
@@ -209,8 +209,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish([order[p] for p in reversed(chosen)], csi, k, r_target,
-                   candidates, backtracks)
+    return _finish([order[p] for p in reversed(chosen)], csi, r_target, candidates, backtracks)
 
 
 def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
@@ -240,7 +239,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     if k == 1:
         if s_max < gamma_t:
             return _infeasible(0, 0)
-        return _finish([first], csi, 1, r_target, 1, 0)
+        return _finish([first], csi, r_target, 1, 0)
 
     # economy fill; only its last slot's pick seeds the final-slot window
     picks = _economy_recursion(snrs, k, gamma_t)
@@ -286,7 +285,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 # construction, so verify before accepting
                 if s_max >= gamma_t * (tail_sum + 1.0):
                     chosen = [first, *(users[p] for p in reversed(picked)), users[q]]
-                    return _finish(chosen, csi, k, r_target, candidates, 0)
+                    return _finish(chosen, csi, r_target, candidates, 0)
         hi = group
     return _infeasible(candidates, 0)
 
@@ -362,7 +361,7 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
             best, best_sum = start + j, sums[j]
     if best < 0:
         return _infeasible(n_subsets, 0)
-    return _finish(order[table[:, best]].tolist(), csi, k, r_target, n_subsets, 0)
+    return _finish(order[table[:, best]].tolist(), csi, r_target, n_subsets, 0)
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:

@@ -9,6 +9,7 @@ at the end, kept verbatim as equivalence references.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
@@ -180,6 +181,24 @@ def phase2_outage_quad(omega, b0, m_s, tx_power, k_users, r_target):
     return val
 
 
+def gammainc_decimal(a, x):
+    """Regularized lower incomplete gamma P(a, x) for integer a >= 1 as
+    e**-x sum_{k>=0} x**(a+k) / (a+k)! at 50 digits.  Every term is
+    positive, so nothing cancels, and the sum runs past its largest term
+    until the next one falls below 1e-45 of the total."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dx = decimal.Decimal(x)
+        term = dx**a / math.factorial(a)
+        total = decimal.Decimal(0)
+        n = a
+        while n <= dx or term > total * decimal.Decimal("1e-45"):
+            total += term
+            n += 1
+            term = term * dx / n
+        return float(total * (-dx).exp())
+
+
 def ks_statistic(samples, cdf_fn):
     """Kolmogorov-Smirnov distance of samples against a callable CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -205,19 +224,20 @@ def best_group_subset(lambdas, k, gamma_t):
 def find_zero_h_bisect(context):
     """find_zero_h as plain bracketing and bisection, every sign test an h
     evaluation: geometric bracketing from 1 and bisection to machine-level
-    relative width.  The production root must equal this one bit for bit."""
+    relative width, the bracket reaching out to 2**1023 and 2**-1074.  The
+    production root must equal this one bit for bit."""
     from satsched import NumericError, h_function
 
     lo = hi = 1.0
     if h_function(1.0, context) > 0.0:
-        for _ in range(400):
+        for _ in range(1023):
             hi *= 2.0
             if h_function(hi, context) <= 0.0:
                 break
         else:
             raise NumericError(f"no sign change up to lambda={hi}")
     else:
-        for _ in range(400):
+        for _ in range(1074):
             lo /= 2.0
             if h_function(lo, context) > 0.0:
                 break
@@ -314,7 +334,7 @@ def gius_scan(csi, k, r_target):
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish(chosen, csi, k, r_target, candidates, backtracks)
+    return _finish(chosen, csi, r_target, candidates, backtracks)
 
 
 def _economy_recursion(s, k, gamma_t):
@@ -364,7 +384,7 @@ def lbus_two_sorts(csi, k, r_target):
     if k == 1:
         if s_max < gamma_t:
             return _infeasible(0, 0)
-        return _finish([first], csi, 1, r_target, 1, 0)
+        return _finish([first], csi, r_target, 1, 0)
 
     # economy recursion; only its last slot seeds the scan window
     picks = _economy_recursion(s, k, gamma_t)
@@ -406,7 +426,7 @@ def lbus_two_sorts(csi, k, r_target):
         # construction, so verify before accepting
         if ok and s_max >= gamma_t * (tail_sum + 1.0):
             chosen.reverse()
-            return _finish([first] + chosen, csi, k, r_target, candidates, 0)
+            return _finish([first] + chosen, csi, r_target, candidates, 0)
     return _infeasible(candidates, 0)
 
 

@@ -324,6 +324,16 @@ def test_aoius_matches_the_window_scan():
         assert got == want, (m, k)
 
 
+def test_aoius_at_hundreds_of_slots():
+    # at K=435 of 500 groups and r=1.0 some middle-slot roots lie below
+    # 2**-400, where a bracket of 400 halvings once gave up
+    rng = np.random.default_rng(0)
+    cdi = _draw_cdi(rng, 500)
+    out = aoius(cdi, 435, sinr_threshold(1.0), rng=rng)
+    assert len(set(out.groups)) == 435
+    assert out.outage == 1.0 and list(out.trace) == sorted(out.trace, reverse=True)
+
+
 def test_aoius_validation():
     cdi = GroupCdi(np.array([0.1, 0.2, 0.3]))
     rng = np.random.default_rng(0)

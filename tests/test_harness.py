@@ -492,6 +492,30 @@ def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
             assert values == [1.0] * 4
 
 
+def test_cli_slot_tails_beyond_float_range_exit_cleanly(tmp_path, capsys):
+    cases = (
+        # a power of 1 + gamma overflows in a D value
+        ("cdi-converge", dict(scenario="cdi_convergence", seed=1, trials=1, m_groups=500,
+                              k=300, r_target_grid=[4.0], max_iters=30), 3),
+        # D values reach inf
+        ("cdi-converge", dict(scenario="cdi_convergence", seed=1, trials=1, m_groups=12,
+                              k=12, r_target_grid=[100.0], max_iters=30), 3),
+        ("cdi-complexity", dict(scenario="cdi_complexity", seed=1, trials=1, m_groups=12,
+                                k=12, r_target_grid=[200.0]), 3),
+        # the middle slot's root lies below 2**-400; x0 = inf in phase 2
+        ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=3,
+                            r_target_grid=[400.0], mc_trials=10, sr_params=HEAVY), 0),
+    )
+    for i, (sub, cfg, code) in enumerate(cases):
+        path = tmp_path / f"tail{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / f"tail{i}.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("numeric error:") and err.count("\n") == 1, err
+
+
 def test_cli_rejects_overflowing_satellite_parameters(tmp_path, capsys):
     # 2*b0*m_s + omega overflows; the closed-form outage once read 1.0
     # here against a Monte-Carlo outage near 0, and the run exited 0

@@ -1,8 +1,9 @@
-"""Outage closed forms against three independent oracles (hand integrals,
-a triangular-substitution solve, and nested quadrature) plus the Monte-Carlo
-estimator's self-consistency."""
+"""Outage closed forms against four independent oracles (hand integrals,
+a triangular-substitution solve, nested quadrature, and a 50-digit series
+for the incomplete gamma) plus the Monte-Carlo estimator's self-consistency."""
 
 import math
+import sys
 import types
 
 import numpy as np
@@ -19,6 +20,7 @@ from satsched import (
     sinr_threshold,
     total_outage,
 )
+from satsched.outage import _gammainc_int
 
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
 
@@ -131,6 +133,38 @@ def test_phase2_matches_quadrature():
                     HEAVY["omega"], HEAVY["b0"], HEAVY["m_s"], p2, k, r)
                 assert phase2_outage(sr, k, r) == pytest.approx(
                     want, rel=1e-8, abs=1e-12)
+
+
+def test_phase2_bundled_values_pinned():
+    # the eight phase-2 outages of the bundled cdi_outage configs, as the
+    # general-order incomplete gamma of scipy.special gave them
+    sr = SrParams(tx_power=1000.0, **HEAVY)
+    want = {2: ["0x1.d092c42e07eb4p-13", "0x1.33010b1dab560p-10",
+                "0x1.01366fa4317f8p-7", "0x1.7ecc62028b252p-6"],
+            3: ["0x1.5ed90370ac9c0p-12", "0x1.dd116b7a7828dp-10",
+                "0x1.d4c3c7ab1b650p-7", "0x1.b7a8efd2ab652p-5"]}
+    for k, values in want.items():
+        got = [phase2_outage(sr, k, r).hex() for r in (0.02, 0.1, 0.5, 1.0)]
+        assert got == values, k
+
+
+def test_gammainc_int_within_its_bound_of_a_decimal_oracle():
+    # a log grid of x plus x = a + 1 and the floats either side of it,
+    # where the power series hands over to the Poisson sum
+    grid = np.geomspace(1e-8, 700.0, 60).tolist()
+    checked = 0
+    for a in range(1, 61):
+        edge = float(a + 1)
+        for x in grid + [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]:
+            want = oracles.gammainc_decimal(a, x)
+            if want < sys.float_info.min:
+                continue  # the stated bound covers normal floats
+            bound = 2.0**-50 * (a * abs(math.log(x)) + x + math.lgamma(a + 1) + a + 8)
+            got = _gammainc_int(a, x)
+            assert abs(got - want) <= bound * want, (a, x, got, want)
+            checked += 1
+        assert _gammainc_int(a, math.inf) == 1.0 and _gammainc_int(a, 0.0) == 0.0
+    assert checked > 3000
 
 
 def test_phase2_average_shadowing():

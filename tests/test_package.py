@@ -1,5 +1,6 @@
 """Package-wide checks: every public function has a caller outside the
 tests, every config field is set by a bundled table or the benchmark, the
+package imports nothing beyond the standard library and numpy, the
 benchmark's tracer finds every function it wraps, and the README's python
 examples run as written."""
 
@@ -8,6 +9,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 from satsched.harness import ExperimentConfig
@@ -65,6 +67,22 @@ def test_every_config_field_is_set_by_a_table_or_the_benchmark():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     unset = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in keys]
     assert not unset, f"config fields no table or benchmark sets: {unset}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "satsched"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one, which names the package
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside the standard library and numpy: {foreign}"
 
 
 def test_benchmark_tracer_finds_every_traced_function():
