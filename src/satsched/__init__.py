@@ -24,7 +24,6 @@ from .cdi_sched import (
 from .csi_bounds import (
     BoundsResult,
     feasibility_check,
-    lower_bound_snrs,
     sum_rate_bounds,
     upper_bound_snrs,
 )

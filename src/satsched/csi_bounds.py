@@ -32,17 +32,20 @@ class BoundsResult:
     feasible: bool
 
 
-def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
+def _sorted_selection_args(snrs, k: int, gamma_t: float) -> list:
+    """The SNRs as an ascending list, once they and k and gamma_t are checked."""
     s = np.asarray(snrs, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ParameterError("snrs must be a non-empty 1-D array")
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
+    asc = np.sort(s).tolist()
+    # NaN sorts last, so the two ends settle every SNR
+    if not (asc[0] >= 0.0 and asc[-1] < math.inf):
         raise ParameterError("SNRs must be finite and non-negative")
-    if not (1 <= k <= s.size):
-        raise ParameterError(f"k must be in [1, {s.size}], got {k}")
+    if not (1 <= k <= len(asc)):
+        raise ParameterError(f"k must be in [1, {len(asc)}], got {k}")
     if not (gamma_t > 0 and math.isfinite(gamma_t)):
         raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
-    return s
+    return asc
 
 
 def _economy_recursion(asc: list, k: int, gamma_t: float) -> list:
@@ -67,20 +70,6 @@ def _economy_recursion(asc: list, k: int, gamma_t: float) -> list:
         tail_sum += asc[i]
         i += 1
     return picks
-
-
-def lower_bound_snrs(snrs, k: int, gamma_t: float):
-    """Economy slot profile with the strongest SNR substituted into slot 1.
-
-    None when the instance cannot support k users at gamma_t.
-    """
-    s = _check_selection_args(snrs, k, gamma_t)
-    hat = _economy_recursion(np.sort(s).tolist(), k, gamma_t)
-    if len(hat) < k:
-        return None
-    hat.reverse()  # decode order
-    hat[0] = float(s.max())
-    return np.array(hat)
 
 
 def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
@@ -115,29 +104,37 @@ def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     already implies its threshold is at most the strongest SNR, and a slot
     with no admissible element cannot be filled by any selection.
     """
-    s = _check_selection_args(snrs, k, gamma_t)
-    return len(_economy_recursion(np.sort(s).tolist(), k, gamma_t)) == k
+    return len(_economy_recursion(_sorted_selection_args(snrs, k, gamma_t), k, gamma_t)) == k
 
 
 def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResult:
     """Sandwich on the best achievable sum rate for k scheduled users.
 
+    The lower profile is the economy selection in decode order with the
+    strongest SNR substituted into slot 1, the upper one upper_bound_snrs.
     Both bounds are capped by the satellite cut-set C(sat_snr).  On an
     infeasible instance lb_snrs is None and lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
-    # lower_bound_snrs checks the arguments for both bounds
-    lb = lower_bound_snrs(csi.user_snrs, k, gamma_t)
+    # one ascending list serves the checks, the economy fill and the maximum
+    asc = _sorted_selection_args(csi.user_snrs, k, gamma_t)
+    s_max = asc[-1]
+    lb = _economy_recursion(asc, k, gamma_t)
     sat_cap = awgn_capacity(csi.sat_snr)
-    feasible = lb is not None
-    lb_rate = min(awgn_capacity(float(lb.sum())), sat_cap) if feasible else 0.0
+    feasible = len(lb) == k
+    if feasible:
+        lb.reverse()  # decode order
+        lb[0] = s_max
+        lb_rate = min(awgn_capacity(float(np.sum(lb))), sat_cap)
+    else:
+        lb_rate = 0.0
 
-    ub = upper_bound_snrs(float(csi.user_snrs.max()), k, gamma_t)
+    ub = upper_bound_snrs(s_max, k, gamma_t)
     ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
 
     return BoundsResult(
         lb_snrs=tuple(lb) if feasible else None,
-        ub_snrs=tuple(ub),
+        ub_snrs=tuple(ub.tolist()),
         lb_rate=lb_rate,
         ub_rate=ub_rate,
         feasible=feasible,

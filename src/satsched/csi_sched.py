@@ -50,12 +50,12 @@ from .rate_core import (
     RateReport,
     Schedule,
     _binding_hop,
+    _finish_superposition,
     awgn_capacity,
     evaluate_schedule,
     max_supported_users,
     sic_chains_close,
     sinr_threshold,
-    throughput_power_split,
 )
 
 
@@ -95,11 +95,12 @@ def _descending_order(snrs: np.ndarray) -> np.ndarray:
 
 
 def _finish(users, csi, r_target, candidates, backtracks) -> SchedulerOutcome:
-    alphas = throughput_power_split(csi.user_snrs[list(users)], r_target, csi.sat_snr)
-    if alphas is None:
+    # the schedulers checked at entry that the satellite hop carries len(users)
+    finished = _finish_superposition(users, csi.user_snrs[users].tolist(), r_target,
+                                     csi.sat_snr)
+    if finished is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
-    schedule = Schedule(users=tuple(users), alphas=tuple(alphas.tolist()))
-    report = evaluate_schedule(schedule, csi, r_target)
+    schedule, report = finished
     return SchedulerOutcome(
         schedule=schedule,
         rate_report=report,

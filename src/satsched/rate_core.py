@@ -56,21 +56,28 @@ class Schedule:
     alphas: tuple | None = None
 
     def __post_init__(self):
-        users = tuple(int(u) for u in self.users)
+        users = tuple(map(int, self.users))
         object.__setattr__(self, "users", users)
         if len(set(users)) != len(users):
             raise ConstraintError(f"duplicate users in schedule: {users}")
-        if any(u < 0 for u in users):
+        if users and min(users) < 0:
             raise ConstraintError("user indices must be non-negative")
         if self.alphas is not None:
-            alphas = tuple(float(a) for a in self.alphas)
+            alphas = tuple(map(float, self.alphas))
             if len(alphas) != len(users):
                 raise ConstraintError("alphas must have one entry per user")
-            if not all(-_ALPHA_TOL <= a <= 1 + _ALPHA_TOL for a in alphas):
-                raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
-            if sum(alphas) > 1 + _ALPHA_TOL:
-                raise ConstraintError(f"alphas sum to {sum(alphas)} > 1")
-            object.__setattr__(self, "alphas", tuple(min(max(a, 0.0), 1.0) for a in alphas))
+            if alphas:
+                # one pass each for the sum, the least and the largest; the
+                # sum is NaN when any alpha is, which min and max can miss
+                total = sum(alphas)
+                low, high = min(alphas), max(alphas)
+                if total != total or low < -_ALPHA_TOL or high > 1 + _ALPHA_TOL:
+                    raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
+                if total > 1 + _ALPHA_TOL:
+                    raise ConstraintError(f"alphas sum to {total} > 1")
+                if low < 0.0 or high > 1.0:
+                    alphas = tuple(min(max(a, 0.0), 1.0) for a in alphas)
+            object.__setattr__(self, "alphas", alphas)
 
     @property
     def n_users(self) -> int:
@@ -166,22 +173,11 @@ def _hop_carries(k: int, r_target: float, sat_snr: float) -> bool:
         return False
 
 
-def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
-    """Split carrying each user's relay-chain rate through the satellite hop.
-
-    Per-position rate targets equal the relay chain rates when C(sat_snr)
-    can carry their sum; otherwise every target starts at r_target and the
-    remaining satellite capacity is granted in decode order.  Unused budget
-    goes to the first-decoded position, whose power interferes with nobody.
-    Returns None exactly when the satellite hop cannot carry k positions at
-    r_target, i.e. when 2**(k*r_target) - 1 > sat_snr.
-    """
-    vals = _checked_snr_list(snrs_in_order)
-    k = len(vals)
-    if max_supported_users(sat_snr, r_target, k) < k:
-        return None
-    chain, _ = _chain_back_to_front(vals, 1.0)
-    relay_rates = _chain_capacities(chain)
+def _split_power(relay_rates: list, r_target: float, sat_snr: float):
+    """Relay power fractions in decode order carrying relay_rates through a
+    satellite hop that can carry len(relay_rates) positions at r_target;
+    None only when rounding pushes their sum past 1 + _ALPHA_TOL."""
+    k = len(relay_rates)
     cap = awgn_capacity(sat_snr)
     if sum(relay_rates) <= cap:
         targets = relay_rates
@@ -199,9 +195,29 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
         alphas[j] = math.expm1(targets[j] * _LN2) * (tail + inv)
         tail += alphas[j]
     if tail > 1.0 + _ALPHA_TOL:
-        return None  # fp guard; the budget check above makes this unreachable
+        return None
     alphas[0] += max(0.0, 1.0 - tail)
-    return np.array(alphas)
+    return alphas
+
+
+def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
+    """Split carrying each user's relay-chain rate through the satellite hop.
+
+    Per-position rate targets equal the relay chain rates when C(sat_snr)
+    can carry their sum; otherwise every target starts at r_target and the
+    remaining satellite capacity is granted in decode order.  Unused budget
+    goes to the first-decoded position, whose power interferes with nobody.
+    Returns None exactly when the satellite hop cannot carry k positions at
+    r_target, i.e. when 2**(k*r_target) - 1 > sat_snr.
+    """
+    vals = _checked_snr_list(snrs_in_order)
+    k = len(vals)
+    if max_supported_users(sat_snr, r_target, k) < k:
+        return None
+    chain, _ = _chain_back_to_front(vals, 1.0)
+    # the budget check above makes _split_power's fp guard unreachable
+    alphas = _split_power(_chain_capacities(chain), r_target, sat_snr)
+    return None if alphas is None else np.array(alphas)
 
 
 def _binding_hop(terrestrial_cap: float, satellite_cap: float) -> str:
@@ -234,17 +250,40 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
         raise ParameterError("schedule references a user outside the realization")
     all_snrs = csi.user_snrs
     # the realization already vetted the SNRs, the Schedule its alphas
-    snrs = [float(all_snrs[u]) for u in users]
-    relay, total_snr = _chain_back_to_front(snrs, 1.0)
-    sat, _ = _chain_back_to_front(schedule.alphas, 1.0 / csi.sat_snr)
-    rates = tuple(map(min, _chain_capacities(relay), _chain_capacities(sat)))
+    relay, total_snr = _chain_back_to_front([float(all_snrs[u]) for u in users], 1.0)
+    return _rate_report(_chain_capacities(relay), total_snr, schedule.alphas, csi.sat_snr,
+                        r_target)
+
+
+def _rate_report(relay_rates: list, total_snr: float, alphas, sat_snr: float,
+                 r_target: float) -> RateReport:
+    """evaluate_schedule from the relay chain's rates and SNR sum."""
+    sat, _ = _chain_back_to_front(alphas, 1.0 / sat_snr)
+    rates = tuple(map(min, relay_rates, _chain_capacities(sat)))
     terrestrial_cap = awgn_capacity(total_snr)
-    satellite_cap = awgn_capacity(csi.sat_snr)
-    sum_rate = min(terrestrial_cap, satellite_cap)
-    meets = all(r >= r_target - 1e-12 for r in rates)
+    satellite_cap = awgn_capacity(sat_snr)
     return RateReport(
         per_user_rates=rates,
-        sum_rate=sum_rate,
+        sum_rate=min(terrestrial_cap, satellite_cap),
         binding_hop=_binding_hop(terrestrial_cap, satellite_cap),
-        meets_target=meets,
+        meets_target=all(r >= r_target - 1e-12 for r in rates),
     )
+
+
+def _finish_superposition(users, snrs: list, r_target: float, sat_snr: float):
+    """(Schedule, RateReport) of users decoded in the order given, with
+    SNRs snrs: throughput_power_split, a Schedule and evaluate_schedule in
+    one pass over the relay chain, with the same arithmetic, so every
+    alpha and rate has the same bits.
+
+    Unchecked: the SNRs are finite and non-negative, sat_snr is positive
+    and finite, and the satellite hop carries len(users) positions at
+    r_target.  None where throughput_power_split's fp guard would be.
+    """
+    relay, total_snr = _chain_back_to_front(snrs, 1.0)
+    relay_rates = _chain_capacities(relay)
+    alphas = _split_power(relay_rates, r_target, sat_snr)
+    if alphas is None:
+        return None
+    schedule = Schedule(users=users, alphas=alphas)
+    return schedule, _rate_report(relay_rates, total_snr, schedule.alphas, sat_snr, r_target)

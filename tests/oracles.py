@@ -3,8 +3,9 @@
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
 paths it is used to check.  The exceptions are the earlier versions of
-the CSI schedulers, the CDI group selector and the Monte-Carlo estimator
-at the end, kept verbatim as equivalence references.
+the CSI schedulers, their finishing step, the sum-rate sandwich, the CDI
+group selector and the Monte-Carlo estimator at the end, kept verbatim as
+equivalence references.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -428,6 +430,202 @@ def lbus_two_sorts(csi, k, r_target):
             chosen.reverse()
             return _finish([first] + chosen, csi, r_target, candidates, 0)
     return _infeasible(candidates, 0)
+
+
+# The CSI finishing step and sum-rate sandwich below are earlier
+# production versions, kept unchanged so the fused finishing kernel, the
+# Schedule checks and the sort-once sum_rate_bounds can be held to the same
+# bits and error messages.
+
+
+@dataclass(frozen=True)
+class ScheduleThreePass:
+    """Schedule with its checks in one pass each over users and alphas."""
+
+    users: tuple
+    alphas: tuple | None = None
+
+    def __post_init__(self):
+        from satsched import ConstraintError
+        from satsched.rate_core import _ALPHA_TOL
+
+        users = tuple(int(u) for u in self.users)
+        object.__setattr__(self, "users", users)
+        if len(set(users)) != len(users):
+            raise ConstraintError(f"duplicate users in schedule: {users}")
+        if any(u < 0 for u in users):
+            raise ConstraintError("user indices must be non-negative")
+        if self.alphas is not None:
+            alphas = tuple(float(a) for a in self.alphas)
+            if len(alphas) != len(users):
+                raise ConstraintError("alphas must have one entry per user")
+            if not all(-_ALPHA_TOL <= a <= 1 + _ALPHA_TOL for a in alphas):
+                raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
+            if sum(alphas) > 1 + _ALPHA_TOL:
+                raise ConstraintError(f"alphas sum to {sum(alphas)} > 1")
+            object.__setattr__(self, "alphas", tuple(min(max(a, 0.0), 1.0) for a in alphas))
+
+    @property
+    def n_users(self) -> int:
+        return len(self.users)
+
+
+def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
+    """throughput_power_split with the split arithmetic inline."""
+    from satsched.rate_core import (
+        _ALPHA_TOL,
+        _LN2,
+        _chain_back_to_front,
+        _chain_capacities,
+        _checked_snr_list,
+        awgn_capacity,
+        max_supported_users,
+    )
+
+    vals = _checked_snr_list(snrs_in_order)
+    k = len(vals)
+    if max_supported_users(sat_snr, r_target, k) < k:
+        return None
+    chain, _ = _chain_back_to_front(vals, 1.0)
+    relay_rates = _chain_capacities(chain)
+    cap = awgn_capacity(sat_snr)
+    if sum(relay_rates) <= cap:
+        targets = relay_rates
+    else:
+        surplus = cap - k * r_target
+        targets = []
+        for rate in relay_rates:
+            extra = min(max(rate - r_target, 0.0), max(surplus, 0.0))
+            targets.append(r_target + extra)
+            surplus -= extra
+    alphas = [0.0] * k
+    inv = 1.0 / sat_snr
+    tail = 0.0
+    for j in range(k - 1, -1, -1):
+        alphas[j] = math.expm1(targets[j] * _LN2) * (tail + inv)
+        tail += alphas[j]
+    if tail > 1.0 + _ALPHA_TOL:
+        return None  # fp guard; the budget check above makes this unreachable
+    alphas[0] += max(0.0, 1.0 - tail)
+    return np.array(alphas)
+
+
+def evaluate_schedule_two_chains(schedule, csi, r_target):
+    """evaluate_schedule computing the relay chain a second time."""
+    from satsched import ParameterError, RateReport
+    from satsched.rate_core import (
+        EMPTY_RATE_REPORT,
+        _binding_hop,
+        _chain_back_to_front,
+        _chain_capacities,
+        awgn_capacity,
+    )
+
+    if schedule.n_users == 0:
+        return EMPTY_RATE_REPORT
+    if schedule.alphas is None:
+        raise ParameterError("schedule has no power split to evaluate")
+    users = schedule.users
+    if max(users) >= csi.n_users:
+        raise ParameterError("schedule references a user outside the realization")
+    all_snrs = csi.user_snrs
+    # the realization already vetted the SNRs, the Schedule its alphas
+    snrs = [float(all_snrs[u]) for u in users]
+    relay, total_snr = _chain_back_to_front(snrs, 1.0)
+    sat, _ = _chain_back_to_front(schedule.alphas, 1.0 / csi.sat_snr)
+    rates = tuple(map(min, _chain_capacities(relay), _chain_capacities(sat)))
+    terrestrial_cap = awgn_capacity(total_snr)
+    satellite_cap = awgn_capacity(csi.sat_snr)
+    sum_rate = min(terrestrial_cap, satellite_cap)
+    meets = all(r >= r_target - 1e-12 for r in rates)
+    return RateReport(
+        per_user_rates=rates,
+        sum_rate=sum_rate,
+        binding_hop=_binding_hop(terrestrial_cap, satellite_cap),
+        meets_target=meets,
+    )
+
+
+def csi_online_frames(count, seed=0):
+    """(r_target, CsiRealization) of the first `count` decision frames of
+    the benchmark's csi_online workload (perfbench/workloads.py): 32
+    Rayleigh users of mean SNR 5, rate targets 0.9, 1.2 and 1.8 in turn,
+    and a satellite SNR of 2**60 or 100 on alternate runs of three."""
+    from satsched import CsiRealization, RayleighLink, sample_rayleigh_snr, trial_rng
+
+    link = RayleighLink(sigma_sq=5.0, tx_power=1.0)
+    return [((0.9, 1.2, 1.8)[i % 3],
+             CsiRealization(sample_rayleigh_snr(link, 32, trial_rng(seed, 1000, i)),
+                            (float(2**60), 100.0)[i // 3 % 2]))
+            for i in range(count)]
+
+
+def finish_three_steps(users, csi, r_target):
+    """(schedule, rate report) of the CSI schedulers' finishing step as
+    three checked calls: split, Schedule, evaluation."""
+    from satsched import InternalConsistencyError
+
+    alphas = throughput_power_split_checked(csi.user_snrs[list(users)], r_target, csi.sat_snr)
+    if alphas is None:
+        raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
+    schedule = ScheduleThreePass(users=tuple(users), alphas=tuple(alphas.tolist()))
+    return schedule, evaluate_schedule_two_chains(schedule, csi, r_target)
+
+
+def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
+    from satsched import ParameterError
+
+    s = np.asarray(snrs, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ParameterError("snrs must be a non-empty 1-D array")
+    if np.any(s < 0) or not np.all(np.isfinite(s)):
+        raise ParameterError("SNRs must be finite and non-negative")
+    if not (1 <= k <= s.size):
+        raise ParameterError(f"k must be in [1, {s.size}], got {k}")
+    if not (gamma_t > 0 and math.isfinite(gamma_t)):
+        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
+    return s
+
+
+def lower_bound_snrs(snrs, k: int, gamma_t: float):
+    """Economy slot profile with the strongest SNR substituted into slot 1.
+
+    None when the instance cannot support k users at gamma_t.
+    """
+    from satsched.csi_bounds import _economy_recursion as economy_fill
+
+    s = _check_selection_args(snrs, k, gamma_t)
+    hat = economy_fill(np.sort(s).tolist(), k, gamma_t)
+    if len(hat) < k:
+        return None
+    hat.reverse()  # decode order
+    hat[0] = float(s.max())
+    return np.array(hat)
+
+
+def sum_rate_bounds_three_sorts(csi, k: int, r_target: float):
+    """sum_rate_bounds checking the SNRs on the full array and taking the
+    strongest one from a fresh reduction, with numpy scalars in its
+    profiles."""
+    from satsched import BoundsResult, awgn_capacity, sinr_threshold, upper_bound_snrs
+
+    gamma_t = sinr_threshold(r_target)
+    # lower_bound_snrs checks the arguments for both bounds
+    lb = lower_bound_snrs(csi.user_snrs, k, gamma_t)
+    sat_cap = awgn_capacity(csi.sat_snr)
+    feasible = lb is not None
+    lb_rate = min(awgn_capacity(float(lb.sum())), sat_cap) if feasible else 0.0
+
+    ub = upper_bound_snrs(float(csi.user_snrs.max()), k, gamma_t)
+    ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
+
+    return BoundsResult(
+        lb_snrs=tuple(lb) if feasible else None,
+        ub_snrs=tuple(ub),
+        lb_rate=lb_rate,
+        ub_rate=ub_rate,
+        feasible=feasible,
+    )
 
 
 # The CDI group selector and Monte-Carlo estimator below are earlier

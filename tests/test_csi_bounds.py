@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import lower_bound_snrs
 from satsched import (
     CsiRealization,
+    ParameterError,
     awgn_capacity,
+    determine_k,
     exhaustive,
     feasibility_check,
-    lower_bound_snrs,
     sinr_threshold,
     sum_rate_bounds,
     upper_bound_snrs,
@@ -146,3 +148,63 @@ def test_lb_first_slot_is_global_max():
         lb = lower_bound_snrs(s, 3, 1.0)
         if lb is not None:
             assert lb[0] == pytest.approx(float(s.max()), rel=1e-15)
+
+
+def _bounds_fields(bounds):
+    lb = None if bounds.lb_snrs is None else tuple(map(float, bounds.lb_snrs))
+    return repr((lb, tuple(map(float, bounds.ub_snrs)), bounds.lb_rate, bounds.ub_rate,
+                 bounds.feasible))
+
+
+def _bounds_instances():
+    """(csi, k, r_target): the csi_online frames at their determine_k, and
+    N 1..32 with exponential, small-integer and all-equal SNRs, satellite
+    SNRs 2**60, 100 and 5, rate targets 0.3..3.0 and k of 1, 2, 3, N // 2
+    and N."""
+    for r, csi in oracles.csi_online_frames(256):
+        k = determine_k(csi, r)
+        if k:
+            yield csi, k, r
+    rng = np.random.default_rng(1213)
+    for n in range(1, 33):
+        for snrs in (rng.exponential(10.0, n), rng.integers(0, 6, n).astype(float),
+                     np.full(n, 7.0)):
+            for sat in (BIG_SAT, 100.0, 5.0):
+                csi = CsiRealization(snrs, sat)
+                for r in (0.3, 0.6, 1.0, 1.5, 2.2, 3.0):
+                    for k in sorted({1, 2, 3, n // 2, n} & set(range(1, n + 1))):
+                        yield csi, k, r
+
+
+def test_sum_rate_bounds_match_the_three_sort_version():
+    feasible = infeasible = 0
+    for csi, k, r in _bounds_instances():
+        bounds = sum_rate_bounds(csi, k, r)
+        assert _bounds_fields(bounds) == \
+            _bounds_fields(oracles.sum_rate_bounds_three_sorts(csi, k, r))
+        assert all(type(v) is float for v in (*(bounds.lb_snrs or ()), *bounds.ub_snrs))
+        feasible += bounds.feasible
+        infeasible += not bounds.feasible
+    assert feasible > 1000 and infeasible > 1000
+
+
+def _bounds_error(fn, csi, k, r):
+    with pytest.raises(ParameterError) as info:
+        fn(csi, k, r)
+    return str(info.value)
+
+
+def test_sum_rate_bounds_keeps_every_error():
+    csi = CsiRealization(np.array([9.0, 3.0, 1.0]), BIG_SAT)
+    # k out of [1, N], and r_target 0, whose gamma_t is 0
+    for k, r in ((0, 1.0), (4, 1.0), (2, 0.0)):
+        assert _bounds_error(sum_rate_bounds, csi, k, r) == \
+            _bounds_error(oracles.sum_rate_bounds_three_sorts, csi, k, r)
+    # an SNR written into the realization after its own checks ran
+    for bad in (math.nan, -1.0, -0.5e-300, math.inf, -math.inf):
+        for pos in range(3):
+            csi = CsiRealization(np.array([9.0, 3.0, 1.0]), BIG_SAT)
+            csi.user_snrs[pos] = bad
+            assert _bounds_error(sum_rate_bounds, csi, 2, 1.0) == \
+                "SNRs must be finite and non-negative" == \
+                _bounds_error(oracles.sum_rate_bounds_three_sorts, csi, 2, 1.0)

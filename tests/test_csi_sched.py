@@ -4,6 +4,7 @@ brute-force oracles."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from satsched import (
     exhaustive,
     gius,
     lbus,
+    max_supported_users,
     sinr_threshold,
     sum_rate_bounds,
     throughput_power_split,
@@ -450,3 +452,57 @@ def test_stats_are_populated():
     assert e.stats.candidates_examined == math.comb(5, 3)
     assert g.stats.candidates_examined > 0
     assert l.stats.candidates_examined > 0
+
+
+def _finish_instances():
+    """(csi, r_target, users): the gius and lbus picks on the csi_online
+    frames, and decode orders of up to max_supported_users users, arbitrary
+    and descending, at N 1..32 with exponential, small-integer and
+    all-equal SNRs, satellite SNRs 2**60, 100 and 5 and rate targets
+    0.3..3.0, and single users whose alpha clamps at 1.0."""
+    for r, csi in oracles.csi_online_frames(256):
+        k = determine_k(csi, r)
+        if k:
+            for outcome in (gius(csi, k, r), lbus(csi, k, r)):
+                if outcome.schedule is not None:
+                    yield csi, r, list(outcome.schedule.users)
+    rng = np.random.default_rng(1212)
+    for n in range(1, 33):
+        for snrs in (rng.exponential(10.0, n), rng.integers(0, 6, n).astype(float),
+                     np.full(n, 7.0)):
+            for sat in (BIG_SAT, 100.0, 5.0):
+                csi = CsiRealization(snrs, sat)
+                for r in (0.3, 0.6, 1.0, 1.5, 2.2, 3.0):
+                    top = max_supported_users(sat, r, n)
+                    for k in sorted({1, (top + 1) // 2, top} & set(range(1, top + 1))):
+                        users = rng.permutation(n)[:k].tolist()
+                        yield csi, r, users
+                        yield csi, r, sorted(users, key=lambda u: -snrs[u])
+    # one user above the satellite SNR gets alpha 1 up to rounding, and the
+    # Schedule clamps it at 1.0 where rounding lifts it above; at small
+    # satellite SNRs the clamp moves the satellite chain's rate
+    for sat in np.geomspace(1e-3, 1e6, 60).tolist():
+        csi = CsiRealization(np.array([3.0 * sat, 0.5 * sat]), sat)
+        for r in (0.3, 0.6, 1.0, math.log2(1.0 + sat) / 2):
+            if max_supported_users(sat, r, 1):
+                yield csi, r, [0]
+
+
+def test_finish_matches_the_three_step_finish():
+    seen = Counter()
+    for csi, r, users in _finish_instances():
+        outcome = csi_sched._finish(users, csi, r, 7, 2)
+        schedule, report = oracles.finish_three_steps(users, csi, r)
+        assert repr((outcome.schedule.users, outcome.schedule.alphas)) == \
+            repr((schedule.users, schedule.alphas))
+        assert repr(outcome.rate_report) == repr(report)
+        assert outcome.stats == csi_sched.SchedulerStats(7, 2)
+        # which branches of the split ran
+        snrs = csi.user_snrs[users]
+        relay_sum = sum(awgn_capacity(g) for g in oracles.chain_sinrs(snrs))
+        seen["relay" if relay_sum <= awgn_capacity(csi.sat_snr) else "surplus"] += 1
+        raw = oracles.throughput_power_split_checked(snrs, r, csi.sat_snr)
+        seen["clamped"] += bool(np.any(raw > 1.0))
+        seen["missed"] += not report.meets_target
+    assert min(seen["relay"], seen["surplus"]) > 1000, seen
+    assert min(seen["clamped"], seen["missed"]) > 20, seen

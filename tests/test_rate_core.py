@@ -222,3 +222,39 @@ def test_evaluate_schedule_order_sensitive():
     assert fwd.per_user_rates != rev.per_user_rates
     # but not the schedule throughput, which only sees the SNR sum
     assert rev.sum_rate == pytest.approx(fwd.sum_rate, rel=1e-12)
+
+
+_TOL = _ALPHA_TOL
+
+
+@pytest.mark.parametrize("users, alphas", [
+    ((0, 0), (0.5, 0.5)),
+    ((0, -1), (0.5, 0.5)),
+    ((-3,), None),
+    ((0,), (math.nan,)),
+    ((0, 1), (math.nan, 0.2)),
+    ((0, 1), (0.5, -2 * _TOL)),
+    ((0, 1), (1 + 2 * _TOL, 0.0)),
+    ((0,), (math.inf,)),
+    ((0, 1), (math.inf, -math.inf)),
+    ((0, 1), (0.9, 0.2)),
+    ((0, 1, 2), (0.5, 0.5, 0.5)),
+    ((0, 1), (0.5,)),
+    ((0, 1), (1.0 + _TOL / 2, -_TOL / 2)),
+    ((0, 1), (-0.0, 1.0)),
+    ((2,), (1.0,)),
+    ((), ()),
+    ((), None),
+    ((4, 1), None),
+    ((np.int64(3), np.int32(1)), np.array([0.25, 0.75])),
+    ([5, 4], [0.3, 0.7]),
+])
+def test_schedule_checks_match_the_three_pass_schedule(users, alphas):
+    def built(cls):
+        try:
+            schedule = cls(users=users, alphas=alphas)
+        except ConstraintError as exc:
+            return f"ConstraintError: {exc}"
+        return repr((schedule.users, schedule.alphas))
+
+    assert built(Schedule) == built(oracles.ScheduleThreePass)
