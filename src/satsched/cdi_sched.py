@@ -14,8 +14,12 @@ depend on slot k's own rate.  With two or more D values h is not monotone
 (it rises back toward -tail, its last term, for large lambda), but
 lambda*h(lambda) = 1 - q(lambda) with q(lambda) = sum lambda/(lambda+D)
 + tail*lambda concave and strictly increasing from 0, so h crosses zero
-exactly once and bisection finds it; find_zero_h answers most of the
-bisection's sign tests from q without evaluating h.  solve_theorem3 iterates
+exactly once and bisection finds it.  find_zero_h settles most of the
+bisection's sign tests by comparing with a bracket (a, b) that Newton on
+q = 1 and rounding-error bounds on q certify, and evaluates h only strictly
+inside it, so every root is plain bisection's, bit for bit.  slot_optimum
+warm-starts that Newton run from the slot's current rate, which a sweep
+moves little once the profile settles.  solve_theorem3 iterates
 coordinate updates to that stationary profile; aoius runs the same
 coordinate moves over the discrete group rates, picking per slot the best
 of the two groups bracketing the continuous optimum, which makes every
@@ -100,14 +104,41 @@ def _coordinate_context(lam: list, position: int, g: float) -> CoordinateContext
                              d_values=tuple(ds))
 
 
+def _tail(context: CoordinateContext) -> float:
+    """h's last term, gamma*(1+gamma)**(K-k)."""
+    g = context.gamma_t
+    return g * (1.0 + g) ** (context.n_selected - context.position)
+
+
 def h_function(lam: float, context: CoordinateContext) -> float:
     """Stationarity function for a middle slot; positive left of the
     optimum, negative right of it."""
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"lambda must be positive finite, got {lam}")
-    g = context.gamma_t
-    tail = g * (1.0 + g) ** (context.n_selected - context.position)
-    return 1.0 / lam - sum(1.0 / (lam + d) for d in context.d_values) - tail
+    return _h(lam, context.d_values, _tail(context))
+
+
+def _h(x: float, ds: tuple, tail: float) -> float:
+    """h_function at a positive finite x, without the check.  The sum runs
+    left to right, as builtin sum() did up to Python 3.11, which the pinned
+    outputs were made with; a loop is also two to three times cheaper than
+    sum() over a generator at these lengths."""
+    s = 0.0
+    for d in ds:
+        s += 1.0 / (x + d)
+    return 1.0 / x - s - tail
+
+
+def _newton_step(x: float, ds: tuple, tail: float) -> tuple:
+    """One Newton step on q = 1 from x (q as in _q): (the new x, the step,
+    q'(x))."""
+    q, dq = tail * x, tail
+    for d in ds:
+        s = x + d
+        q += x / s
+        dq += d / s / s
+    step = (1.0 - q) / dq
+    return x + step, step, dq
 
 
 def _q(x: float, ds: tuple, tail: float) -> float:
@@ -118,37 +149,42 @@ def _q(x: float, ds: tuple, tail: float) -> float:
     return q
 
 
-def _certified_bracket(context: CoordinateContext) -> tuple:
+def _certified_bracket(context: CoordinateContext, guess: float | None = None) -> tuple:
     """(a, b) such that the computed h is > 0 at every lambda <= a and <= 0
     at every lambda >= b; (0, inf) when that cannot be certified.
 
-    Newton on q = 1 starts at 1/(sum 1/D + tail), left of the root, and
-    rises monotonically as q is concave.  A bracket around its end point
-    widens until rounding-error bounds (Higham's gamma_n: e_q on computed
-    q, e_h on computed h) prove the sign of h through x*h(x) = 1 - q(x):
-    positive wherever q < (1-e_h)/(1+e_h), non-positive wherever
-    q > (1+e_h)/(1-e_h).  With every D and the tail in [2**-500, 2**500],
-    nothing overflows or underflows at the lambdas find_zero_h probes,
-    all in [2**-400, 2**400].
+    Newton on q = 1 starts at the larger of the cold start
+    1/(sum 1/D + tail) and one Newton step from a positive finite `guess`.
+    q is concave, so its tangents lie above it and both points lie at or
+    left of the root in exact arithmetic, and from there x rises
+    monotonically.  In floating point a step from far right of the root
+    cancels and can land right of it, and a step from the right lands left
+    of the root, possibly at or below zero, where q has other branches.
+    So every iterate is floored at the cold start, a positive point left of
+    the root, which is also where a NaN step goes.  A bracket around its
+    end point widens until rounding-error bounds (Higham's gamma_n: e_q on
+    computed q, e_h on computed h) prove the sign of h through
+    x*h(x) = 1 - q(x): positive wherever q < (1-e_h)/(1+e_h), non-positive
+    wherever q > (1+e_h)/(1-e_h).  Those tests hold wherever x came from,
+    so (a, b) is a proof for any guess.  With every D and the tail in
+    [2**-500, 2**500], nothing overflows or underflows at the lambdas
+    find_zero_h probes, all in [2**-400, 2**400].
     """
     ds = context.d_values
-    g = context.gamma_t
-    tail = g * (1.0 + g) ** (context.n_selected - context.position)
+    tail = _tail(context)
     lim = _CERTIFY_RANGE
     if not (tail <= lim and 1.0 / lim <= min(ds) and max(ds) <= lim):
         return 0.0, math.inf
     n = len(ds)
     e_h = 2 * (n + 4) * _UNIT_ROUNDOFF
     e_q = 2 * (2 * n + 4) * _UNIT_ROUNDOFF
-    x = 1.0 / (sum(1.0 / d for d in ds) + tail)
+    cold = 1.0 / (sum(1.0 / d for d in ds) + tail)
+    x = cold
+    if guess is not None and 0.0 < guess < math.inf:
+        x = max(cold, _newton_step(guess, ds, tail)[0])  # cold for NaN too
     for _ in range(_NEWTON_MAX_STEPS):
-        q, dq = tail * x, tail
-        for d in ds:
-            s = x + d
-            q += x / s
-            dq += d / s / s
-        step = (1.0 - q) / dq
-        x += step
+        x_next, step, dq = _newton_step(x, ds, tail)
+        x = max(cold, x_next)
         if abs(step) <= 1e-12 * x:
             break
     pos_cap = (1.0 - e_h) / (1.0 + e_h)
@@ -168,32 +204,29 @@ def _certified_bracket(context: CoordinateContext) -> tuple:
     return lo, hi
 
 
-def find_zero_h(context: CoordinateContext) -> float:
+def find_zero_h(context: CoordinateContext, guess: float | None = None) -> float:
     """Unique zero of h by bracketing from 1 to the float range's ends and
     bisection to machine-level relative width, so |h(root)| lands well below 1e-9.
-    Sign tests outside _certified_bracket's (a, b) skip evaluating h, so
-    the root is plain bisection's, bit for bit."""
-    a, b = _certified_bracket(context)
-
-    def positive(x):
-        if x <= a:
-            return True
-        if x >= b:
-            return False
-        return h_function(x, context) > 0.0
-
+    Sign tests outside _certified_bracket's (a, b) are settled by comparing
+    with a and b; only those strictly inside evaluate h, so the root is
+    plain bisection's, bit for bit, for any `guess`.  A guess near the root
+    (the slot's current rate) only shortens the certificate's Newton run."""
+    ds = context.d_values
+    tail = _tail(context)
+    a, b = _certified_bracket(context, guess)
+    # x is left of the root (h > 0) when x <= a or (a < x < b and h(x) > 0)
     lo = hi = 1.0
-    if positive(1.0):
+    if 1.0 <= a or (1.0 < b and _h(1.0, ds, tail) > 0.0):
         while hi < 2.0**1023:  # the largest power of two a float holds
             hi *= 2.0
-            if not positive(hi):
+            if not (hi <= a or (hi < b and _h(hi, ds, tail) > 0.0)):
                 break
         else:
             raise NumericError(f"no sign change up to lambda={hi}")
     else:
         while lo > 2.0**-1074:  # the smallest positive float
             lo /= 2.0
-            if positive(lo):
+            if lo <= a or (lo < b and _h(lo, ds, tail) > 0.0):
                 break
         else:
             raise NumericError(f"no sign change down to lambda={lo}")
@@ -201,7 +234,7 @@ def find_zero_h(context: CoordinateContext) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break
-        if positive(mid):
+        if mid <= a or (mid < b and _h(mid, ds, tail) > 0.0):
             lo = mid
         else:
             hi = mid
@@ -227,7 +260,8 @@ def slot_optimum(lam: list, position: int, gamma_t: float) -> float:
     k = len(lam)
     try:
         if position < k:
-            return find_zero_h(_coordinate_context(lam, position, gamma_t))
+            return find_zero_h(_coordinate_context(lam, position, gamma_t),
+                               lam[position - 1])
         b = 0.0
         for j in range(k - 1):
             b = (1.0 + gamma_t) * b + lam[j]

@@ -130,7 +130,7 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
         lb_rate = 0.0
 
     ub = upper_bound_snrs(s_max, k, gamma_t)
-    ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
+    ub_rate = min(awgn_capacity(float(np.maximum(ub, 0.0).sum())), sat_cap)
 
     return BoundsResult(
         lb_snrs=tuple(lb) if feasible else None,

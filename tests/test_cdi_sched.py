@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from satsched import (
     GroupCdi,
     ParameterError,
     aoius,
+    cdi_sched,
     errors,
     exhaustive_groups,
     find_zero_h,
@@ -24,7 +25,7 @@ from satsched import (
     sinr_threshold,
     solve_theorem3,
 )
-from satsched.cdi_sched import CoordinateContext, _certified_bracket, _coordinate_context
+from satsched.cdi_sched import CoordinateContext, _certified_bracket, _coordinate_context, _h
 from satsched.outage import _phase1
 
 GAMMA_R002 = 2.0**0.02 - 1.0  # SINR threshold for a 0.02-rate target
@@ -109,16 +110,17 @@ _RATE_FAMILIES = (
 _RATE_TARGETS = (1e-6, 0.02, 0.1, 0.5, 1.0, 3.0, 8.0)
 
 
-def _root_or_error(find, ctx):
+def _root_or_error(find, *args):
     try:
-        return find(ctx)
+        return find(*args)
     except Exception as exc:  # the two finders must fail alike, too
         return type(exc)
 
 
 def test_find_zero_h_is_bitwise_plain_bisection():
     # 8 rounds x 4 families x 7 thresholds x every middle slot of K = 3..15:
-    # 20,384 contexts, each root compared with == against the oracle
+    # 20,384 contexts, each root, cold and warm-started from the slot's own
+    # rate as slot_optimum does, compared with == against the oracle
     rng = np.random.default_rng(31)
     checked = 0
     mismatches = []
@@ -133,10 +135,11 @@ def test_find_zero_h_is_bitwise_plain_bisection():
                     for pos in range(2, k):
                         ctx = _coordinate_context(lam.tolist(), pos, g)
                         got = _root_or_error(find_zero_h, ctx)
+                        warm = _root_or_error(find_zero_h, ctx, float(lam[pos - 1]))
                         want = _root_or_error(oracles.find_zero_h_bisect, ctx)
                         checked += 1
-                        if got != want:
-                            mismatches.append((ctx, got, want))
+                        if got != want or warm != want:
+                            mismatches.append((ctx, got, warm, want))
     # roots past the doubling range, D values outside the certified range
     # and overflowing tails: both finders must raise or agree
     for d_values in ((2.0**450, 2.0**450), (2.0**-450, 2.0**-440), (2.0**600, 1.0),
@@ -145,9 +148,10 @@ def test_find_zero_h_is_bitwise_plain_bisection():
             ctx = CoordinateContext(gamma_t=g, position=2, n_selected=len(d_values) + 1,
                                     d_values=d_values)
             got = _root_or_error(find_zero_h, ctx)
+            warm = _root_or_error(find_zero_h, ctx, d_values[0])
             want = _root_or_error(oracles.find_zero_h_bisect, ctx)
-            if got != want:
-                mismatches.append((ctx, got, want))
+            if got != want or warm != want:
+                mismatches.append((ctx, got, warm, want))
     assert checked >= 20_000
     assert not mismatches, mismatches[:3]
 
@@ -155,22 +159,107 @@ def test_find_zero_h_is_bitwise_plain_bisection():
 _D_VALUE = st.floats(-40.0, 40.0).map(lambda e: 2.0**e)
 
 
+def _middle_context(d_values, r):
+    return CoordinateContext(gamma_t=2.0**r - 1.0, position=2,
+                             n_selected=len(d_values) + 1, d_values=tuple(d_values))
+
+
+# a Newton step from 2**58 times this root (0.93) cancels to 32.0, right of
+# the root, and the next one lands below zero; without the floor at the
+# cold start Newton goes on to a negative "root" and certifies a bracket
+# around it
+_FAR_RIGHT_CANCELS = dict(d_values=[1.0, 512.0, 2.0**0.25], r=0.1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(d_values=st.lists(_D_VALUE, min_size=2, max_size=14),
        r=st.sampled_from(_RATE_TARGETS) | st.floats(1e-6, 8.0),
-       offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_certified_bracket_signs(d_values, r, offsets):
+       offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       guess_exp=st.none() | st.floats(-60.0, 60.0))
+@example(**_FAR_RIGHT_CANCELS, offsets=[0.5], guess_exp=58.0)
+def test_certified_bracket_signs(d_values, r, offsets, guess_exp):
     # the computed h is positive at and left of a, non-positive at and right
-    # of b, which is all find_zero_h relies on
-    ctx = CoordinateContext(gamma_t=2.0**r - 1.0, position=2,
-                            n_selected=len(d_values) + 1, d_values=tuple(d_values))
-    a, b = _certified_bracket(ctx)
+    # of b, which is all find_zero_h relies on, cold or warm-started from a
+    # guess up to 2**60 times off the root on either side
+    ctx = _middle_context(d_values, r)
+    root = oracles.find_zero_h_bisect(ctx)
+    guess = None if guess_exp is None else root * 2.0**guess_exp
+    a, b = _certified_bracket(ctx, guess)
     assert 0.0 < a < b < math.inf
     left = [a, math.nextafter(a, 0.0)] + [a * (1.0 - t / 2.0) for t in offsets]
     right = [b, math.nextafter(b, math.inf)] + [b * (1.0 + t) for t in offsets]
     assert all(h_function(x, ctx) > 0.0 for x in left)
     assert all(h_function(x, ctx) <= 0.0 for x in right)
-    assert find_zero_h(ctx) == oracles.find_zero_h_bisect(ctx)
+    assert find_zero_h(ctx, guess) == root
+
+
+def test_warm_certificate_is_floored_at_the_cold_start():
+    # one Newton step from the first guess lands within 1e-14 of q's
+    # negative root near -13.87 (q has branches between the poles at -D);
+    # started there, the next step is too small to go on, so the warm
+    # start is floored at the cold start and the bracket stays tight
+    ctx = _middle_context(**_FAR_RIGHT_CANCELS)
+    root = oracles.find_zero_h_bisect(ctx)
+    for guess in (351.6369497513808, root * 2.0**58, root):
+        a, b = _certified_bracket(ctx, guess)
+        assert 0.0 < a <= root <= b and b - a < 1e-9 * b, (guess, a, b)
+        assert find_zero_h(ctx, guess) == root
+
+
+@settings(max_examples=150, deadline=None)
+@given(d_values=st.lists(_D_VALUE, min_size=2, max_size=14),
+       r=st.sampled_from(_RATE_TARGETS) | st.floats(1e-6, 8.0))
+@example(**_FAR_RIGHT_CANCELS)
+def test_find_zero_h_is_the_same_for_any_guess(d_values, r):
+    # guesses root * 2**j for j in -60..60, the float range's far ends and
+    # the cold start itself all give plain bisection's root
+    ctx = _middle_context(d_values, r)
+    root = oracles.find_zero_h_bisect(ctx)
+    tail = ctx.gamma_t * (1.0 + ctx.gamma_t) ** (len(d_values) - 1)
+    cold = 1.0 / (sum(1.0 / d for d in d_values) + tail)
+    guesses = [root * 2.0**j for j in range(-60, 61)] + [1e-300, 1e300, cold]
+    wrong = [(g, got) for g in guesses if (got := find_zero_h(ctx, g)) != root]
+    assert not wrong, (root, wrong[:3])
+
+
+def test_find_zero_h_on_k10_sweeps(monkeypatch):
+    # every (context, guess) that solve_theorem3 and aoius pass at K=10, the
+    # cdi_convergence setting (M=500, r=0.02), warm and cold against the oracle
+    seen = []
+
+    def spy(ctx, guess=None):
+        seen.append((ctx, guess))
+        return find_zero_h(ctx, guess)
+
+    monkeypatch.setattr(cdi_sched, "find_zero_h", spy)
+    rng = np.random.default_rng(130)
+    for _ in range(3):
+        cdi = _draw_cdi(rng, 500)
+        solve_theorem3(float(cdi.lambdas.min()), 10, GAMMA_R002)
+        aoius(cdi, 10, GAMMA_R002, rng=rng, max_iters=30)
+    monkeypatch.undo()
+    assert len(seen) > 500 and all(guess is not None for _, guess in seen)
+    wrong = [(ctx, guess) for ctx, guess in seen
+             if not find_zero_h(ctx, guess) == find_zero_h(ctx) == oracles.find_zero_h_bisect(ctx)]
+    assert not wrong, wrong[:3]
+
+
+def test_unchecked_h_is_bitwise_h_function():
+    rng = np.random.default_rng(41)
+    for i in range(2000):
+        lam = _RATE_FAMILIES[i % 4](rng, int(rng.integers(3, 16)))
+        g = 2.0 ** _RATE_TARGETS[i % 7] - 1.0
+        pos = int(rng.integers(2, lam.size))
+        ctx = _coordinate_context(lam.tolist(), pos, g)
+        tail = g * (1.0 + g) ** (lam.size - pos)
+        for x in [*lam.tolist(), 5e-324, 1.0, 2.0**1023]:
+            # h's arithmetic in the order the goldens pin: the sum left to right
+            terms = 0.0
+            for d in ctx.d_values:
+                terms += 1.0 / (x + d)
+            want = repr(1.0 / x - terms - tail)
+            assert repr(_h(x, ctx.d_values, tail)) == want
+            assert repr(h_function(x, ctx)) == want
 
 
 def test_unchecked_phase1_is_bitwise_phase1_outage():
