@@ -18,15 +18,11 @@ user, candidate SNRs for the final slot are scanned strongest-first inside
 their admissible interval, and middle slots K-1..2 take the cheapest SNR
 that still closes the chain.
 
-exhaustive: enumerate all K-subsets (descending order within a subset) and
-keep the feasible one with the largest SNR sum.  The subsets are positions
-in the descending SNR order, read from a table of the lexicographic
-K-combinations of 0..N-1 that is built on first use for each (N, K) and
-then cached read-only; the cache keeps at most _TABLE_CACHE_BYTES (64 MiB)
-of tables and evicts the least recently used.  A call scores the subsets
-in batches of _CHUNK_SUBSETS: it gathers their SNRs one slot at a time,
-from the last decode slot to the first, keeping only a running tail sum
-and a feasibility mask per subset.
+exhaustive: the feasible K-subset of largest SNR sum, over all comb(N, K)
+subsets.  It grows the decode chains that still close from the last slot
+to the second, on positions in the descending SNR order, so a subset is
+settled as soon as a suffix of its chain fails; the first slot takes the
+strongest user.
 
 baseline_tdma / baseline_opportunistic: orthogonal and single-user
 references.
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
@@ -54,7 +49,6 @@ from .rate_core import (
     awgn_capacity,
     evaluate_schedule,
     max_supported_users,
-    sic_chains_close,
     sinr_threshold,
 )
 
@@ -291,56 +285,20 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     return _infeasible(candidates, 0)
 
 
-# (n, k) -> read-only combination table, least recently used first
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_CACHE_BYTES = 64 * 2**20
-# subsets per exhaustive batch: its float temporaries stay below 128 KiB,
-# glibc's default mmap threshold, so they are reused instead of being
-# mapped, faulted in and unmapped again for every call
-_CHUNK_SUBSETS = 16_000
-
-
-def _build_combination_table(n: int, k: int) -> np.ndarray:
-    """Lexicographic K-combinations of 0..n-1, slot-major: shape (k, comb(n, k)).
-
-    Built from the last slot back to the first.  The tails that may follow
-    a head h are the lexicographic tails whose first entry exceeds h, which
-    form a suffix of the tail table, so slot j prepends each admissible
-    head to its suffix.
-    """
-    dtype = np.uint8 if n <= 256 else np.intp
-    tail = np.arange(k - 1, n, dtype=dtype)[None, :]
-    for j in range(k - 2, -1, -1):
-        heads = np.arange(j, n - k + j + 1)
-        starts = np.searchsorted(tail[0], heads + 1)
-        head_row = np.repeat(heads.astype(dtype), tail.shape[1] - starts)
-        tail = np.vstack([head_row, np.concatenate([tail[:, i:] for i in starts], axis=1)])
-    return tail
-
-
-def _combination_table(n: int, k: int) -> np.ndarray:
-    """Cached _build_combination_table; a table larger than the whole
-    cache is returned without being kept."""
-    key = (n, k)
-    table = _TABLE_CACHE.get(key)
-    if table is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return table
-    table = _build_combination_table(n, k)
-    table.flags.writeable = False
-    if table.nbytes <= _TABLE_CACHE_BYTES:
-        held = sum(t.nbytes for t in _TABLE_CACHE.values())
-        while held + table.nbytes > _TABLE_CACHE_BYTES:
-            held -= _TABLE_CACHE.popitem(last=False)[1].nbytes
-        _TABLE_CACHE[key] = table
-    return table
-
-
 def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
-    """Enumerate every K-subset in descending-SNR order and keep the
-    feasible one with the largest SNR sum, the first in lexicographic
-    order on a tie.  Raises EnumerationBudgetError when comb(N, K) exceeds
-    the budget of errors.budgeted_comb."""
+    """The feasible K-subset with the largest SNR sum, the first in
+    lexicographic order of its descending positions on a tie.  Raises
+    EnumerationBudgetError when comb(N, K) exceeds the budget of
+    errors.budgeted_comb.
+
+    Slot j >= 1 extends a chain whose slot j+1 sits at position p_next and
+    whose slots after j sum to t by every j <= p < p_next with desc[p] >=
+    gamma_t * (t + 1): a contiguous range, as desc descends.  Slot 0 needs
+    no range: position 0, the strongest user, closes a chain if any
+    position does, and gives it both its largest sum and its
+    lexicographically first tuple.  Sums accumulate last slot first, as
+    the decode chain's tail does.
+    """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
     n_subsets = budgeted_comb(csi.n_users, k)
@@ -349,20 +307,38 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
 
     order = _descending_order(s)
     desc = s[order]
-    # combinations of descending positions are themselves descending
-    table = _combination_table(csi.n_users, k)
-    best, best_sum = -1, -math.inf
-    for start in range(0, n_subsets, _CHUNK_SUBSETS):
-        part = table[:, start:start + _CHUNK_SUBSETS]
-        feasible, sums = sic_chains_close((desc[part[slot]] for slot in range(k - 1, -1, -1)),
-                                          gamma_t)
-        sums[~feasible] = -np.inf
-        j = int(np.argmax(sums))
-        if sums[j] > best_sum:  # strict: an earlier chunk wins a tie
-            best, best_sum = start + j, sums[j]
-    if best < 0:
+    neg = -desc  # ascending, for searchsorted
+    # array methods rather than np.repeat and the like: at N ~ 10 their
+    # dispatch costs more than the work.  Chains start empty, as if slot k
+    # sat past the last position.
+    pos, tail = np.array([csi.n_users]), np.zeros(1)
+    levels = []  # (positions, parent chain) of slots k-1..1
+    for j in range(k - 1, 0, -1):
+        # the positions j, j+1, ... whose SNR clears the tail, and come
+        # before the chain's slot j+1; -(gamma_t * x) == x * -gamma_t exactly
+        clear = neg[j:].searchsorted((tail + 1.0) * -gamma_t, side="right")
+        counts = np.minimum(clear, pos - j)
+        parent = np.arange(pos.size).repeat(counts)
+        # child i of a chain whose children start at index c sits at j + i - c
+        pos = np.arange(parent.size)
+        pos -= (counts.cumsum() - counts - j).repeat(counts)
+        tail = tail[parent]
+        tail += desc[pos]  # in place: at the budget these arrays are 6.5 MB each
+        levels.append((pos, parent))
+    closing = (desc[0] >= gamma_t * (tail + 1.0)).nonzero()[0]
+    if not closing.size:
         return _infeasible(n_subsets, 0)
-    return _finish(order[table[:, best]].tolist(), csi, r_target, n_subsets, 0)
+
+    # rebuild the chains of largest sum, first slot first, and keep the
+    # lexicographically first
+    sums = tail[closing] + desc[0]
+    tied = closing[sums == sums.max()]
+    chains = [np.zeros_like(tied)]
+    for pos, parent in reversed(levels):
+        chains.append(pos[tied])
+        tied = parent[tied]
+    best = np.lexsort(chains[::-1])[0]
+    return _finish(order[[c[best] for c in chains]].tolist(), csi, r_target, n_subsets, 0)
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:

@@ -58,6 +58,21 @@ SCENARIOS = (
     "cdi_complexity",
 )
 
+# the config keys each scenario reads; from_dict rejects any other
+_COMMON_KEYS = frozenset({"scenario", "seed", "trials", "r_target_grid", "output_path"})
+_CSI_KEYS = _COMMON_KEYS | {"n_users", "p1_sigma_sq"}
+_CDI_KEYS = _COMMON_KEYS | {"m_groups", "k", "max_iters"}
+_SCENARIO_KEYS = {
+    "csi_sumrate": _CSI_KEYS,
+    "csi_complexity": _CSI_KEYS,
+    "csi_stability": _CSI_KEYS,
+    "cdi_convergence": _CDI_KEYS,
+    "cdi_outage": _CDI_KEYS | {"mc_trials", "p2", "sr_params"},
+    "cdi_complexity": _CDI_KEYS,
+}
+# scenarios that read r_target_grid[0] alone
+_SINGLE_RATE = ("csi_stability", "cdi_convergence", "cdi_complexity")
+
 # satellite SNR of the CSI experiments' unconstrained second hop: satellite
 # SNRs are finite, and this one is so large the terrestrial hop always binds
 UNCONSTRAINED_SAT_SNR = float(2**60)
@@ -130,6 +145,9 @@ class ExperimentConfig:
         grid = tuple(float(_check_finite("r_target_grid", r)) for r in self.r_target_grid)
         if not grid or any(r <= 0 for r in grid):
             raise ConfigError("r_target_grid must be non-empty with positive entries")
+        if self.scenario in _SINGLE_RATE and len(grid) != 1:
+            raise ConfigError(f"{self.scenario} reads one rate, so 'r_target_grid' must have "
+                              f"one entry, got {len(grid)}")
         object.__setattr__(self, "r_target_grid", grid)
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
@@ -177,7 +195,11 @@ class ExperimentConfig:
         missing = {"scenario", "seed", "trials", "r_target_grid"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        return cls(**raw)
+        config = cls(**raw)
+        ignored = set(raw) - _SCENARIO_KEYS[config.scenario]
+        if ignored:
+            raise ConfigError(f"{config.scenario} does not read {sorted(ignored)}")
+        return config
 
 
 def trial_rng(seed: int, *key) -> np.random.Generator:

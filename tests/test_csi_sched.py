@@ -2,8 +2,8 @@
 exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
-import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -280,87 +280,86 @@ def test_exhaustive_matches_itertools_reference():
     assert exhaustive(tie, 2, 1.0).schedule.users == (0, 1) == \
         oracles.exhaustive_itertools(tie.user_snrs, BIG_SAT, 2, 1.0)
     rng = np.random.default_rng(2210)
-    compared = 0
-    for n in range(1, 21):
-        for sat_snr in (BIG_SAT, 100.0):
-            csi = CsiRealization(rng.exponential(10.0, size=n), sat_snr)
-            r = float(rng.choice([0.6, 0.9, 1.2]))
-            for k in sorted({1, n, *range(1, determine_k(csi, r) + 1)}):
-                want = oracles.exhaustive_itertools(csi.user_snrs, sat_snr, k, r)
-                out = exhaustive(csi, k, r)
-                assert out.stats.candidates_examined == math.comb(n, k)
-                if want is None:
-                    assert not out.feasible
-                else:
-                    assert out.schedule.users == want
-                    compared += 1
-    assert compared > 100
-
-
-def test_exhaustive_batches_keep_the_first_best(monkeypatch):
-    # the subsets are scored in batches; with many equal SNRs the best sum
-    # recurs in later batches, and the first subset in enumeration order
-    # must still win: 20 equal SNRs make comb(20, 6) = 38760 equal sums
-    same = CsiRealization(np.full(20, 50.0), BIG_SAT)
-    assert math.comb(20, 6) > 2 * csi_sched._CHUNK_SUBSETS
-    assert exhaustive(same, 6, 0.1).schedule.users == (0, 1, 2, 3, 4, 5)
+    instances = [(CsiRealization(rng.exponential(10.0, size=n), sat_snr),
+                  float(rng.choice([0.6, 0.9, 1.2])))
+                 for n in range(1, 21) for sat_snr in (BIG_SAT, 100.0)]
+    # small-integer SNRs: many chains tie on their sum
     rng = np.random.default_rng(2211)
-    instances = [CsiRealization(rng.integers(0, 8, size=int(rng.integers(1, 13))).astype(float),
-                                (BIG_SAT, 100.0)[i % 2]) for i in range(60)]
-    for batch in (1, 7):
-        monkeypatch.setattr(csi_sched, "_CHUNK_SUBSETS", batch)
-        for csi in instances:
-            for k in range(1, min(csi.n_users, 5) + 1):
-                for r in (0.1, 0.6):
-                    want = oracles.exhaustive_itertools(csi.user_snrs, csi.sat_snr, k, r)
-                    out = exhaustive(csi, k, r)
-                    assert (out.schedule.users if out.feasible else None) == want, (csi, k, r)
+    for i in range(60):
+        csi = CsiRealization(rng.integers(0, 8, size=int(rng.integers(1, 13))).astype(float),
+                             (BIG_SAT, 100.0)[i % 2])
+        instances += [(csi, 0.1), (csi, 0.6)]
+    compared = 0
+    for csi, r in instances:
+        n = csi.n_users
+        for k in sorted({1, n, *range(1, determine_k(csi, r) + 1), *range(1, min(n, 5) + 1)}):
+            want = oracles.exhaustive_itertools(csi.user_snrs, csi.sat_snr, k, r)
+            out = exhaustive(csi, k, r)
+            assert out.stats.candidates_examined == math.comb(n, k)
+            if want is None:
+                assert not out.feasible, (csi, k, r)
+            else:
+                assert out.schedule.users == want, (csi, k, r)
+                compared += 1
+    assert compared > 300
+
+
+def test_exhaustive_batches_keep_the_first_best():
+    # with many equal SNRs the best sum is reached by many chains, and the
+    # first subset in enumeration order must still win: 20 equal SNRs make
+    # comb(20, 6) = 38760 equal sums
+    same = CsiRealization(np.full(20, 50.0), BIG_SAT)
+    assert exhaustive(same, 6, 0.1).schedule.users == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_exhaustive_leaves_one_user_out(n):
+    # k = n - 1: n subsets, each as long as the instance.  Near the rate
+    # where no subset closes, the user left out is no longer the weakest:
+    # at n = 300, r = 0.017217 it is user 18
+    rng = np.random.default_rng(n)
+    csi = CsiRealization(rng.exponential(10.0, size=n), BIG_SAT)
+    for r in (1e-5, 1e-4, 0.0172165, 0.017217, 0.01, 0.02):
+        want = oracles.exhaustive_itertools(csi.user_snrs, BIG_SAT, n - 1, r)
+        out = exhaustive(csi, n - 1, r)
+        assert out.stats.candidates_examined == n
+        assert (out.schedule.users if out.feasible else None) == want, r
 
 
 def test_exhaustive_budget_checked_before_any_table(monkeypatch):
-    csi_sched._TABLE_CACHE.clear()
     with pytest.raises(EnumerationBudgetError):
         exhaustive(CsiRealization(np.ones(30) * 10.0, BIG_SAT), 15, 0.1)
     monkeypatch.setattr(errors, "_MAX_SUBSETS", 10)
     with pytest.raises(EnumerationBudgetError):
         exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1)
-    assert not csi_sched._TABLE_CACHE
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (5, 5), (6, 1), (9, 4), (20, 10), (300, 2)])
-def test_combination_table_is_lexicographic_and_read_only(n, k):
-    table = csi_sched._combination_table(n, k)
-    want = np.array(list(itertools.combinations(range(n), k))).T
-    assert table.dtype == (np.uint8 if n <= 256 else np.intp)
-    assert np.array_equal(table, want)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
-
-
-def test_combination_cache_stays_within_byte_cap(monkeypatch):
-    cap = csi_sched._TABLE_CACHE_BYTES
-    csi_sched._TABLE_CACHE.clear()
+def test_exhaustive_holds_no_memory_after_a_call():
+    # N = 22: no other test calls exhaustive at this size, so nothing an
+    # earlier call kept for it can hide what this call keeps
+    csi = CsiRealization(np.random.default_rng(2212).exponential(10.0, size=22), BIG_SAT)
+    tracemalloc.start()
     try:
-        keys = [(n, k) for n in range(1, 23) for k in range(1, n + 1)]
-        for n, k in keys:
-            csi_sched._combination_table(n, k)
-            held = sum(t.nbytes for t in csi_sched._TABLE_CACHE.values())
-            assert held <= cap
-        assert len(csi_sched._TABLE_CACHE) < len(keys)
-        assert all(not t.flags.writeable for t in csi_sched._TABLE_CACHE.values())
-
-        # least recently used goes first; a table above the cap is not kept
-        monkeypatch.setattr(csi_sched, "_TABLE_CACHE_BYTES", 300)
-        csi_sched._TABLE_CACHE.clear()
-        for n in (10, 11, 12):
-            csi_sched._combination_table(n, 3)  # 360, 495 and 660 bytes
-        assert list(csi_sched._TABLE_CACHE) == []
-        for key in ((10, 2), (11, 2), (10, 2), (12, 2)):  # 90, 110, 132 bytes
-            csi_sched._combination_table(*key)
-        assert list(csi_sched._TABLE_CACHE) == [(10, 2), (12, 2)]
+        assert exhaustive(csi, 10, 0.3) is not None
+        held, _ = tracemalloc.get_traced_memory()
     finally:
-        csi_sched._TABLE_CACHE.clear()
+        tracemalloc.stop()
+    assert held < 64 * 2**10, held
+
+
+def test_exhaustive_peak_memory_when_every_chain_closes():
+    # 24 SNRs in [1, 10] at r = 0.001: all comb(24, 10) = 1961256 chains
+    # close, just inside the enumeration budget
+    csi = CsiRealization(np.linspace(1.0, 10.0, 24), BIG_SAT)
+    tracemalloc.start()
+    try:
+        out = exhaustive(csi, 10, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stats.candidates_examined == math.comb(24, 10)
+    assert out.schedule.users == tuple(range(23, 13, -1))
+    assert peak < 128 * 2**20, peak
 
 
 def test_parameter_validation():

@@ -172,7 +172,10 @@ def test_config_round_trip():
         scenario="cdi_outage", seed=3, trials=2, r_target_grid=[0.1, 0.5],
         m_groups=6, k=2, sr_params=dict(HEAVY), mc_trials=50, p2=100.0,
         output_path="x.csv"))
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
+    # asdict carries every field; a config file holds the scenario's keys
+    read = {k: v for k, v in dataclasses.asdict(cfg).items()
+            if k in harness._SCENARIO_KEYS[cfg.scenario]}
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(read)))
     assert again == cfg
 
 
@@ -434,6 +437,22 @@ def test_cli_rejects_dropped_and_csi_only_keys(tmp_path, capsys):
         ("cdi-complexity", dict(cdi, delta=0.0), "delta"),
         ("cdi-complexity", dict(cdi, cdi_low_db=-10.0), "cdi_low_db"),
         ("cdi-complexity", dict(cdi, cdi_high_db=20.0), "cdi_high_db"),
+        # keys that only other scenarios read
+        ("csi-sumrate", dict(csi, m_groups=6), "m_groups"),
+        ("csi-sumrate", dict(csi, max_iters=50), "max_iters"),
+        ("csi-sumrate", dict(csi, mc_trials=10), "mc_trials"),
+        ("csi-sumrate", dict(csi, p2=1000.0), "p2"),
+        ("csi-sumrate", dict(csi, sr_params=dict(HEAVY)), "sr_params"),
+        ("cdi-complexity", dict(cdi, n_users=4), "n_users"),
+        ("cdi-complexity", dict(cdi, p1_sigma_sq=5.0), "p1_sigma_sq"),
+        ("cdi-complexity", dict(cdi, mc_trials=10), "mc_trials"),
+        ("cdi-converge", dict(cdi, scenario="cdi_convergence", p2=1000.0), "p2"),
+        # single-rate scenarios read r_target_grid[0] alone
+        ("csi-stability", dict(csi, scenario="csi_stability", r_target_grid=[0.9, 5.0, 7.0]),
+         "r_target_grid"),
+        ("cdi-converge", dict(cdi, scenario="cdi_convergence", r_target_grid=[0.1, 0.2]),
+         "r_target_grid"),
+        ("cdi-complexity", dict(cdi, r_target_grid=[0.1, 0.2]), "r_target_grid"),
     )
     for i, (sub, cfg, key) in enumerate(cases):
         path = tmp_path / f"dropped{i}.json"
