@@ -368,9 +368,12 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     monotone non-increasing.
 
     Each window is a bisected range of one stable ascending order of the
-    rates, less the groups the other slots hold, so a slot visit costs
-    O(log M + K) instead of a scan of all M groups.  Ties resolve as in
-    that scan: among equal rates the lowest group index.
+    rates: the selection's rates never decrease from slot to slot (slot 1
+    is the minimum, the draw is sorted and every move lands strictly
+    between the neighbours' rates), so no other slot holds a group inside
+    a window.  A slot visit costs O(log M + K) instead of a scan of all M
+    groups, and ties resolve as in that scan: among equal rates the lowest
+    group index.
     """
     m = cdi.n_groups
     _selector_checks(m, k, gamma_t)
@@ -392,46 +395,23 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     # a slot's window lower < rate < upper is the bisected range of it
     asc = np.argsort(cdi.lambdas, kind="stable").tolist()
     asc_lam = [lam[g] for g in asc]
-    free = [True] * m
-    for g in selection:
-        free[g] = False
-
-    def first_free(start, stop):
-        """First position in [start, stop) whose group is free, or None."""
-        for p in range(start, stop):
-            if free[asc[p]]:
-                return p
-        return None
-
-    def last_free(start, stop):
-        """Last position in [start, stop) whose group is free, or None."""
-        for p in range(stop - 1, start - 1, -1):
-            if free[asc[p]]:
-                return p
-        return None
 
     evals = 1
     outage = _phase1([lam[g] for g in selection], gamma_t)
     trace = [outage]
     for _sweep in range(max_iters):
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
-            free[selection[slot]] = True  # the slot's own group stays eligible
             lo = bisect_right(asc_lam, lam[selection[slot - 1]])
             hi = bisect_left(asc_lam, lam[selection[slot + 1]], lo) if slot < k - 1 else m
-            if first_free(lo, hi) is not None:
+            if lo < hi:
                 z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
                 mid = bisect_right(asc_lam, z, lo, hi)
-                above = first_free(mid, hi)
-                below = last_free(lo, mid)
-                if below is not None:
-                    # among equal rates the lowest index, first in the run
-                    below = first_free(bisect_left(asc_lam, asc_lam[below], lo, below), below + 1)
-                below = None if below is None else asc[below]
-                above = None if above is None else asc[above]
+                above = asc[mid] if mid < hi else None
+                # among equal rates the lowest index, first in the run
+                below = asc[bisect_left(asc_lam, asc_lam[mid - 1], lo)] if mid > lo else None
                 selection[slot], outage, used = _bracket_pick(below, above, lam, z, gamma_t,
                                                               selection, slot)
                 evals += used
-            free[selection[slot]] = False
         trace.append(outage)
         if trace[-1] >= trace[-2]:
             break

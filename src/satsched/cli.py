@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per experiment scenario.
 
 Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
-including a count too large to allocate.
+including a count too large to allocate and a search too deep.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"numeric error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError as exc:
+        print(f"numeric error: search too deep: {exc}", file=sys.stderr)
         return 3
 
 

@@ -398,13 +398,20 @@ def test_aoius_matches_the_window_scan():
     # slot: same picks, outage, trace and evaluations; a third of the
     # instances draw small-integer rates, so equal rates meet in windows
     rng = np.random.default_rng(120)
-    instances = [(int(m), 0) for m in rng.integers(2, 41, size=1_000)]
-    instances += [(500, 10), (500, 2), (500, 25)]
-    for i, (m, k) in enumerate(instances):
-        if i % 3 == 0:
-            cdi = GroupCdi(rng.integers(1, 6, size=m) / 8.0)
-        else:
-            cdi = _draw_cdi(rng, m)
+    laws = {
+        "ints": lambda m: GroupCdi(rng.integers(1, 6, size=m) / 8.0),
+        "drawn": lambda m: _draw_cdi(rng, m),
+        # all-equal and two-valued rates: every window is empty or one long tie
+        "equal": lambda m: GroupCdi(np.full(m, 0.25)),
+        "two_valued": lambda m: GroupCdi(rng.choice([0.125, 0.5], size=m)),
+    }
+    sizes = [(int(m), 0) for m in rng.integers(2, 41, size=1_000)]
+    sizes += [(500, 10), (500, 2), (500, 25)]
+    instances = [(m, k, ("ints", "drawn", "drawn")[i % 3]) for i, (m, k) in enumerate(sizes)]
+    instances += [(m, k, law) for m, k in sizes[:200] + [(500, 10), (500, 25)]
+                  for law in ("equal", "two_valued")]
+    for m, k, law in instances:
+        cdi = laws[law](m)
         k = k or int(rng.integers(1, m + 1))
         gamma_t = sinr_threshold(float(rng.choice([0.02, 0.1, 0.5, 1.0])))
         seed = int(rng.integers(1 << 30))

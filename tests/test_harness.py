@@ -481,6 +481,18 @@ def test_cli_budget_error_exit_code(tmp_path, capsys):
         assert err.startswith("numeric error") and err.count("\n") == 1
 
 
+def test_cli_search_too_deep_exits_cleanly(tmp_path, capsys):
+    # determine_k gives all 1500 users a slot, and gius recurses once per slot
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(scenario="csi_sumrate", seed=1, trials=1, n_users=1500,
+                                    r_target_grid=[0.0001])))
+    assert main(["csi-sumrate", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
     cases = (
         # 2**2000 - 1 is beyond float range
