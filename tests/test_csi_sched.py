@@ -265,9 +265,6 @@ def test_exhaustive_budget_guard(monkeypatch):
     monkeypatch.setattr(errors, "_MAX_SUBSETS", 4059)
     with pytest.raises(EnumerationBudgetError):
         exhaustive(csi, 3, 0.1)
-    monkeypatch.setattr(errors, "_MAX_SUBSETS", 10)
-    with pytest.raises(EnumerationBudgetError):
-        exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1)
 
 
 def test_exhaustive_single_subset():
@@ -282,10 +279,6 @@ def test_exhaustive_matches_itertools_reference():
     tie = CsiRealization(np.array([8.0, 3.0, 3.0, 3.0]), BIG_SAT)
     assert exhaustive(tie, 2, 1.0).schedule.users == (0, 1) == \
         oracles.exhaustive_itertools(tie.user_snrs, BIG_SAT, 2, 1.0)
-    # 20 equal SNRs: comb(20, 6) = 38760 chains share the best sum
-    same = CsiRealization(np.full(20, 50.0), BIG_SAT)
-    assert exhaustive(same, 6, 0.1).schedule.users == (0, 1, 2, 3, 4, 5) == \
-        oracles.exhaustive_itertools(same.user_snrs, BIG_SAT, 6, 0.1)
     rng = np.random.default_rng(2210)
     instances = [(CsiRealization(rng.exponential(10.0, size=n), sat_snr),
                   float(rng.choice([0.6, 0.9, 1.2])))
@@ -311,6 +304,14 @@ def test_exhaustive_matches_itertools_reference():
     assert compared > 300
 
 
+def test_exhaustive_batches_keep_the_first_best():
+    # with many equal SNRs the best sum is reached by many chains, and the
+    # first subset in enumeration order must still win: 20 equal SNRs make
+    # comb(20, 6) = 38760 equal sums
+    same = CsiRealization(np.full(20, 50.0), BIG_SAT)
+    assert exhaustive(same, 6, 0.1).schedule.users == (0, 1, 2, 3, 4, 5)
+
+
 @pytest.mark.parametrize("n", [300, 600])
 def test_exhaustive_leaves_one_user_out(n):
     # k = n - 1: n subsets, each as long as the instance.  Near the rate
@@ -323,6 +324,14 @@ def test_exhaustive_leaves_one_user_out(n):
         out = exhaustive(csi, n - 1, r)
         assert out.stats.candidates_examined == n
         assert (out.schedule.users if out.feasible else None) == want, r
+
+
+def test_exhaustive_budget_checked_before_any_table(monkeypatch):
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive(CsiRealization(np.ones(30) * 10.0, BIG_SAT), 15, 0.1)
+    monkeypatch.setattr(errors, "_MAX_SUBSETS", 10)
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive(CsiRealization(np.ones(12) * 10.0, BIG_SAT), 6, 0.1)
 
 
 def test_exhaustive_holds_no_memory_after_a_call():
