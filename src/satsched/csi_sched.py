@@ -83,6 +83,14 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     return len(_economy_recursion(np.sort(csi.user_snrs).tolist(), upper, gamma_t))
 
 
+# gius stores failed subtrees only once a call has backtracked this often:
+# a search that fails less often ends before its stores could pay off
+_STORE_AFTER_BACKTRACKS = 64
+# gius clears its failure cache at this many entries, so one call's memory
+# stays bounded whatever the instance
+_FAILURE_CACHE_ENTRIES = 1 << 16
+
+
 def _descending_order(snrs: np.ndarray) -> np.ndarray:
     # stable sort so equal SNRs keep ascending index order
     return np.argsort(-snrs, kind="stable")
@@ -137,6 +145,24 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     chosen.  The visit order is unchanged from a scan of all N users
     (strongest first, equal SNRs in ascending index order), so are the
     picks, candidates_examined and backtracks.
+
+    A subtree that failed is not searched again.  A window below a search
+    from start begins at the first position whose SNR is at most the bound
+    a pick p >= start set, and that bound is at most desc[p] <=
+    desc[start]; as start itself is the first position of its SNR value,
+    the search never looks before start.  When no position past start is
+    taken, except perhaps start itself, the subtree is then a function of
+    the key (depth, start, whether start is taken, t_prev).  A failed
+    subtree backtracks once per candidate it examines, so a failure stores
+    that one count under its key, and a later call with the key adds it to
+    both counters and fails at once: picks, candidates_examined and
+    backtracks stay those of the full search.  The budget enters only
+    subtractions and comparisons, which treat +0.0 and -0.0 alike, so the
+    two zeros may share a key.  A NaN budget never hits: it comes with
+    start == N, an empty window that is never keyed (and NaN != NaN
+    besides).  Failures are stored once the call has backtracked
+    _STORE_AFTER_BACKTRACKS times, and the cache, which lives for one call,
+    is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -157,11 +183,23 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     candidates = 0
     backtracks = 0
     chosen: list[int] = []  # on success, slot K's pick first
+    # (depth, start, start taken, t_prev) -> the candidates a failed subtree
+    # examined, which are also the backtracks it made
+    failed: dict[tuple[int, int, bool, float], int] = {}
 
-    def search(depth: int, start: int, t_prev: float) -> bool:
+    def search(depth: int, start: int, t_prev: float, top: int) -> bool:
         """Fill slot depth < k from the positions from start on; on success
-        the picks of slots K..depth are on chosen."""
+        the picks of slots K..depth are on chosen.  top is the largest
+        position taken by slots 1..depth-1, -1 for none."""
         nonlocal candidates, backtracks
+        # while the cache is empty a call pays no key for it
+        if failed and top <= start < n:
+            replay = failed.get((depth, start, top == start, t_prev))
+            if replay is not None:
+                candidates += replay
+                backtracks += replay
+                return False
+        entry = backtracks
         window = list(compress(range(start, n), free[start:]))
         candidates += len(window)
         l_rest = lmin[k - depth - 1]
@@ -186,11 +224,15 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 if found:
                     chosen.extend((free.index(True, nxt, last_end), p))
                     return True
-            elif search(depth + 1, nxt, t_here):
+            elif search(depth + 1, nxt, t_here, p if p > top else top):
                 chosen.append(p)
                 return True
             free[p] = True
             backtracks += 1
+        if backtracks >= _STORE_AFTER_BACKTRACKS and top <= start < n:
+            if len(failed) >= _FAILURE_CACHE_ENTRIES:
+                failed.clear()
+            failed[depth, start, top == start, t_prev] = backtracks - entry
         return False
 
     if k == 1:
@@ -199,7 +241,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         chosen.append(0)
         found = last_end > 0
     else:
-        found = search(1, 0, math.inf)
+        found = search(1, 0, math.inf, -1)
     if not found:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"

@@ -3,8 +3,10 @@ exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
 import math
+import time
 import tracemalloc
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -241,6 +243,64 @@ def test_gius_matches_scan_version_beyond_determine_k():
             assert new == _outcome(oracles.gius_scan, csi, k, r), (csi, r, k)
             raised += new is InternalConsistencyError
     assert raised > 100
+
+
+# seeds of the draws at r_target 0.3 on which gius's failure cache hits
+# and the scan version ends within 50 ms: N=22-27 small integers in [0, 12)
+# and N=32 exponential(10) SNRs
+_TIED_CACHE_SEEDS = (14, 21, 23, 32, 58, 63, 69, 99, 116, 117, 155, 167, 176, 202,
+                     218, 232, 258, 272, 283, 290, 296)
+_EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63, 71,
+                            75, 78, 80, 81, 85, 89, 93, 96, 99, 101, 111, 113, 116)
+
+
+@cache
+def _scan_outcomes_where_the_cache_hits():
+    """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
+    csi_online decisions, 60 of which replay a failed subtree, and the
+    seeded draws above."""
+    instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
+    for seed in _TIED_CACHE_SEEDS:
+        rng = np.random.default_rng(seed)
+        snrs = rng.integers(0, 12, size=int(rng.integers(22, 28))).astype(float)
+        instances.append((CsiRealization(snrs, BIG_SAT), 0.3))
+    for seed in _EXPONENTIAL_CACHE_SEEDS:
+        snrs = np.random.default_rng(seed).exponential(10.0, size=32)
+        instances.append((CsiRealization(snrs, BIG_SAT), 0.3))
+    return [(csi, r, k, _outcome(oracles.gius_scan, csi, k, r))
+            for csi, r in instances for k in [determine_k(csi, r)]]
+
+
+@pytest.mark.parametrize("store_after", [None, 0])
+@pytest.mark.parametrize("entries", [None, 1, 3])
+def test_gius_failure_cache_matches_scan_version(monkeypatch, store_after, entries):
+    # replayed failures keep the picks, rate report and both counters of
+    # the full search, also when failures are stored from the first
+    # backtrack on and when the cache is cleared at every store or every
+    # third (None keeps the module's value)
+    if store_after is not None:
+        monkeypatch.setattr(csi_sched, "_STORE_AFTER_BACKTRACKS", store_after)
+    if entries is not None:
+        monkeypatch.setattr(csi_sched, "_FAILURE_CACHE_ENTRIES", entries)
+    for i, (csi, r, k, expected) in enumerate(_scan_outcomes_where_the_cache_hits()):
+        assert _outcome(gius, csi, k, r) == expected, (i, k)
+
+
+def test_gius_tied_stall_replays_its_failures():
+    # 27 small-integer SNRs at r_target 0.3: without the failure cache the
+    # search took 2.4 s on a 2-CPU Xeon to reach these picks and counts,
+    # with it about 10 ms
+    snrs = [1, 8, 6, 9, 5, 5, 1, 1, 0, 11, 4, 3, 10, 2, 5, 10, 1, 6, 5, 2, 3, 9, 10, 9,
+            11, 6, 9]
+    csi = CsiRealization(np.array(snrs, dtype=float), BIG_SAT)
+    assert determine_k(csi, 0.3) == 14
+    started = time.perf_counter()
+    out = gius(csi, 14, 0.3)
+    elapsed = time.perf_counter() - started
+    assert out.schedule.users == (9, 3, 1, 2, 4, 10, 11, 20, 13, 19, 0, 6, 7, 16)
+    assert out.stats == csi_sched.SchedulerStats(candidates_examined=1_942_187,
+                                                 backtracks=1_942_036)
+    assert elapsed < 0.5
 
 
 def test_lbus_matches_two_sort_version():
