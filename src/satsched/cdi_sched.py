@@ -17,10 +17,13 @@ lambda*h(lambda) = 1 - q(lambda) with q(lambda) = sum lambda/(lambda+D)
 exactly once and bisection finds it.  find_zero_h settles most of the
 bisection's sign tests by comparing with a bracket (a, b) that Newton on
 q = 1 and rounding-error bounds on q certify, and evaluates h only strictly
-inside it, so every root is plain bisection's, bit for bit.  slot_optimum
-warm-starts that Newton run from the slot's current rate, which a sweep
-moves little once the profile settles.  solve_theorem3 iterates
-coordinate updates to that stationary profile; aoius runs the same
+inside it, so every root is plain bisection's, bit for bit.  It takes
+the D values and the tail as they are; _slot_d_values builds the D values
+and checks that they are positive and finite.  slot_optimum warm-starts
+the Newton run from the slot's current rate, which a sweep moves little
+once the profile settles.  solve_theorem3 iterates coordinate updates to
+that stationary profile, carrying the B prefix along each sweep and
+taking the powers of 1+gamma once per solve; aoius runs the same
 coordinate moves over the discrete group rates, picking per slot the best
 of the two groups bracketing the continuous optimum, which makes every
 update, and hence the whole outage trace, monotone non-increasing.
@@ -37,7 +40,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import NumericError, ParameterError, budgeted_comb
-from .outage import GroupCdi, _phase1, phase1_outage
+from .outage import GroupCdi, _phase1, _phase1_head, phase1_outage
 
 _BISECT_MAX_ITERS = 500
 _SWEEP_TOL = 1e-10
@@ -71,43 +74,11 @@ class CoordinateContext:
         if not (self.gamma_t > 0 and math.isfinite(self.gamma_t)):
             raise ParameterError(f"gamma_t must be positive finite, got {self.gamma_t}")
 
-
-def _coordinate_context(lam: list, position: int, g: float) -> CoordinateContext:
-    """The middle-slot context of slot `position` in the float list `lam`.
-
-    The profile entry at `position` itself is ignored: its analytic
-    contribution to every D cancels, so the D values are computed from the
-    other slots only and the context is exactly independent of the
-    coordinate being optimized.
-    """
-    k = len(lam)
-    p = position - 1  # 0-based slot of the coordinate
-
-    # weighted prefix sums skipping slot p: for target slot i (0-based),
-    # B~_{i} = sum_{j <= i, j != p} (1+g)^(i-j) * lam_j
-    ds = []
-    # i = position (D_{k,k}): gamma * B_{k-1} over slots 0..p-1
-    b = 0.0
-    for j in range(p):
-        b = (1.0 + g) * b + lam[j]
-    ds.append(g * b)
-    # i > position: (gamma * B~_{i-1} + lam_i) / (gamma * (1+g)^(i-1-p))
-    bt = b  # running B over slots != p, currently through slot p-1
-    for i in range(p + 1, k):
-        # advance through slot i-1, skipping p
-        if i - 1 != p:
-            bt = (1.0 + g) * bt + lam[i - 1]
-        else:
-            bt = (1.0 + g) * bt  # slot p contributes nothing
-        ds.append((g * bt + lam[i]) / (g * (1.0 + g) ** (i - 1 - p)))
-    return CoordinateContext(gamma_t=g, position=position, n_selected=k,
-                             d_values=tuple(ds))
-
-
-def _tail(context: CoordinateContext) -> float:
-    """h's last term, gamma*(1+gamma)**(K-k)."""
-    g = context.gamma_t
-    return g * (1.0 + g) ** (context.n_selected - context.position)
+    @property
+    def tail(self) -> float:
+        """h's last term, gamma*(1+gamma)**(K-k)."""
+        g = self.gamma_t
+        return g * (1.0 + g) ** (self.n_selected - self.position)
 
 
 def h_function(lam: float, context: CoordinateContext) -> float:
@@ -115,33 +86,44 @@ def h_function(lam: float, context: CoordinateContext) -> float:
     optimum, negative right of it."""
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"lambda must be positive finite, got {lam}")
-    return _h(lam, context.d_values, _tail(context))
+    return _h(lam, context.d_values, context.tail)
 
 
-def _h(x: float, ds: tuple, tail: float) -> float:
+def _h(x: float, ds, tail: float) -> float:
     """h_function at a positive finite x, without the check.  The sum runs
     left to right, as builtin sum() did up to Python 3.11, which the pinned
     outputs were made with; a loop is also two to three times cheaper than
-    sum() over a generator at these lengths."""
+    sum() over a generator at these lengths.  find_zero_h's bisection runs
+    the same arithmetic inline."""
     s = 0.0
     for d in ds:
         s += 1.0 / (x + d)
     return 1.0 / x - s - tail
 
 
-def _newton_step(x: float, ds: tuple, tail: float) -> tuple:
-    """One Newton step on q = 1 from x (q as in _q): (the new x, the step,
-    q'(x))."""
-    q, dq = tail * x, tail
+def _slot_d_values(lam: list, p: int, b: float, gamma_t: float, gpow: list) -> list:
+    """The D values of middle slot p (0-based) of the float list `lam`.
+
+    b is the B prefix through slot p-1, B_j = (1+g)*B_{j-1} + lam_j from
+    B_0 = lam_0, and gpow[e] is g*(1+g)**e.  D_{p,p} = g*B_{p-1}; each later
+    slot i has D = (g*B~_{i-1} + lam_i) / (g*(1+g)**(i-1-p)), where B~ is
+    the B prefix with slot p left out: its analytic contribution to every D
+    cancels, so the D values do not depend on the coordinate being
+    optimized.  ParameterError unless every D value is positive and finite.
+    """
+    c = 1.0 + gamma_t
+    ds = [gamma_t * b]
+    bt = c * b  # slot p contributes nothing
+    for i in range(p + 1, len(lam)):
+        ds.append((gamma_t * bt + lam[i]) / gpow[i - 1 - p])
+        bt = c * bt + lam[i]
     for d in ds:
-        s = x + d
-        q += x / s
-        dq += d / s / s
-    step = (1.0 - q) / dq
-    return x + step, step, dq
+        if not 0.0 < d < math.inf:
+            raise ParameterError("D values must be positive finite")
+    return ds
 
 
-def _q(x: float, ds: tuple, tail: float) -> float:
+def _q(x: float, ds, tail: float) -> float:
     """q(x) = sum x/(x+D) + tail*x, so that x*h(x) = 1 - q(x)."""
     q = tail * x
     for d in ds:
@@ -149,9 +131,10 @@ def _q(x: float, ds: tuple, tail: float) -> float:
     return q
 
 
-def _certified_bracket(context: CoordinateContext, guess: float | None = None) -> tuple:
-    """(a, b) such that the computed h is > 0 at every lambda <= a and <= 0
-    at every lambda >= b; (0, inf) when that cannot be certified.
+def _certified_bracket(ds, tail: float, guess: float | None = None) -> tuple:
+    """(a, b) such that the computed h with D values `ds` and last term
+    `tail` is > 0 at every lambda <= a and <= 0 at every lambda >= b;
+    (0, inf) when that cannot be certified.
 
     Newton on q = 1 starts at the larger of the cold start
     1/(sum 1/D + tail) and one Newton step from a positive finite `guess`.
@@ -170,22 +153,28 @@ def _certified_bracket(context: CoordinateContext, guess: float | None = None) -
     [2**-500, 2**500], nothing overflows or underflows at the lambdas
     find_zero_h probes, all in [2**-400, 2**400].
     """
-    ds = context.d_values
-    tail = _tail(context)
     lim = _CERTIFY_RANGE
     if not (tail <= lim and 1.0 / lim <= min(ds) and max(ds) <= lim):
         return 0.0, math.inf
     n = len(ds)
     e_h = 2 * (n + 4) * _UNIT_ROUNDOFF
     e_q = 2 * (2 * n + 4) * _UNIT_ROUNDOFF
-    cold = 1.0 / (sum(1.0 / d for d in ds) + tail)
-    x = cold
-    if guess is not None and 0.0 < guess < math.inf:
-        x = max(cold, _newton_step(guess, ds, tail)[0])  # cold for NaN too
-    for _ in range(_NEWTON_MAX_STEPS):
-        x_next, step, dq = _newton_step(x, ds, tail)
-        x = max(cold, x_next)
-        if abs(step) <= 1e-12 * x:
+    s = 0.0
+    for d in ds:
+        s += 1.0 / d
+    cold = 1.0 / (s + tail)
+    # Newton on q = 1, q and q' inline; a usable guess takes one step first
+    warm = guess is not None and 0.0 < guess < math.inf
+    x = guess if warm else cold
+    for i in range(_NEWTON_MAX_STEPS + warm):
+        q, dq = tail * x, tail
+        for d in ds:
+            t = x + d
+            q += x / t
+            dq += d / t / t
+        step = (1.0 - q) / dq
+        x = max(cold, x + step)  # cold for NaN too
+        if (i or not warm) and abs(step) <= 1e-12 * x:
             break
     pos_cap = (1.0 - e_h) / (1.0 + e_h)
     neg_cap = (1.0 + e_h) / (1.0 - e_h)
@@ -204,16 +193,16 @@ def _certified_bracket(context: CoordinateContext, guess: float | None = None) -
     return lo, hi
 
 
-def find_zero_h(context: CoordinateContext, guess: float | None = None) -> float:
-    """Unique zero of h by bracketing from 1 to the float range's ends and
-    bisection to machine-level relative width, so |h(root)| lands well below 1e-9.
+def find_zero_h(ds, tail: float, guess: float | None = None) -> float:
+    """Unique zero of h with D values `ds` (positive finite, as
+    _slot_d_values builds them) and last term `tail`, by bracketing from 1
+    to the float range's ends and bisection to machine-level relative
+    width, so |h(root)| lands well below 1e-9.
     Sign tests outside _certified_bracket's (a, b) are settled by comparing
     with a and b; only those strictly inside evaluate h, so the root is
     plain bisection's, bit for bit, for any `guess`.  A guess near the root
     (the slot's current rate) only shortens the certificate's Newton run."""
-    ds = context.d_values
-    tail = _tail(context)
-    a, b = _certified_bracket(context, guess)
+    a, b = _certified_bracket(ds, tail, guess)
     # x is left of the root (h > 0) when x <= a or (a < x < b and h(x) > 0)
     lo = hi = 1.0
     if 1.0 <= a or (1.0 < b and _h(1.0, ds, tail) > 0.0):
@@ -234,10 +223,18 @@ def find_zero_h(context: CoordinateContext, guess: float | None = None) -> float
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break
-        if mid <= a or (mid < b and _h(mid, ds, tail) > 0.0):
+        if mid <= a:
             lo = mid
-        else:
+        elif mid >= b:
             hi = mid
+        else:  # h(mid) > 0, as _h computes it
+            s = 0.0
+            for d in ds:
+                s += 1.0 / (mid + d)
+            if 1.0 / mid - s - tail > 0.0:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -258,13 +255,15 @@ def slot_optimum(lam: list, position: int, gamma_t: float) -> float:
     last_lambda_opt of the B prefix B_{K-1} for the last slot.  A D value,
     tail or B prefix beyond float range raises NumericError."""
     k = len(lam)
+    p = position - 1
+    c = 1.0 + gamma_t
+    b = lam[0]
+    for j in range(1, p):
+        b = c * b + lam[j]
     try:
-        if position < k:
-            return find_zero_h(_coordinate_context(lam, position, gamma_t),
-                               lam[position - 1])
-        b = 0.0
-        for j in range(k - 1):
-            b = (1.0 + gamma_t) * b + lam[j]
+        if p < k - 1:
+            gpow = [gamma_t * c**e for e in range(k - p)]
+            return find_zero_h(_slot_d_values(lam, p, b, gamma_t, gpow), gpow[-1], lam[p])
         return last_lambda_opt(b, gamma_t)
     except (OverflowError, ParameterError) as exc:
         raise NumericError(f"slot {position} of {k} is beyond float range: {exc}") from exc
@@ -301,12 +300,27 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
         return Theorem3Solution((lambda_min,), phase1_outage([lambda_min], gamma_t), 0)
 
     lam = [float(lambda_min)] * k
+    c = 1.0 + gamma_t
+    try:  # slot 2, the first visited, needs every power
+        gpow = [gamma_t * c**e for e in range(k - 1)]
+    except OverflowError as exc:
+        raise NumericError(f"slot 2 of {k} is beyond float range: {exc}") from exc
     for sweeps in range(1, _MAX_SWEEPS + 1):
         delta = 0.0
-        for pos in range(2, k + 1):
-            new = max(slot_optimum(lam, pos, gamma_t), lam[0])
-            delta = max(delta, abs(new - lam[pos - 1]))
-            lam[pos - 1] = new
+        b = lam[0]  # the B prefix through the slot before p, as slot_optimum builds it
+        for p in range(1, k):
+            try:
+                if p < k - 1:
+                    z = find_zero_h(_slot_d_values(lam, p, b, gamma_t, gpow),
+                                    gpow[k - 1 - p], lam[p])
+                else:
+                    z = last_lambda_opt(b, gamma_t)
+            except ParameterError as exc:
+                raise NumericError(f"slot {p + 1} of {k} is beyond float range: {exc}") from exc
+            new = max(z, lam[0])
+            delta = max(delta, abs(new - lam[p]))
+            lam[p] = new
+            b = c * b + new
         if delta <= 1e-12 + _SWEEP_TOL * max(lam):
             break
     else:
@@ -321,7 +335,7 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
     )
 
 
-def _bracket_pick(below, above, lambdas, z, gamma_t, selection, slot):
+def _bracket_pick(below, above, lambdas, z, gamma_t, rates, slot):
     """Best group for `slot` of the two window members bracketing z:
     `below` has the largest rate <= z, `above` the smallest rate > z, and
     either may be None, not both.
@@ -329,16 +343,18 @@ def _bracket_pick(below, above, lambdas, z, gamma_t, selection, slot):
     The coordinate objective is unimodal in the slot rate with its peak at
     z, so the discrete optimum over the window is one of the bracketing
     members; evaluating both keeps every move non-increasing in outage.
-    `lambdas` is a list of floats.  Returns (group, outage, evaluations).
+    `lambdas` is a list of floats and `rates` the selection's rates, whose
+    entry at `slot` this overwrites; both candidates share the phase-1 sum
+    of the slots before it.  Returns (group, outage, evaluations).
     """
+    b, head = _phase1_head(rates, gamma_t, slot)
     best = None
     evals = 0
     for cand in (below, above):
         if cand is None:
             continue
-        trial = list(selection)
-        trial[slot] = cand
-        out = _phase1([lambdas[g] for g in trial], gamma_t)
+        rates[slot] = lambdas[cand]
+        out = _phase1(rates, gamma_t, slot, b, head)
         evals += 1
         key = (out, abs(lambdas[cand] - z), cand)
         if best is None or key < best[0]:
@@ -386,8 +402,9 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
         out = _phase1([lam[first]], gamma_t)
         return GroupSchedule((first,), out, (out,), 1)
 
-    others = np.array([g for g in range(m) if g != first], dtype=int)
-    picked = rng.choice(others, size=k - 1, replace=False)
+    # the same stream as drawing from the groups other than `first`
+    picked = rng.choice(m - 1, size=k - 1, replace=False)
+    picked += picked >= first
     picked = picked[np.argsort(cdi.lambdas[picked], kind="stable")]
     selection = [first] + [int(g) for g in picked]
 
@@ -404,13 +421,14 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
             lo = bisect_right(asc_lam, lam[selection[slot - 1]])
             hi = bisect_left(asc_lam, lam[selection[slot + 1]], lo) if slot < k - 1 else m
             if lo < hi:
-                z = slot_optimum([lam[g] for g in selection], slot + 1, gamma_t)
+                rates = [lam[g] for g in selection]
+                z = slot_optimum(rates, slot + 1, gamma_t)
                 mid = bisect_right(asc_lam, z, lo, hi)
                 above = asc[mid] if mid < hi else None
                 # among equal rates the lowest index, first in the run
                 below = asc[bisect_left(asc_lam, asc_lam[mid - 1], lo)] if mid > lo else None
                 selection[slot], outage, used = _bracket_pick(below, above, lam, z, gamma_t,
-                                                              selection, slot)
+                                                              rates, slot)
                 evals += used
         trace.append(outage)
         if trace[-1] >= trace[-2]:

@@ -3,9 +3,9 @@
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
 paths it is used to check.  The exceptions are the earlier versions of
-the CSI schedulers, their finishing step, the sum-rate sandwich, the CDI
-group selector and the Monte-Carlo estimator at the end, kept verbatim as
-equivalence references.
+the CSI schedulers, their finishing step, the sum-rate sandwich, the
+continuous CDI benchmark solver, the CDI group selector and the
+Monte-Carlo estimator, kept verbatim as equivalence references.
 """
 
 from __future__ import annotations
@@ -223,6 +223,40 @@ def best_group_subset(lambdas, k, gamma_t):
     return best
 
 
+def coordinate_context(lam, position, g):
+    """The middle-slot context of slot `position` in the float list `lam`.
+
+    The profile entry at `position` itself is ignored: its analytic
+    contribution to every D cancels, so the D values are computed from the
+    other slots only and the context is exactly independent of the
+    coordinate being optimized.
+    """
+    from satsched import CoordinateContext
+
+    k = len(lam)
+    p = position - 1  # 0-based slot of the coordinate
+
+    # weighted prefix sums skipping slot p: for target slot i (0-based),
+    # B~_{i} = sum_{j <= i, j != p} (1+g)^(i-j) * lam_j
+    ds = []
+    # i = position (D_{k,k}): gamma * B_{k-1} over slots 0..p-1
+    b = 0.0
+    for j in range(p):
+        b = (1.0 + g) * b + lam[j]
+    ds.append(g * b)
+    # i > position: (gamma * B~_{i-1} + lam_i) / (gamma * (1+g)^(i-1-p))
+    bt = b  # running B over slots != p, currently through slot p-1
+    for i in range(p + 1, k):
+        # advance through slot i-1, skipping p
+        if i - 1 != p:
+            bt = (1.0 + g) * bt + lam[i - 1]
+        else:
+            bt = (1.0 + g) * bt  # slot p contributes nothing
+        ds.append((g * bt + lam[i]) / (g * (1.0 + g) ** (i - 1 - p)))
+    return CoordinateContext(gamma_t=g, position=position, n_selected=k,
+                             d_values=tuple(ds))
+
+
 def find_zero_h_bisect(context):
     """find_zero_h as plain bracketing and bisection, every sign test an h
     evaluation: geometric bracketing from 1 and bisection to machine-level
@@ -260,7 +294,7 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
     """Per-slot violation of the optimality system; interior middle slots
     report |h|, projected slots and slot 1 report distance to lambda_min's
     pin, the last slot its closed-form mismatch."""
-    from satsched.cdi_sched import _coordinate_context, h_function, slot_optimum
+    from satsched.cdi_sched import h_function, slot_optimum
 
     lam = np.asarray(lambdas_in_order, dtype=float)
     k = lam.size
@@ -270,10 +304,67 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
         if lam[pos - 1] <= lambda_min * (1.0 + 1e-9):
             continue  # projected coordinate, equality not expected
         res[pos - 1] = abs(h_function(float(lam[pos - 1]),
-                                      _coordinate_context(lam.tolist(), pos, gamma_t)))
+                                      coordinate_context(lam.tolist(), pos, gamma_t)))
     if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
         res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
     return res
+
+
+# The continuous benchmark solver below is an earlier production version,
+# kept unchanged but for its roots, which come from find_zero_h_bisect, so
+# the sweep-carried solve_theorem3 can be held to the same profile,
+# outage, sweep count and float-range errors.
+
+
+def slot_optimum_rebuilt(lam, position, gamma_t):
+    """slot_optimum with the D values rebuilt from the whole profile."""
+    from satsched import NumericError, ParameterError, last_lambda_opt
+
+    k = len(lam)
+    try:
+        if position < k:
+            return find_zero_h_bisect(coordinate_context(lam, position, gamma_t))
+        b = 0.0
+        for j in range(k - 1):
+            b = (1.0 + gamma_t) * b + lam[j]
+        return last_lambda_opt(b, gamma_t)
+    except (OverflowError, ParameterError) as exc:
+        raise NumericError(f"slot {position} of {k} is beyond float range: {exc}") from exc
+
+
+def solve_theorem3_sweeps(lambda_min, k, gamma_t):
+    """solve_theorem3 with every slot optimum from slot_optimum_rebuilt."""
+    from satsched import NumericError, ParameterError, Theorem3Solution, phase1_outage
+    from satsched.cdi_sched import _MAX_SWEEPS, _SWEEP_TOL
+
+    if not (lambda_min > 0 and math.isfinite(lambda_min)):
+        raise ParameterError(f"lambda_min must be positive finite, got {lambda_min}")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if not (gamma_t > 0 and math.isfinite(gamma_t)):
+        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
+    if k == 1:
+        return Theorem3Solution((lambda_min,), phase1_outage([lambda_min], gamma_t), 0)
+
+    lam = [float(lambda_min)] * k
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        delta = 0.0
+        for pos in range(2, k + 1):
+            new = max(slot_optimum_rebuilt(lam, pos, gamma_t), lam[0])
+            delta = max(delta, abs(new - lam[pos - 1]))
+            lam[pos - 1] = new
+        if delta <= 1e-12 + _SWEEP_TOL * max(lam):
+            break
+    else:
+        raise NumericError(
+            f"coordinate sweeps did not settle after {_MAX_SWEEPS} iterations "
+            f"(last max change {delta})"
+        )
+    return Theorem3Solution(
+        lambda_opt=tuple(lam),
+        benchmark_outage=phase1_outage(lam, gamma_t),
+        iterations=sweeps,
+    )
 
 
 # The two CSI schedulers below are earlier production versions, kept

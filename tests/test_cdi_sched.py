@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from satsched import (
+    CoordinateContext,
     EnumerationBudgetError,
     GroupCdi,
+    NumericError,
     ParameterError,
     aoius,
     cdi_sched,
@@ -25,10 +27,15 @@ from satsched import (
     sinr_threshold,
     solve_theorem3,
 )
-from satsched.cdi_sched import CoordinateContext, _certified_bracket, _coordinate_context, _h
+from satsched.cdi_sched import _certified_bracket, _h
 from satsched.outage import _phase1
 
 GAMMA_R002 = 2.0**0.02 - 1.0  # SINR threshold for a 0.02-rate target
+
+
+def _root(ctx, guess=None):
+    # find_zero_h on a context's D values and last term
+    return find_zero_h(ctx.d_values, ctx.tail, guess)
 
 
 def _draw_cdi(rng, m):
@@ -77,7 +84,7 @@ def test_find_zero_h_closed_form_root():
                             d_values=(d, d))
     c = g * (1.0 + g)
     want = (-(1.0 + c * d) + math.sqrt((1.0 + c * d) ** 2 + 4.0 * c * d)) / (2.0 * c)
-    root = find_zero_h(ctx)
+    root = _root(ctx)
     assert root == pytest.approx(want, rel=1e-10)
     assert abs(h_function(root, ctx)) < 1e-9
 
@@ -88,8 +95,8 @@ def test_find_zero_h_residual_and_uniqueness():
         k = int(rng.integers(3, 7))
         pos = int(rng.integers(2, k))
         lam = np.sort(rng.uniform(0.02, 3.0, size=k))
-        ctx = _coordinate_context(lam.tolist(), pos, float(rng.uniform(0.05, 1.5)))
-        root = find_zero_h(ctx)
+        ctx = oracles.coordinate_context(lam.tolist(), pos, float(rng.uniform(0.05, 1.5)))
+        root = _root(ctx)
         assert root > 0
         assert abs(h_function(root, ctx)) < 1e-9
         # exactly one sign change across 16 decades around the root
@@ -133,9 +140,9 @@ def test_find_zero_h_is_bitwise_plain_bisection():
                     if rnd % 2:
                         lam = np.sort(lam)  # decode order, as the schedulers use
                     for pos in range(2, k):
-                        ctx = _coordinate_context(lam.tolist(), pos, g)
-                        got = _root_or_error(find_zero_h, ctx)
-                        warm = _root_or_error(find_zero_h, ctx, float(lam[pos - 1]))
+                        ctx = oracles.coordinate_context(lam.tolist(), pos, g)
+                        got = _root_or_error(_root, ctx)
+                        warm = _root_or_error(_root, ctx, float(lam[pos - 1]))
                         want = _root_or_error(oracles.find_zero_h_bisect, ctx)
                         checked += 1
                         if got != want or warm != want:
@@ -147,8 +154,8 @@ def test_find_zero_h_is_bitwise_plain_bisection():
         for g in (1e-300, 0.5, 1e3, 1e200):
             ctx = CoordinateContext(gamma_t=g, position=2, n_selected=len(d_values) + 1,
                                     d_values=d_values)
-            got = _root_or_error(find_zero_h, ctx)
-            warm = _root_or_error(find_zero_h, ctx, d_values[0])
+            got = _root_or_error(_root, ctx)
+            warm = _root_or_error(_root, ctx, d_values[0])
             want = _root_or_error(oracles.find_zero_h_bisect, ctx)
             if got != want or warm != want:
                 mismatches.append((ctx, got, warm, want))
@@ -184,13 +191,13 @@ def test_certified_bracket_signs(d_values, r, offsets, guess_exp):
     ctx = _middle_context(d_values, r)
     root = oracles.find_zero_h_bisect(ctx)
     guess = None if guess_exp is None else root * 2.0**guess_exp
-    a, b = _certified_bracket(ctx, guess)
+    a, b = _certified_bracket(ctx.d_values, ctx.tail, guess)
     assert 0.0 < a < b < math.inf
     left = [a, math.nextafter(a, 0.0)] + [a * (1.0 - t / 2.0) for t in offsets]
     right = [b, math.nextafter(b, math.inf)] + [b * (1.0 + t) for t in offsets]
     assert all(h_function(x, ctx) > 0.0 for x in left)
     assert all(h_function(x, ctx) <= 0.0 for x in right)
-    assert find_zero_h(ctx, guess) == root
+    assert _root(ctx, guess) == root
 
 
 def test_warm_certificate_is_floored_at_the_cold_start():
@@ -201,9 +208,9 @@ def test_warm_certificate_is_floored_at_the_cold_start():
     ctx = _middle_context(**_FAR_RIGHT_CANCELS)
     root = oracles.find_zero_h_bisect(ctx)
     for guess in (351.6369497513808, root * 2.0**58, root):
-        a, b = _certified_bracket(ctx, guess)
+        a, b = _certified_bracket(ctx.d_values, ctx.tail, guess)
         assert 0.0 < a <= root <= b and b - a < 1e-9 * b, (guess, a, b)
-        assert find_zero_h(ctx, guess) == root
+        assert _root(ctx, guess) == root
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,32 +222,51 @@ def test_find_zero_h_is_the_same_for_any_guess(d_values, r):
     # the cold start itself all give plain bisection's root
     ctx = _middle_context(d_values, r)
     root = oracles.find_zero_h_bisect(ctx)
-    tail = ctx.gamma_t * (1.0 + ctx.gamma_t) ** (len(d_values) - 1)
-    cold = 1.0 / (sum(1.0 / d for d in d_values) + tail)
+    cold = 1.0 / (sum(1.0 / d for d in d_values) + ctx.tail)
     guesses = [root * 2.0**j for j in range(-60, 61)] + [1e-300, 1e300, cold]
-    wrong = [(g, got) for g in guesses if (got := find_zero_h(ctx, g)) != root]
+    wrong = [(g, got) for g in guesses if (got := _root(ctx, g)) != root]
     assert not wrong, (root, wrong[:3])
 
 
 def test_find_zero_h_on_k10_sweeps(monkeypatch):
-    # every (context, guess) that solve_theorem3 and aoius pass at K=10, the
-    # cdi_convergence setting (M=500, r=0.02), warm and cold against the oracle
+    # every (D values, tail, guess) that solve_theorem3 and aoius pass at
+    # K=10, the cdi_convergence setting (M=500, r=0.02), warm and cold
+    # against the oracle; one root per middle-slot visit, so a tracer span
+    # on cdi_sched.find_zero_h counts them all
     seen = []
+    visits = []
+    pick = cdi_sched._bracket_pick
 
-    def spy(ctx, guess=None):
-        seen.append((ctx, guess))
-        return find_zero_h(ctx, guess)
+    def spy(ds, tail, guess=None):
+        seen.append((ds, tail, guess))
+        return find_zero_h(ds, tail, guess)
+
+    def pick_spy(*args):
+        visits.append(args[-1])  # the 0-based slot
+        return pick(*args)
 
     monkeypatch.setattr(cdi_sched, "find_zero_h", spy)
+    monkeypatch.setattr(cdi_sched, "_bracket_pick", pick_spy)
     rng = np.random.default_rng(130)
     for _ in range(3):
         cdi = _draw_cdi(rng, 500)
-        solve_theorem3(float(cdi.lambdas.min()), 10, GAMMA_R002)
+        before = len(seen)
+        sol = solve_theorem3(float(cdi.lambdas.min()), 10, GAMMA_R002)
+        assert len(seen) - before == sol.iterations * 8
+        before, picks = len(seen), len(visits)
         aoius(cdi, 10, GAMMA_R002, rng=rng, max_iters=30)
+        middle = sum(1 for slot in visits[picks:] if slot < 9)
+        assert middle > 0 and len(seen) - before == middle
     monkeypatch.undo()
-    assert len(seen) > 500 and all(guess is not None for _, guess in seen)
-    wrong = [(ctx, guess) for ctx, guess in seen
-             if not find_zero_h(ctx, guess) == find_zero_h(ctx) == oracles.find_zero_h_bisect(ctx)]
+    assert len(seen) > 500 and all(guess is not None for *_, guess in seen)
+    wrong = []
+    for ds, tail, guess in seen:
+        ctx = CoordinateContext(gamma_t=GAMMA_R002, position=11 - len(ds), n_selected=10,
+                                d_values=tuple(ds))
+        if not (ctx.tail == tail
+                and find_zero_h(ds, tail, guess) == find_zero_h(ds, tail)
+                == oracles.find_zero_h_bisect(ctx)):
+            wrong.append((ctx, guess))
     assert not wrong, wrong[:3]
 
 
@@ -250,7 +276,7 @@ def test_unchecked_h_is_bitwise_h_function():
         lam = _RATE_FAMILIES[i % 4](rng, int(rng.integers(3, 16)))
         g = 2.0 ** _RATE_TARGETS[i % 7] - 1.0
         pos = int(rng.integers(2, lam.size))
-        ctx = _coordinate_context(lam.tolist(), pos, g)
+        ctx = oracles.coordinate_context(lam.tolist(), pos, g)
         tail = g * (1.0 + g) ** (lam.size - pos)
         for x in [*lam.tolist(), 5e-324, 1.0, 2.0**1023]:
             # h's arithmetic in the order the goldens pin: the sum left to right
@@ -274,7 +300,7 @@ def test_coordinate_context_validation():
     with pytest.raises(ParameterError):
         CoordinateContext(gamma_t=0.5, position=2, n_selected=3, d_values=(1.0,))
     with pytest.raises(ParameterError):  # the last slot is not a middle slot
-        _coordinate_context([0.1, 0.2, 0.4], 3, 0.5)
+        oracles.coordinate_context([0.1, 0.2, 0.4], 3, 0.5)
 
 
 def test_solve_theorem3_two_slots_closed():
@@ -319,6 +345,35 @@ def test_solve_theorem3_random_search_audit():
         if lam[0] < 0.05 or np.any(np.diff(lam) <= 0):
             continue
         assert phase1_outage(lam, GAMMA_R002) >= sol.benchmark_outage - 1e-12
+
+
+@pytest.mark.parametrize("lambda_min, k, gamma_t", [
+    (1e-3, 400, 7.0),  # a power of 1 + gamma overflows
+    (1e-3, 40, 1e30),
+    (1e300, 6, 1e10),  # a D value is not finite
+])
+def test_solve_theorem3_float_range_failures(lambda_min, k, gamma_t):
+    for solve in (solve_theorem3, oracles.solve_theorem3_sweeps):
+        with pytest.raises(NumericError, match=f"^slot 2 of {k} is beyond float range"):
+            solve(lambda_min, k, gamma_t)
+
+
+def test_solve_theorem3_is_bitwise_the_rebuilt_sweeps():
+    # the B prefix carried along each sweep and the powers of 1 + gamma
+    # taken once per solve against the solver that rebuilt every slot's D
+    # values from the whole profile: K = 2..15 at the seven rate targets,
+    # lambda_min log-uniform in [1e-4, 10], two draws each
+    rng = np.random.default_rng(140)
+    mismatches = []
+    for r in _RATE_TARGETS:
+        g = 2.0**r - 1.0
+        for k in range(2, 16):
+            for lambda_min in np.exp(rng.uniform(math.log(1e-4), math.log(10.0), size=2)):
+                got = repr(solve_theorem3(float(lambda_min), k, g))
+                want = repr(oracles.solve_theorem3_sweeps(float(lambda_min), k, g))
+                if got != want:
+                    mismatches.append((r, k, lambda_min, got, want))
+    assert not mismatches, mismatches[:3]
 
 
 def test_solve_theorem3_k1():
@@ -394,30 +449,48 @@ def test_aoius_determinism():
 
 
 def test_aoius_matches_the_window_scan():
-    # the bisected windows against aoius as it scanned all M groups per
-    # slot: same picks, outage, trace and evaluations; a third of the
-    # instances draw small-integer rates, so equal rates meet in windows
+    # the bisected windows and the shifted draw against aoius as it scanned
+    # all M groups per slot and drew from an array of the other groups:
+    # same picks, outage, trace and evaluations, and the generator left in
+    # the same state; a third of the instances draw small-integer rates, so
+    # equal rates meet in windows
     rng = np.random.default_rng(120)
+
+    def smallest_at(where):
+        # drawn rates with the smallest moved to index 0, the middle or M-1
+        def law(m):
+            lam = _draw_cdi(rng, m).lambdas.copy()
+            at = {"first": 0, "middle": m // 2, "last": m - 1}[where]
+            low = int(np.argmin(lam))
+            lam[[low, at]] = lam[[at, low]]
+            return GroupCdi(lam)
+        return law
+
     laws = {
         "ints": lambda m: GroupCdi(rng.integers(1, 6, size=m) / 8.0),
         "drawn": lambda m: _draw_cdi(rng, m),
         # all-equal and two-valued rates: every window is empty or one long tie
         "equal": lambda m: GroupCdi(np.full(m, 0.25)),
         "two_valued": lambda m: GroupCdi(rng.choice([0.125, 0.5], size=m)),
+        **{f"smallest_{w}": smallest_at(w) for w in ("first", "middle", "last")},
     }
     sizes = [(int(m), 0) for m in rng.integers(2, 41, size=1_000)]
     sizes += [(500, 10), (500, 2), (500, 25)]
     instances = [(m, k, ("ints", "drawn", "drawn")[i % 3]) for i, (m, k) in enumerate(sizes)]
     instances += [(m, k, law) for m, k in sizes[:200] + [(500, 10), (500, 25)]
                   for law in ("equal", "two_valued")]
+    instances += [(m, k, f"smallest_{w}") for m, k in sizes[200:300] + [(500, 10)]
+                  for w in ("first", "middle", "last")]
     for m, k, law in instances:
         cdi = laws[law](m)
         k = k or int(rng.integers(1, m + 1))
         gamma_t = sinr_threshold(float(rng.choice([0.02, 0.1, 0.5, 1.0])))
         seed = int(rng.integers(1 << 30))
-        got = aoius(cdi, k, gamma_t, np.random.default_rng(seed))
-        want = oracles.aoius_scan(cdi, k, gamma_t, np.random.default_rng(seed))
-        assert got == want, (m, k)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = aoius(cdi, k, gamma_t, got_rng)
+        want = oracles.aoius_scan(cdi, k, gamma_t, want_rng)
+        assert got == want, (m, k, law)
+        assert got_rng.random() == want_rng.random(), (m, k, law)
 
 
 def test_aoius_at_hundreds_of_slots():
