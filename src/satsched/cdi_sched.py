@@ -19,24 +19,27 @@ bisection's sign tests by comparing with a bracket (a, b) that Newton on
 q = 1 and rounding-error bounds on q certify, and evaluates h only strictly
 inside it, so every root is plain bisection's, bit for bit.  It takes
 the D values and the tail as they are; _slot_d_values builds the D values
-and checks that they are positive and finite.  slot_optimum warm-starts
+and checks that they are positive and finite.  Both callers warm-start
 the Newton run from the slot's current rate, which a sweep moves little
 once the profile settles.  solve_theorem3 iterates coordinate updates to
 that stationary profile, carrying the B prefix along each sweep and
 taking the powers of 1+gamma once per solve; aoius runs the same
 coordinate moves over the discrete group rates, picking per slot the best
 of the two groups bracketing the continuous optimum, which makes every
-update, and hence the whole outage trace, monotone non-increasing.
+update, and hence the whole outage trace, monotone non-increasing.  The
+root lies in the certified bracket, so aoius places it among the group
+rates from the bracket alone unless a rate falls inside it or the two
+groups' outages tie.  exhaustive_groups walks every K-subset in
+lexicographic order with the shared prefixes' phase-1 sums carried along.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 
-import numpy as np
 from numpy.random import Generator
 
 from .errors import NumericError, ParameterError, budgeted_comb
@@ -249,26 +252,6 @@ def last_lambda_opt(b_prefix: float, gamma_t: float) -> float:
     return 2.0 * b_prefix / (math.sqrt(gb * gb + 4.0 * b_prefix) + gb)
 
 
-def slot_optimum(lam: list, position: int, gamma_t: float) -> float:
-    """Continuous optimum of slot `position` (1-based, >= 2) of the float
-    list `lam` with the other slots held: the zero of h for a middle slot,
-    last_lambda_opt of the B prefix B_{K-1} for the last slot.  A D value,
-    tail or B prefix beyond float range raises NumericError."""
-    k = len(lam)
-    p = position - 1
-    c = 1.0 + gamma_t
-    b = lam[0]
-    for j in range(1, p):
-        b = c * b + lam[j]
-    try:
-        if p < k - 1:
-            gpow = [gamma_t * c**e for e in range(k - p)]
-            return find_zero_h(_slot_d_values(lam, p, b, gamma_t, gpow), gpow[-1], lam[p])
-        return last_lambda_opt(b, gamma_t)
-    except (OverflowError, ParameterError) as exc:
-        raise NumericError(f"slot {position} of {k} is beyond float range: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Theorem3Solution:
     lambda_opt: tuple
@@ -307,7 +290,7 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
         raise NumericError(f"slot 2 of {k} is beyond float range: {exc}") from exc
     for sweeps in range(1, _MAX_SWEEPS + 1):
         delta = 0.0
-        b = lam[0]  # the B prefix through the slot before p, as slot_optimum builds it
+        b = lam[0]  # the B prefix through the slot before p
         for p in range(1, k):
             try:
                 if p < k - 1:
@@ -335,20 +318,22 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
     )
 
 
-def _bracket_pick(below, above, lambdas, z, gamma_t, rates, slot):
-    """Best group for `slot` of the two window members bracketing z:
-    `below` has the largest rate <= z, `above` the smallest rate > z, and
-    either may be None, not both.
+def _bracket_pick(below, above, lambdas, gamma_t, rates, slot, b, head, z):
+    """Best group for `slot` of the two window members bracketing the
+    slot's continuous optimum: `below` has the largest rate <= it, `above`
+    the smallest rate > it, and either may be None, not both.
 
     The coordinate objective is unimodal in the slot rate with its peak at
-    z, so the discrete optimum over the window is one of the bracketing
-    members; evaluating both keeps every move non-increasing in outage.
-    `lambdas` is a list of floats and `rates` the selection's rates, whose
-    entry at `slot` this overwrites; both candidates share the phase-1 sum
-    of the slots before it.  Returns (group, outage, evaluations).
+    the optimum, so the discrete optimum over the window is one of the
+    bracketing members; evaluating both keeps every move non-increasing in
+    outage.  The lower outage wins; a tie goes to the rate nearer the
+    optimum, then to the lower index, so only a tie needs the optimum
+    itself: `z` is it, or a function that computes it.  `lambdas` is a list
+    of floats and `rates` the selection's rates, whose entry at `slot` this
+    overwrites; (b, head) is _phase1_head(rates, gamma_t, slot), which both
+    candidates share.  Returns (group, outage, evaluations).
     """
-    b, head = _phase1_head(rates, gamma_t, slot)
-    best = None
+    best = best_out = None
     evals = 0
     for cand in (below, above):
         if cand is None:
@@ -356,10 +341,14 @@ def _bracket_pick(below, above, lambdas, z, gamma_t, rates, slot):
         rates[slot] = lambdas[cand]
         out = _phase1(rates, gamma_t, slot, b, head)
         evals += 1
-        key = (out, abs(lambdas[cand] - z), cand)
-        if best is None or key < best[0]:
-            best = (key, cand, out)
-    return best[1], best[2], evals
+        if best is None or out < best_out:
+            best, best_out = cand, out
+        elif out == best_out:
+            if callable(z):
+                z = z()
+            if (abs(lambdas[cand] - z), cand) < (abs(lambdas[best] - z), best):
+                best = cand
+    return best, best_out, evals
 
 
 def _selector_checks(m: int, k: int, gamma_t: float) -> None:
@@ -375,11 +364,11 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     """Alternating per-slot group reselection.
 
     Slot 1 is pinned to the smallest-rate group.  The other slots start as
-    a draw from rng (sorted by rate) and are revisited in sweeps: each middle
-    slot computes the continuous optimum z from find_zero_h, the final slot
-    from last_lambda_opt, and moves to the best bracketing group inside its
-    ordering window.  Sweeps stop after the first sweep that does not lower
-    the outage, or after max_iters.
+    a draw from rng (sorted by rate) and are revisited in sweeps: each slot
+    moves to the best of the two groups of its ordering window that
+    bracket its continuous optimum, the root of h (find_zero_h) for a
+    middle slot and last_lambda_opt for the final slot.  Sweeps stop after
+    the first sweep that does not lower the outage, or after max_iters.
     The returned trace starts at the initialization's outage and is
     monotone non-increasing.
 
@@ -387,49 +376,79 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     rates: the selection's rates never decrease from slot to slot (slot 1
     is the minimum, the draw is sorted and every move lands strictly
     between the neighbours' rates), so no other slot holds a group inside
-    a window.  A slot visit costs O(log M + K) instead of a scan of all M
-    groups, and ties resolve as in that scan: among equal rates the lowest
-    group index.
+    a window.  Ties resolve as in a scan of all M groups: among equal
+    rates the lowest group index.
+
+    A middle slot needs its optimum only to place it among the window's
+    rates, and find_zero_h's root lies in _certified_bracket's [a, b].  So
+    when no window rate lies in (a, b], bisecting at a places it; the root
+    itself is found only when one does, or when the two candidates'
+    outages tie.  A slot visited again before any slot has moved has the
+    same D values, window and candidates: the visit is skipped and counts
+    its last evaluations again.
     """
     m = cdi.n_groups
     _selector_checks(m, k, gamma_t)
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
 
-    first = int(np.argmin(cdi.lambdas))
     lam = cdi.lambdas.tolist()
+    # one stable ascending order of the rates, equal rates in index order:
+    # a slot's window lower < rate < upper is the bisected range of it
+    asc = sorted(range(m), key=lam.__getitem__)
+    first = asc[0]  # the lowest index of the smallest rate
     if k == 1:
         out = _phase1([lam[first]], gamma_t)
         return GroupSchedule((first,), out, (out,), 1)
 
     # the same stream as drawing from the groups other than `first`
-    picked = rng.choice(m - 1, size=k - 1, replace=False)
-    picked += picked >= first
-    picked = picked[np.argsort(cdi.lambdas[picked], kind="stable")]
-    selection = [first] + [int(g) for g in picked]
-
-    # one stable ascending order of the rates, equal rates in index order:
-    # a slot's window lower < rate < upper is the bisected range of it
-    asc = np.argsort(cdi.lambdas, kind="stable").tolist()
+    picked = rng.choice(m - 1, size=k - 1, replace=False).tolist()
+    selection = [first] + sorted((g + (g >= first) for g in picked), key=lam.__getitem__)
     asc_lam = [lam[g] for g in asc]
 
+    c = 1.0 + gamma_t
     evals = 1
     outage = _phase1([lam[g] for g in selection], gamma_t)
     trace = [outage]
+    moves = 0  # visits that changed their slot's group
+    seen_at = [-1] * k  # moves after each slot's last visit
+    seen_evals = [0] * k  # that visit's evaluations
     for _sweep in range(max_iters):
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
             lo = bisect_right(asc_lam, lam[selection[slot - 1]])
             hi = bisect_left(asc_lam, lam[selection[slot + 1]], lo) if slot < k - 1 else m
-            if lo < hi:
-                rates = [lam[g] for g in selection]
-                z = slot_optimum(rates, slot + 1, gamma_t)
-                mid = bisect_right(asc_lam, z, lo, hi)
-                above = asc[mid] if mid < hi else None
-                # among equal rates the lowest index, first in the run
-                below = asc[bisect_left(asc_lam, asc_lam[mid - 1], lo)] if mid > lo else None
-                selection[slot], outage, used = _bracket_pick(below, above, lam, z, gamma_t,
-                                                              rates, slot)
-                evals += used
+            if lo == hi:
+                continue
+            if seen_at[slot] == moves:  # nothing moved since this slot's last visit
+                evals += seen_evals[slot]
+                continue
+            rates = [lam[g] for g in selection]
+            b, head = _phase1_head(rates, gamma_t, slot)
+            try:
+                if slot < k - 1:
+                    gpow = [gamma_t * c**e for e in range(k - slot)]
+                    ds = _slot_d_values(rates, slot, b, gamma_t, gpow)
+                    left, right = _certified_bracket(ds, gpow[-1], rates[slot])
+                    mid = bisect_right(asc_lam, left, lo, hi)
+                    z = partial(find_zero_h, ds, gpow[-1], rates[slot])
+                    if mid != bisect_right(asc_lam, right, lo, hi):  # a rate in (left, right]
+                        z = z()
+                        mid = bisect_right(asc_lam, z, lo, hi)
+                else:
+                    z = last_lambda_opt(b, gamma_t)
+                    mid = bisect_right(asc_lam, z, lo, hi)
+            except (OverflowError, ParameterError) as exc:
+                raise NumericError(f"slot {slot + 1} of {k} is beyond float range: {exc}") from exc
+            above = asc[mid] if mid < hi else None
+            # among equal rates the lowest index, first in the run
+            below = asc[bisect_left(asc_lam, asc_lam[mid - 1], lo)] if mid > lo else None
+            group, outage, used = _bracket_pick(below, above, lam, gamma_t, rates, slot,
+                                                b, head, z)
+            evals += used
+            if group != selection[slot]:
+                selection[slot] = group
+                moves += 1
+            seen_at[slot], seen_evals[slot] = moves, used
         trace.append(outage)
         if trace[-1] >= trace[-2]:
             break
@@ -443,22 +462,58 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
 
 def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float) -> GroupSchedule:
     """Minimum-outage K-subset by full enumeration (ascending-rate decode
-    order within each subset).  Raises EnumerationBudgetError when
-    comb(M, K) exceeds the budget of errors.budgeted_comb."""
+    order within each subset), the first minimum in lexicographic order of
+    the ascending rates' positions.  Raises EnumerationBudgetError when
+    comb(M, K) exceeds the budget of errors.budgeted_comb.
+
+    The subsets are walked as itertools.combinations walks them, with the
+    B prefix and the log-success sum of each subset's first K-1 slots
+    carried from the subset before it, so each outage is _phase1's, bit
+    for bit, at one logarithm and one expm1 per subset."""
     _selector_checks(cdi.n_groups, k, gamma_t)
     n_subsets = budgeted_comb(cdi.n_groups, k)
     lam = cdi.lambdas.tolist()
-    asc = np.argsort(cdi.lambdas, kind="stable")
-    best_groups = None
-    best_outage = math.inf
-    for combo in itertools.combinations(asc.tolist(), k):
-        out = _phase1([lam[g] for g in combo], gamma_t)
-        if out < best_outage:
-            best_outage = out
-            best_groups = combo
+    asc = sorted(range(len(lam)), key=lam.__getitem__)
+    x = [lam[g] for g in asc]
+    n = len(x)
+    if k == 1:
+        outs = [-math.expm1(-v * gamma_t) for v in x]
+        best = outs.index(min(outs))
+        return GroupSchedule((asc[best],), outs[best], (outs[best],), n_subsets)
+
+    logs = [math.log(v) for v in x]
+    c = 1.0 + gamma_t
+    head = list(range(k - 1))  # positions of the first K-1 slots
+    bs = [0.0] * (k - 1)  # B prefix through each of them
+    ls = [0.0] * (k - 1)  # log success through each of them
+    best, best_out = None, math.inf
+    fresh = 0  # first head slot whose carried state is stale
+    while True:
+        for j in range(fresh, k - 1):
+            v = x[head[j]]
+            if j:
+                ls[j] = ls[j - 1] + (logs[head[j]] - math.log(gamma_t * bs[j - 1] + v))
+                bs[j] = c * bs[j - 1] + v
+            else:
+                bs[0] = v
+        b, l = bs[-1], ls[-1]
+        gb, cb = gamma_t * b, c * b
+        for i in range(head[-1] + 1, n):
+            v = x[i]
+            out = -math.expm1(l + (logs[i] - math.log(gb + v)) - gamma_t * (cb + v))
+            if out < best_out:
+                best, best_out = head + [i], out
+        # the next head in lexicographic order: slot j ends at n - k + j
+        j = k - 2
+        while j >= 0 and head[j] == n - k + j:
+            j -= 1
+        if j < 0:
+            break
+        head[j:] = range(head[j] + 1, head[j] + k - j)
+        fresh = j
     return GroupSchedule(
-        groups=tuple(int(g) for g in best_groups),
-        outage=float(best_outage),
-        trace=(float(best_outage),),
+        groups=tuple(asc[i] for i in best),
+        outage=best_out,
+        trace=(best_out,),
         evaluations=n_subsets,
     )

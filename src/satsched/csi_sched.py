@@ -394,7 +394,9 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
         share = 1.0 / len(kept)
         rates = [share * awgn_capacity(float(s[u])) for u in kept]
         if rates[-1] >= r_target:
-            total = float(sum(rates))
+            total = 0.0
+            for rate in rates:  # left to right: sum() compensates from Python 3.12 on
+                total += rate
             sat_cap = awgn_capacity(csi.sat_snr)
             report = RateReport(
                 per_user_rates=tuple(rates),

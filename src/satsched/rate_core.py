@@ -179,7 +179,10 @@ def _split_power(relay_rates: list, r_target: float, sat_snr: float):
     None only when rounding pushes their sum past 1 + _ALPHA_TOL."""
     k = len(relay_rates)
     cap = awgn_capacity(sat_snr)
-    if sum(relay_rates) <= cap:
+    total = 0.0
+    for rate in relay_rates:  # left to right: sum() compensates from Python 3.12 on
+        total += rate
+    if total <= cap:
         targets = relay_rates
     else:
         surplus = cap - k * r_target

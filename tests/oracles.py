@@ -4,8 +4,9 @@ Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
 paths it is used to check.  The exceptions are the earlier versions of
 the CSI schedulers, their finishing step, the sum-rate sandwich, the
-continuous CDI benchmark solver, the CDI group selector and the
-Monte-Carlo estimator, kept verbatim as equivalence references.
+continuous CDI benchmark solver and its slot optimum, the two CDI group
+selectors and the Monte-Carlo estimator, kept verbatim as equivalence
+references.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
     """Per-slot violation of the optimality system; interior middle slots
     report |h|, projected slots and slot 1 report distance to lambda_min's
     pin, the last slot its closed-form mismatch."""
-    from satsched.cdi_sched import h_function, slot_optimum
+    from satsched.cdi_sched import h_function
 
     lam = np.asarray(lambdas_in_order, dtype=float)
     k = lam.size
@@ -308,6 +309,30 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
     if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
         res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
     return res
+
+
+def slot_optimum(lam, position, gamma_t):
+    """Continuous optimum of slot `position` (1-based, >= 2) of the float
+    list `lam` with the other slots held: the zero of h for a middle slot,
+    last_lambda_opt of the B prefix B_{K-1} for the last slot.  A D value,
+    tail or B prefix beyond float range raises NumericError.  The earlier
+    production version, which aoius called at every slot visit."""
+    from satsched import NumericError, ParameterError, last_lambda_opt
+    from satsched.cdi_sched import _slot_d_values, find_zero_h
+
+    k = len(lam)
+    p = position - 1
+    c = 1.0 + gamma_t
+    b = lam[0]
+    for j in range(1, p):
+        b = c * b + lam[j]
+    try:
+        if p < k - 1:
+            gpow = [gamma_t * c**e for e in range(k - p)]
+            return find_zero_h(_slot_d_values(lam, p, b, gamma_t, gpow), gpow[-1], lam[p])
+        return last_lambda_opt(b, gamma_t)
+    except (OverflowError, ParameterError) as exc:
+        raise NumericError(f"slot {position} of {k} is beyond float range: {exc}") from exc
 
 
 # The continuous benchmark solver below is an earlier production version,
@@ -719,9 +744,10 @@ def sum_rate_bounds_three_sorts(csi, k: int, r_target: float):
     )
 
 
-# The CDI group selector and Monte-Carlo estimator below are earlier
-# production versions, kept unchanged so the current aoius and
-# monte_carlo_outage can be held to the same picks, traces and estimates.
+# The CDI group selectors and Monte-Carlo estimator below are earlier
+# production versions, kept unchanged so the current aoius,
+# exhaustive_groups and monte_carlo_outage can be held to the same picks,
+# traces and estimates.
 
 
 def _bracket_pick_scan(window_groups, lambdas, z, gamma_t, selection, slot):
@@ -762,7 +788,7 @@ def _bracket_pick_scan(window_groups, lambdas, z, gamma_t, selection, slot):
 def aoius_scan(cdi, k, gamma_t, rng, max_iters=100):
     """aoius with each slot's window rebuilt by scanning all M groups."""
     from satsched import GroupSchedule, ParameterError
-    from satsched.cdi_sched import _selector_checks, slot_optimum
+    from satsched.cdi_sched import _selector_checks
     from satsched.outage import _phase1
 
     m = cdi.n_groups
@@ -804,6 +830,33 @@ def aoius_scan(cdi, k, gamma_t, rng, max_iters=100):
         outage=outage,
         trace=tuple(trace),
         evaluations=evals,
+    )
+
+
+def exhaustive_groups_combinations(cdi, k, gamma_t):
+    """exhaustive_groups with every subset's outage from _phase1 over
+    itertools.combinations of the stably sorted groups."""
+    from satsched import GroupSchedule
+    from satsched.cdi_sched import _selector_checks
+    from satsched.errors import budgeted_comb
+    from satsched.outage import _phase1
+
+    _selector_checks(cdi.n_groups, k, gamma_t)
+    n_subsets = budgeted_comb(cdi.n_groups, k)
+    lam = cdi.lambdas.tolist()
+    asc = np.argsort(cdi.lambdas, kind="stable")
+    best_groups = None
+    best_outage = math.inf
+    for combo in itertools.combinations(asc.tolist(), k):
+        out = _phase1([lam[g] for g in combo], gamma_t)
+        if out < best_outage:
+            best_outage = out
+            best_groups = combo
+    return GroupSchedule(
+        groups=tuple(int(g) for g in best_groups),
+        outage=float(best_outage),
+        trace=(float(best_outage),),
+        evaluations=n_subsets,
     )
 
 

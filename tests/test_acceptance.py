@@ -8,7 +8,9 @@ schedules the sandwich and near-optimality checks produced.
 """
 
 import dataclasses
+import difflib
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -33,8 +35,8 @@ from satsched.rate_core import sinr_threshold
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
 GAMMA_R002 = float(2.0 ** 0.02 - 1.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "satsched" / "configs"
-# SHA-256 of each bundled config's csv with wall_time_ns zeroed; rewrite a
-# digest only together with a change that is meant to alter that table
+# each bundled config's csv with wall_time_ns zeroed and its SHA-256; rewrite
+# both only together with a change that is meant to alter that table
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -320,7 +322,8 @@ def test_criterion_09_complexity_ordering():
                 clocks[name].append(time.perf_counter_ns() - t0)
         low, high = median(clocks["aoius"]), median(clocks["exhaustive"])
         ok &= low < high
-        cdi_detail.append(f"K={k}: {low / 1e3:.0f}/{high / 1e3:.0f}us")
+        cdi_detail.append(f"K={k}: {low / 1e3:.0f}/{high / 1e3:.0f}us "
+                          f"(ratio {low / high:.2f})")
     _verdict(
         ok,
         f"criterion 09 (complexity ordering): economy < greedy < "
@@ -362,9 +365,16 @@ def test_criterion_11_determinism():
         second = run_experiment(config)
         for fmt in ("csv", "json"):
             ok &= stripped(first, fmt) == stripped(second, fmt)
-        digest = hashlib.sha256(stripped(first, "csv").encode()).hexdigest()
+        csv_text = stripped(first, "csv")
+        digest = hashlib.sha256(csv_text.encode()).hexdigest()
         if digest != (GOLDEN_DIR / f"{path.stem}.sha256").read_text().strip():
             moved.append(path.stem)
+            # the first rows that differ from the readable golden csv
+            golden = GOLDEN_DIR / f"{path.stem}.csv"
+            diff = difflib.unified_diff(golden.read_text().splitlines(), csv_text.splitlines(),
+                                        str(golden.relative_to(GOLDEN_DIR.parents[1])), "this run",
+                                        n=0, lineterm="")
+            print("\n".join(itertools.islice(diff, 12)))
         names.append(path.stem)
     _verdict(
         ok and not moved and len(names) == 7,

@@ -187,7 +187,8 @@ _FAR_RIGHT_CANCELS = dict(d_values=[1.0, 512.0, 2.0**0.25], r=0.1)
 def test_certified_bracket_signs(d_values, r, offsets, guess_exp):
     # the computed h is positive at and left of a, non-positive at and right
     # of b, which is all find_zero_h relies on, cold or warm-started from a
-    # guess up to 2**60 times off the root on either side
+    # guess up to 2**60 times off the root on either side; the root lies in
+    # [a, b], which is all aoius relies on when it places the root by a
     ctx = _middle_context(d_values, r)
     root = oracles.find_zero_h_bisect(ctx)
     guess = None if guess_exp is None else root * 2.0**guess_exp
@@ -197,7 +198,7 @@ def test_certified_bracket_signs(d_values, r, offsets, guess_exp):
     right = [b, math.nextafter(b, math.inf)] + [b * (1.0 + t) for t in offsets]
     assert all(h_function(x, ctx) > 0.0 for x in left)
     assert all(h_function(x, ctx) <= 0.0 for x in right)
-    assert _root(ctx, guess) == root
+    assert _root(ctx, guess) == root and a <= root <= b
 
 
 def test_warm_certificate_is_floored_at_the_cold_start():
@@ -228,35 +229,58 @@ def test_find_zero_h_is_the_same_for_any_guess(d_values, r):
     assert not wrong, (root, wrong[:3])
 
 
+def _spy_on_middle_visits(monkeypatch, k):
+    """Patch cdi_sched so each aoius middle-slot visit of a K=k selection
+    appends to the first list whether it needs the exact root of h: a
+    window rate, below's or above's, lies in (a, b] of _certified_bracket,
+    or the two candidates' outages tie.  Each find_zero_h call appends its
+    (D values, tail, guess) to the second list."""
+    needs, roots = [], []
+    pick, root = cdi_sched._bracket_pick, cdi_sched.find_zero_h
+
+    def pick_spy(below, above, lambdas, gamma_t, rates, slot, b, head, z):
+        if slot < k - 1:
+            gpow = [gamma_t * (1.0 + gamma_t) ** e for e in range(k - slot)]
+            ds = cdi_sched._slot_d_values(rates, slot, b, gamma_t, gpow)
+            lo, hi = _certified_bracket(ds, gpow[-1], rates[slot])
+            outs = []
+            for cand in (below, above):
+                if cand is not None:
+                    trial = list(rates)
+                    trial[slot] = lambdas[cand]
+                    outs.append(_phase1(trial, gamma_t))
+            inside = any(cand is not None and lo < lambdas[cand] <= hi for cand in (below, above))
+            tie = len(outs) == 2 and outs[0] == outs[1]
+            needs.append("inside" if inside else "tie" if tie else None)
+        return pick(below, above, lambdas, gamma_t, rates, slot, b, head, z)
+
+    def root_spy(ds, tail, guess=None):
+        roots.append((ds, tail, guess))
+        return root(ds, tail, guess)
+
+    monkeypatch.setattr(cdi_sched, "_bracket_pick", pick_spy)
+    monkeypatch.setattr(cdi_sched, "find_zero_h", root_spy)
+    return needs, roots
+
+
 def test_find_zero_h_on_k10_sweeps(monkeypatch):
     # every (D values, tail, guess) that solve_theorem3 and aoius pass at
     # K=10, the cdi_convergence setting (M=500, r=0.02), warm and cold
-    # against the oracle; one root per middle-slot visit, so a tracer span
-    # on cdi_sched.find_zero_h counts them all
-    seen = []
-    visits = []
-    pick = cdi_sched._bracket_pick
-
-    def spy(ds, tail, guess=None):
-        seen.append((ds, tail, guess))
-        return find_zero_h(ds, tail, guess)
-
-    def pick_spy(*args):
-        visits.append(args[-1])  # the 0-based slot
-        return pick(*args)
-
-    monkeypatch.setattr(cdi_sched, "find_zero_h", spy)
-    monkeypatch.setattr(cdi_sched, "_bracket_pick", pick_spy)
+    # against the oracle; solve_theorem3 takes one root per middle-slot
+    # visit, aoius one exactly where a window rate lies in the certified
+    # bracket or the outages tie, so a tracer span on cdi_sched.find_zero_h
+    # counts them all
+    needs, seen = _spy_on_middle_visits(monkeypatch, 10)
     rng = np.random.default_rng(130)
     for _ in range(3):
         cdi = _draw_cdi(rng, 500)
         before = len(seen)
         sol = solve_theorem3(float(cdi.lambdas.min()), 10, GAMMA_R002)
         assert len(seen) - before == sol.iterations * 8
-        before, picks = len(seen), len(visits)
+        before, visits = len(seen), len(needs)
         aoius(cdi, 10, GAMMA_R002, rng=rng, max_iters=30)
-        middle = sum(1 for slot in visits[picks:] if slot < 9)
-        assert middle > 0 and len(seen) - before == middle
+        need = [n for n in needs[visits:] if n is not None]
+        assert len(needs) > visits and len(seen) - before == len(need)
     monkeypatch.undo()
     assert len(seen) > 500 and all(guess is not None for *_, guess in seen)
     wrong = []
@@ -493,6 +517,66 @@ def test_aoius_matches_the_window_scan():
         assert got_rng.random() == want_rng.random(), (m, k, law)
 
 
+def test_aoius_takes_the_root_when_a_window_rate_is_in_the_bracket(monkeypatch):
+    # with three groups the middle slot's window is its own group; put its
+    # rate at the slot's continuous optimum z or one float either side, in
+    # the certified bracket, so only the exact root places it
+    g = sinr_threshold(0.5)
+    gpow = [g, g * (1.0 + g)]
+    z = find_zero_h(cdi_sched._slot_d_values([0.1, 1.0, 2.0], 1, 0.1, g, gpow), gpow[-1])
+    for rate in (math.nextafter(z, 0.0), z, math.nextafter(z, math.inf)):
+        needs, roots = _spy_on_middle_visits(monkeypatch, 3)
+        cdi = GroupCdi([0.1, rate, 2.0])
+        got = aoius(cdi, 3, g, np.random.default_rng(0))
+        monkeypatch.undo()
+        assert needs == ["inside"] and len(roots) == 1
+        assert got == oracles.aoius_scan(cdi, 3, g, np.random.default_rng(0))
+
+
+def test_aoius_breaks_an_outage_tie_by_the_exact_root(monkeypatch):
+    # a third group at rate 100 puts every outage with it at 1.0, so the
+    # middle slot's candidates 0.005 and 0.008, around its optimum 0.0070,
+    # tie and only their distance to the root picks 0.008.  Tie-heavy
+    # random draws (rates from 1..5 / 8, from three values and powers of
+    # two, r from 0.02 to 8) gave no exact tie in 7,479 middle-slot visits.
+    cdi = GroupCdi([1e-4, 0.005, 0.008, 100.0])
+    ties = 0
+    for seed in range(8):
+        needs, roots = _spy_on_middle_visits(monkeypatch, 3)
+        got = aoius(cdi, 3, 1.0, np.random.default_rng(seed))
+        monkeypatch.undo()
+        assert got == oracles.aoius_scan(cdi, 3, 1.0, np.random.default_rng(seed))
+        if needs[:1] == ["tie"]:  # the draw put the rate-100 group in slot 3
+            ties += 1
+            assert len(roots) == 1 and got.groups == (0, 2, 3) and got.trace == (1.0, 1.0)
+    assert ties >= 2
+
+
+def test_aoius_skips_visits_after_which_nothing_moved(monkeypatch):
+    # a slot visited again before any slot has moved keeps its pick and
+    # counts its evaluations again, without a visit: fewer visits than the
+    # scan version makes, and the same picks, trace and evaluations
+    visits = {"aoius": 0, "scan": 0}
+    pick, scan_pick = cdi_sched._bracket_pick, oracles._bracket_pick_scan
+
+    def counted(name, fn):
+        def spy(*args):
+            visits[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(cdi_sched, "_bracket_pick", counted("aoius", pick))
+    monkeypatch.setattr(oracles, "_bracket_pick_scan", counted("scan", scan_pick))
+    rng = np.random.default_rng(150)
+    for _ in range(40):
+        cdi = GroupCdi(1.0 / (2.0 * 100.0 * (1.0 - rng.random(12))))
+        k = int(rng.integers(3, 6))
+        seed = int(rng.integers(1 << 30))
+        got = aoius(cdi, k, GAMMA_R002, np.random.default_rng(seed))
+        assert got == oracles.aoius_scan(cdi, k, GAMMA_R002, np.random.default_rng(seed))
+    assert 0 < visits["aoius"] < visits["scan"], visits
+
+
 def test_aoius_at_hundreds_of_slots():
     # at K=435 of 500 groups and r=1.0 some middle-slot roots lie below
     # 2**-400, where a bracket of 400 halvings once gave up
@@ -523,6 +607,26 @@ def test_exhaustive_groups_matches_brute_force():
         want_groups, want_outage = oracles.best_group_subset(cdi.lambdas, k, 0.25)
         assert got.groups == want_groups
         assert got.outage == pytest.approx(want_outage, rel=1e-12)
+
+
+def test_exhaustive_groups_is_bitwise_the_combinations_walk():
+    # the carried prefixes against _phase1 over itertools.combinations:
+    # dB-uniform, all-equal and two-valued rates, k = 1 and k = M included
+    rng = np.random.default_rng(160)
+    laws = (lambda m: _draw_cdi(rng, m).lambdas,
+            lambda m: np.full(m, 0.25),
+            lambda m: rng.choice([0.125, 0.5], size=m))
+    mismatches = []
+    for i in range(300):
+        m = int(rng.integers(1, 13))
+        cdi = GroupCdi(laws[i % 3](m))
+        g = sinr_threshold(float(rng.choice(_RATE_TARGETS)))
+        for k in {1, m, int(rng.integers(1, m + 1))}:
+            got = repr(exhaustive_groups(cdi, k, g))
+            want = repr(oracles.exhaustive_groups_combinations(cdi, k, g))
+            if got != want:
+                mismatches.append((cdi.lambdas, k, g, got, want))
+    assert not mismatches, mismatches[:3]
 
 
 def test_exhaustive_groups_single_subset():

@@ -456,6 +456,15 @@ def test_tdma_drops_weak_users():
     assert not all_weak.feasible
 
 
+def test_tdma_sums_its_rates_left_to_right():
+    # the goldens pin left-to-right addition, builtin sum() up to Python
+    # 3.11; from 3.12 on sum() compensates and gives 3.890560606055268 here
+    csi = CsiRealization(np.array([5.0, 47.0, 20.0, 7.0]), BIG_SAT)
+    out = baseline_tdma(csi, 4, 0.5)
+    assert out.schedule.users == (1, 2, 3, 0)
+    assert repr(out.rate_report.sum_rate) == "3.8905606060552684"
+
+
 def test_tdma_single_slot_equals_opportunistic():
     csi = CsiRealization(np.array([10.0, 4.0]), BIG_SAT)
     t = baseline_tdma(csi, 1, 1.0)
