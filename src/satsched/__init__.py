@@ -11,7 +11,6 @@ from .channel import (
     sr_snr_below,
 )
 from .cdi_sched import (
-    CoordinateContext,
     GroupSchedule,
     Theorem3Solution,
     aoius,

@@ -54,42 +54,14 @@ _CERTIFY_MAX_WIDENINGS = 60
 _CERTIFY_RANGE = 2.0**500  # D values and tail within [1/range, range]
 
 
-@dataclass(frozen=True)
-class CoordinateContext:
-    """Everything h needs for one middle slot: the SINR threshold, the slot
-    position (1-based, in [2, K-1]), the slot count, and the D values for
-    i = position..K."""
-
-    gamma_t: float
-    position: int
-    n_selected: int
-    d_values: tuple
-
-    def __post_init__(self):
-        if not (2 <= self.position <= self.n_selected - 1):
-            raise ParameterError(
-                f"position must be in [2, {self.n_selected - 1}], got {self.position}"
-            )
-        if len(self.d_values) != self.n_selected - self.position + 1:
-            raise ParameterError("one D value per slot in [position, n_selected] required")
-        if any(d <= 0 or not math.isfinite(d) for d in self.d_values):
-            raise ParameterError("D values must be positive finite")
-        if not (self.gamma_t > 0 and math.isfinite(self.gamma_t)):
-            raise ParameterError(f"gamma_t must be positive finite, got {self.gamma_t}")
-
-    @property
-    def tail(self) -> float:
-        """h's last term, gamma*(1+gamma)**(K-k)."""
-        g = self.gamma_t
-        return g * (1.0 + g) ** (self.n_selected - self.position)
-
-
-def h_function(lam: float, context: CoordinateContext) -> float:
-    """Stationarity function for a middle slot; positive left of the
-    optimum, negative right of it."""
-    if not (lam > 0 and math.isfinite(lam)):
+def h_function(lam: float, ds, tail: float) -> float:
+    """Stationarity function of a middle slot with D values `ds` and last
+    term `tail`: positive left of the optimum, negative right of it."""
+    if not 0.0 < lam < math.inf:
         raise ParameterError(f"lambda must be positive finite, got {lam}")
-    return _h(lam, context.d_values, context.tail)
+    if not (0.0 < tail < math.inf and all(0.0 < d < math.inf for d in ds)):
+        raise ParameterError("D values and tail must be positive finite")
+    return _h(lam, ds, tail)
 
 
 def _h(x: float, ds, tail: float) -> float:

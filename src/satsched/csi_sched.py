@@ -25,7 +25,7 @@ settled as soon as a suffix of its chain fails; the first slot takes the
 strongest user.
 
 baseline_tdma / baseline_opportunistic: orthogonal and single-user
-references.
+references; the single-user one is lbus at K=1.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .rate_core import (
     _binding_hop,
     _finish_superposition,
     awgn_capacity,
-    evaluate_schedule,
     max_supported_users,
     sinr_threshold,
 )
@@ -415,17 +414,5 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
 
 
 def baseline_opportunistic(csi: CsiRealization, r_target: float) -> SchedulerOutcome:
-    """Single-user reference: schedule only the strongest user."""
-    _entry_checks(csi, 1, r_target)
-    s = csi.user_snrs
-    best = int(_descending_order(s)[0])
-    rate = min(awgn_capacity(float(s[best])), awgn_capacity(csi.sat_snr))
-    if rate < r_target:
-        return _infeasible(1, 0)
-    schedule = Schedule(users=(best,), alphas=(1.0,))
-    report = evaluate_schedule(schedule, csi, r_target)
-    return SchedulerOutcome(
-        schedule=schedule,
-        rate_report=report,
-        stats=SchedulerStats(1, 0),
-    )
+    """Single-user reference: the strongest user alone, as lbus at K=1."""
+    return lbus(csi, 1, r_target)

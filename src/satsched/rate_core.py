@@ -67,10 +67,15 @@ class Schedule:
             if len(alphas) != len(users):
                 raise ConstraintError("alphas must have one entry per user")
             if alphas:
-                # one pass each for the sum, the least and the largest; the
-                # sum is NaN when any alpha is, which min and max can miss
-                total = sum(alphas)
-                low, high = min(alphas), max(alphas)
+                # one pass, left to right (sum() compensates from Python 3.12
+                # on); the sum is NaN when any alpha is, which low and high miss
+                total, low, high = 0.0, math.inf, -math.inf
+                for a in alphas:
+                    total += a
+                    if a < low:
+                        low = a
+                    if a > high:
+                        high = a
                 if total != total or low < -_ALPHA_TOL or high > 1 + _ALPHA_TOL:
                     raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
                 if total > 1 + _ALPHA_TOL:

@@ -225,15 +225,15 @@ def best_group_subset(lambdas, k, gamma_t):
 
 
 def coordinate_context(lam, position, g):
-    """The middle-slot context of slot `position` in the float list `lam`.
+    """(D values, tail) of middle slot `position` (1-based, in [2, K-1]) of
+    the float list `lam`, the arguments h_function and find_zero_h take
+    after lambda; tail = g*(1+g)**(K-position) is h's last term.
 
     The profile entry at `position` itself is ignored: its analytic
     contribution to every D cancels, so the D values are computed from the
-    other slots only and the context is exactly independent of the
-    coordinate being optimized.
+    other slots only and are exactly independent of the coordinate being
+    optimized.
     """
-    from satsched import CoordinateContext
-
     k = len(lam)
     p = position - 1  # 0-based slot of the coordinate
 
@@ -254,11 +254,10 @@ def coordinate_context(lam, position, g):
         else:
             bt = (1.0 + g) * bt  # slot p contributes nothing
         ds.append((g * bt + lam[i]) / (g * (1.0 + g) ** (i - 1 - p)))
-    return CoordinateContext(gamma_t=g, position=position, n_selected=k,
-                             d_values=tuple(ds))
+    return tuple(ds), g * (1.0 + g) ** (k - position)
 
 
-def find_zero_h_bisect(context):
+def find_zero_h_bisect(ds, tail):
     """find_zero_h as plain bracketing and bisection, every sign test an h
     evaluation: geometric bracketing from 1 and bisection to machine-level
     relative width, the bracket reaching out to 2**1023 and 2**-1074.  The
@@ -266,17 +265,17 @@ def find_zero_h_bisect(context):
     from satsched import NumericError, h_function
 
     lo = hi = 1.0
-    if h_function(1.0, context) > 0.0:
+    if h_function(1.0, ds, tail) > 0.0:
         for _ in range(1023):
             hi *= 2.0
-            if h_function(hi, context) <= 0.0:
+            if h_function(hi, ds, tail) <= 0.0:
                 break
         else:
             raise NumericError(f"no sign change up to lambda={hi}")
     else:
         for _ in range(1074):
             lo /= 2.0
-            if h_function(lo, context) > 0.0:
+            if h_function(lo, ds, tail) > 0.0:
                 break
         else:
             raise NumericError(f"no sign change down to lambda={lo}")
@@ -284,7 +283,7 @@ def find_zero_h_bisect(context):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break
-        if h_function(mid, context) > 0.0:
+        if h_function(mid, ds, tail) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -305,7 +304,7 @@ def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) 
         if lam[pos - 1] <= lambda_min * (1.0 + 1e-9):
             continue  # projected coordinate, equality not expected
         res[pos - 1] = abs(h_function(float(lam[pos - 1]),
-                                      coordinate_context(lam.tolist(), pos, gamma_t)))
+                                      *coordinate_context(lam.tolist(), pos, gamma_t)))
     if k >= 2 and lam[k - 1] > lambda_min * (1.0 + 1e-9):
         res[k - 1] = abs(lam[k - 1] - slot_optimum(lam.tolist(), k, gamma_t))
     return res
@@ -348,7 +347,7 @@ def slot_optimum_rebuilt(lam, position, gamma_t):
     k = len(lam)
     try:
         if position < k:
-            return find_zero_h_bisect(coordinate_context(lam, position, gamma_t))
+            return find_zero_h_bisect(*coordinate_context(lam, position, gamma_t))
         b = 0.0
         for j in range(k - 1):
             b = (1.0 + gamma_t) * b + lam[j]
@@ -577,8 +576,11 @@ class ScheduleThreePass:
                 raise ConstraintError("alphas must have one entry per user")
             if not all(-_ALPHA_TOL <= a <= 1 + _ALPHA_TOL for a in alphas):
                 raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
-            if sum(alphas) > 1 + _ALPHA_TOL:
-                raise ConstraintError(f"alphas sum to {sum(alphas)} > 1")
+            total = 0.0
+            for a in alphas:  # left to right: sum() compensates from Python 3.12 on
+                total += a
+            if total > 1 + _ALPHA_TOL:
+                raise ConstraintError(f"alphas sum to {total} > 1")
             object.__setattr__(self, "alphas", tuple(min(max(a, 0.0), 1.0) for a in alphas))
 
     @property

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from satsched import (
-    CoordinateContext,
     EnumerationBudgetError,
     GroupCdi,
     NumericError,
@@ -34,8 +33,8 @@ GAMMA_R002 = 2.0**0.02 - 1.0  # SINR threshold for a 0.02-rate target
 
 
 def _root(ctx, guess=None):
-    # find_zero_h on a context's D values and last term
-    return find_zero_h(ctx.d_values, ctx.tail, guess)
+    # find_zero_h on a (D values, last term) pair
+    return find_zero_h(*ctx, guess)
 
 
 def _draw_cdi(rng, m):
@@ -64,15 +63,19 @@ def test_last_lambda_opt_stationarity():
 
 
 def test_h_function_limits():
-    ctx = CoordinateContext(gamma_t=0.5, position=2, n_selected=4,
-                            d_values=(0.3, 0.8, 1.4))
-    assert h_function(1e-12, ctx) > 1e11
-    tail = 0.5 * 1.5**2
-    assert h_function(1e12, ctx) == pytest.approx(-tail, rel=1e-9)
-    with pytest.raises(ParameterError):
-        h_function(0.0, ctx)
-    with pytest.raises(ParameterError):
-        h_function(-1.0, ctx)
+    ds, tail = (0.3, 0.8, 1.4), 0.5 * 1.5**2
+    assert h_function(1e-12, ds, tail) > 1e11
+    assert h_function(1e12, ds, tail) == pytest.approx(-tail, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_h_function_argument_checks(bad):
+    # lambda, the tail and every D value must be positive and finite
+    ds, tail = [0.3, 0.8, 1.4], 0.5 * 1.5**2
+    for args in ((bad, ds, tail), (1.0, ds, bad), (1.0, [0.3, bad, 1.4], tail),
+                 (1.0, [bad], tail)):
+        with pytest.raises(ParameterError):
+            h_function(*args)
 
 
 def test_find_zero_h_closed_form_root():
@@ -80,13 +83,12 @@ def test_find_zero_h_closed_form_root():
     # the quadratic c*x^2 + (1+c*D)*x - D = 0
     g = 0.7
     d = 1.3
-    ctx = CoordinateContext(gamma_t=g, position=2, n_selected=3,
-                            d_values=(d, d))
     c = g * (1.0 + g)
+    ctx = (d, d), c
     want = (-(1.0 + c * d) + math.sqrt((1.0 + c * d) ** 2 + 4.0 * c * d)) / (2.0 * c)
     root = _root(ctx)
     assert root == pytest.approx(want, rel=1e-10)
-    assert abs(h_function(root, ctx)) < 1e-9
+    assert abs(h_function(root, *ctx)) < 1e-9
 
 
 def test_find_zero_h_residual_and_uniqueness():
@@ -98,10 +100,10 @@ def test_find_zero_h_residual_and_uniqueness():
         ctx = oracles.coordinate_context(lam.tolist(), pos, float(rng.uniform(0.05, 1.5)))
         root = _root(ctx)
         assert root > 0
-        assert abs(h_function(root, ctx)) < 1e-9
+        assert abs(h_function(root, *ctx)) < 1e-9
         # exactly one sign change across 16 decades around the root
         grid = root * np.logspace(-8, 8, 2000)
-        signs = np.sign([h_function(float(x), ctx) for x in grid])
+        signs = np.sign([h_function(float(x), *ctx) for x in grid])
         flips = np.count_nonzero(np.diff(signs))
         assert flips == 1
 
@@ -143,20 +145,31 @@ def test_find_zero_h_is_bitwise_plain_bisection():
                         ctx = oracles.coordinate_context(lam.tolist(), pos, g)
                         got = _root_or_error(_root, ctx)
                         warm = _root_or_error(_root, ctx, float(lam[pos - 1]))
-                        want = _root_or_error(oracles.find_zero_h_bisect, ctx)
+                        want = _root_or_error(oracles.find_zero_h_bisect, *ctx)
                         checked += 1
                         if got != want or warm != want:
                             mismatches.append((ctx, got, warm, want))
-    # roots past the doubling range, D values outside the certified range
-    # and overflowing tails: both finders must raise or agree
+    # roots past the doubling range and D values outside the certified
+    # range: both finders must raise or agree; an overflowing tail leaves
+    # find_zero_h no sign change, and h_function rejects it
     for d_values in ((2.0**450, 2.0**450), (2.0**-450, 2.0**-440), (2.0**600, 1.0),
                      (2.0**-600, 1.0, 3.0), (1e308, 1e308), (5e-324, 1.0)):
         for g in (1e-300, 0.5, 1e3, 1e200):
-            ctx = CoordinateContext(gamma_t=g, position=2, n_selected=len(d_values) + 1,
-                                    d_values=d_values)
+            try:
+                tail = g * (1.0 + g) ** (len(d_values) - 1)
+            except OverflowError:
+                tail = math.inf
+            if tail == math.inf:
+                for guess in (None, d_values[0]):
+                    with pytest.raises(NumericError, match="^no sign change down"):
+                        find_zero_h(d_values, tail, guess)
+                with pytest.raises(ParameterError):
+                    oracles.find_zero_h_bisect(d_values, tail)
+                continue
+            ctx = d_values, tail
             got = _root_or_error(_root, ctx)
             warm = _root_or_error(_root, ctx, d_values[0])
-            want = _root_or_error(oracles.find_zero_h_bisect, ctx)
+            want = _root_or_error(oracles.find_zero_h_bisect, *ctx)
             if got != want or warm != want:
                 mismatches.append((ctx, got, warm, want))
     assert checked >= 20_000
@@ -167,8 +180,9 @@ _D_VALUE = st.floats(-40.0, 40.0).map(lambda e: 2.0**e)
 
 
 def _middle_context(d_values, r):
-    return CoordinateContext(gamma_t=2.0**r - 1.0, position=2,
-                             n_selected=len(d_values) + 1, d_values=tuple(d_values))
+    # (D values, tail) of slot 2 of K = len(d_values) + 1
+    g = 2.0**r - 1.0
+    return tuple(d_values), g * (1.0 + g) ** (len(d_values) - 1)
 
 
 # a Newton step from 2**58 times this root (0.93) cancels to 32.0, right of
@@ -190,14 +204,14 @@ def test_certified_bracket_signs(d_values, r, offsets, guess_exp):
     # guess up to 2**60 times off the root on either side; the root lies in
     # [a, b], which is all aoius relies on when it places the root by a
     ctx = _middle_context(d_values, r)
-    root = oracles.find_zero_h_bisect(ctx)
+    root = oracles.find_zero_h_bisect(*ctx)
     guess = None if guess_exp is None else root * 2.0**guess_exp
-    a, b = _certified_bracket(ctx.d_values, ctx.tail, guess)
+    a, b = _certified_bracket(*ctx, guess)
     assert 0.0 < a < b < math.inf
     left = [a, math.nextafter(a, 0.0)] + [a * (1.0 - t / 2.0) for t in offsets]
     right = [b, math.nextafter(b, math.inf)] + [b * (1.0 + t) for t in offsets]
-    assert all(h_function(x, ctx) > 0.0 for x in left)
-    assert all(h_function(x, ctx) <= 0.0 for x in right)
+    assert all(h_function(x, *ctx) > 0.0 for x in left)
+    assert all(h_function(x, *ctx) <= 0.0 for x in right)
     assert _root(ctx, guess) == root and a <= root <= b
 
 
@@ -207,9 +221,9 @@ def test_warm_certificate_is_floored_at_the_cold_start():
     # started there, the next step is too small to go on, so the warm
     # start is floored at the cold start and the bracket stays tight
     ctx = _middle_context(**_FAR_RIGHT_CANCELS)
-    root = oracles.find_zero_h_bisect(ctx)
+    root = oracles.find_zero_h_bisect(*ctx)
     for guess in (351.6369497513808, root * 2.0**58, root):
-        a, b = _certified_bracket(ctx.d_values, ctx.tail, guess)
+        a, b = _certified_bracket(*ctx, guess)
         assert 0.0 < a <= root <= b and b - a < 1e-9 * b, (guess, a, b)
         assert _root(ctx, guess) == root
 
@@ -222,8 +236,8 @@ def test_find_zero_h_is_the_same_for_any_guess(d_values, r):
     # guesses root * 2**j for j in -60..60, the float range's far ends and
     # the cold start itself all give plain bisection's root
     ctx = _middle_context(d_values, r)
-    root = oracles.find_zero_h_bisect(ctx)
-    cold = 1.0 / (sum(1.0 / d for d in d_values) + ctx.tail)
+    root = oracles.find_zero_h_bisect(*ctx)
+    cold = 1.0 / (sum(1.0 / d for d in d_values) + ctx[1])
     guesses = [root * 2.0**j for j in range(-60, 61)] + [1e-300, 1e300, cold]
     wrong = [(g, got) for g in guesses if (got := _root(ctx, g)) != root]
     assert not wrong, (root, wrong[:3])
@@ -285,12 +299,11 @@ def test_find_zero_h_on_k10_sweeps(monkeypatch):
     assert len(seen) > 500 and all(guess is not None for *_, guess in seen)
     wrong = []
     for ds, tail, guess in seen:
-        ctx = CoordinateContext(gamma_t=GAMMA_R002, position=11 - len(ds), n_selected=10,
-                                d_values=tuple(ds))
-        if not (ctx.tail == tail
+        # slot 11 - len(ds) of K=10 has tail g*(1+g)**(len(ds) - 1)
+        if not (tail == GAMMA_R002 * (1.0 + GAMMA_R002) ** (len(ds) - 1)
                 and find_zero_h(ds, tail, guess) == find_zero_h(ds, tail)
-                == oracles.find_zero_h_bisect(ctx)):
-            wrong.append((ctx, guess))
+                == oracles.find_zero_h_bisect(ds, tail)):
+            wrong.append((ds, tail, guess))
     assert not wrong, wrong[:3]
 
 
@@ -300,16 +313,15 @@ def test_unchecked_h_is_bitwise_h_function():
         lam = _RATE_FAMILIES[i % 4](rng, int(rng.integers(3, 16)))
         g = 2.0 ** _RATE_TARGETS[i % 7] - 1.0
         pos = int(rng.integers(2, lam.size))
-        ctx = oracles.coordinate_context(lam.tolist(), pos, g)
-        tail = g * (1.0 + g) ** (lam.size - pos)
+        ds, tail = oracles.coordinate_context(lam.tolist(), pos, g)
         for x in [*lam.tolist(), 5e-324, 1.0, 2.0**1023]:
             # h's arithmetic in the order the goldens pin: the sum left to right
             terms = 0.0
-            for d in ctx.d_values:
+            for d in ds:
                 terms += 1.0 / (x + d)
             want = repr(1.0 / x - terms - tail)
-            assert repr(_h(x, ctx.d_values, tail)) == want
-            assert repr(h_function(x, ctx)) == want
+            assert repr(_h(x, ds, tail)) == want
+            assert repr(h_function(x, ds, tail)) == want
 
 
 def test_unchecked_phase1_is_bitwise_phase1_outage():
@@ -318,13 +330,6 @@ def test_unchecked_phase1_is_bitwise_phase1_outage():
         lam = _RATE_FAMILIES[i % 4](rng, int(rng.integers(1, 16)))
         g = 2.0 ** _RATE_TARGETS[i % 7] - 1.0
         assert _phase1(lam.tolist(), g) == phase1_outage(lam, g)
-
-
-def test_coordinate_context_validation():
-    with pytest.raises(ParameterError):
-        CoordinateContext(gamma_t=0.5, position=2, n_selected=3, d_values=(1.0,))
-    with pytest.raises(ParameterError):  # the last slot is not a middle slot
-        oracles.coordinate_context([0.1, 0.2, 0.4], 3, 0.5)
 
 
 def test_solve_theorem3_two_slots_closed():

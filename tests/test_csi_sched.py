@@ -487,15 +487,23 @@ def test_opportunistic_values():
 
 
 def test_opportunistic_equals_exhaustive_at_one_slot():
+    # random draws, then the rate edges r = C(v) and r = log2(v + 1) of a
+    # strongest SNR v with the satellite far above it and at v, where a
+    # rate-domain test and the SINR threshold 2**r - 1 can round apart
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        csi = CsiRealization(rng.exponential(10.0, size=6), BIG_SAT)
-        o = baseline_opportunistic(csi, 0.9)
-        e = exhaustive(csi, 1, 0.9)
-        assert o.feasible == e.feasible
+    cases = [(CsiRealization(rng.exponential(10.0, size=6), BIG_SAT), 0.9)
+             for _ in range(50)]
+    for v in range(1, 2001):
+        for r in (awgn_capacity(v), math.log2(v + 1)):
+            for sat in (BIG_SAT, float(v)):
+                cases.append((CsiRealization(np.array([v / 2, float(v), v / 3]), sat), r))
+    for csi, r in cases:
+        o = baseline_opportunistic(csi, r)
+        e = exhaustive(csi, 1, r)
+        assert o.feasible == e.feasible, (csi, r)
         if o.feasible:
-            assert o.rate_report.sum_rate == pytest.approx(
-                e.rate_report.sum_rate, rel=1e-12)
+            assert o.schedule.users == e.schedule.users
+            assert o.rate_report.sum_rate == e.rate_report.sum_rate
 
 
 def test_tdma_never_beats_exhaustive():

@@ -163,6 +163,13 @@ def test_schedule_validation():
     for bad in (-2 * _ALPHA_TOL, math.nan):
         with pytest.raises(ConstraintError):
             Schedule(users=(0,), alphas=(bad,))
+    # left to right these sum to 1.0000000010000003 > 1 + _ALPHA_TOL on any
+    # Python; the compensated sum() of Python 3.12 on gives 1.000000001
+    edge = (2.704354051073242e-07, 0.0005301516726257736, 2.7386361305598543e-05,
+            0.0002738800858142029, 2.9282892635022605e-05, 9.373056973356988e-06,
+            0.9991296520331814, 4.462059750406634e-09)
+    with pytest.raises(ConstraintError, match=r"^alphas sum to 1\.0000000010000003 > 1$"):
+        Schedule(users=range(8), alphas=edge)
 
 
 def test_evaluate_schedule_hand_example():
