@@ -41,6 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
     path = args.config or Path(__file__).with_name("configs") / f"{bundled}.json"
     try:
@@ -69,8 +73,7 @@ def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args, *_SUBCOMMANDS[args.command])
         rows = run_experiment(config)

@@ -350,11 +350,16 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
     desc = s[order]
     neg = -desc  # ascending, for searchsorted
     # array methods rather than np.repeat and the like: at N ~ 10 their
-    # dispatch costs more than the work.  Chains start empty, as if slot k
-    # sat past the last position.
-    pos, tail = np.array([csi.n_users]), np.zeros(1)
+    # dispatch costs more than the work.  Slot k-1 has one empty parent
+    # chain, so its level is the positions k-1, k, ... that clear gamma_t
+    # alone; at k = 1 the one chain stays empty.
     levels = []  # (positions, parent chain) of slots k-1..1
-    for j in range(k - 1, 0, -1):
+    tail = np.zeros(1)
+    if k > 1:
+        pos = np.arange(k - 1, k - 1 + neg[k - 1:].searchsorted(-gamma_t, side="right"))
+        tail = desc[pos]
+        levels.append((pos, np.zeros_like(pos)))
+    for j in range(k - 2, 0, -1):
         # the positions j, j+1, ... whose SNR clears the tail, and come
         # before the chain's slot j+1; -(gamma_t * x) == x * -gamma_t exactly
         clear = neg[j:].searchsorted((tail + 1.0) * -gamma_t, side="right")

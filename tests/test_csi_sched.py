@@ -349,6 +349,16 @@ def test_exhaustive_matches_itertools_reference():
         csi = CsiRealization(rng.integers(0, 8, size=int(rng.integers(1, 13))).astype(float),
                              (BIG_SAT, 100.0)[i % 2])
         instances += [(csi, 0.1), (csi, 0.6)]
+    # slot K-1's level at its boundary: an SNR exactly at the threshold is
+    # admitted, as is one exactly at the next slot's g * (g + 1); zeros of
+    # either sign clear nothing
+    for r in (0.6, 1.0, 1.8):
+        g = sinr_threshold(r)
+        edge = CsiRealization(np.array([g * (g + 1.0), g]), BIG_SAT)
+        assert exhaustive(edge, 2, r).schedule.users == (0, 1)
+        for snrs in ([g], [g, 0.0, -0.0], [-0.0, g, 0.0], [0.0, -0.0, 0.0],
+                     [g * (g + 1.0), g, g, 0.0, -0.0, 4.0], [-0.0, g, 2.5 * g, g, 0.0]):
+            instances += [(CsiRealization(np.array(snrs), sat), r) for sat in (BIG_SAT, 100.0)]
     compared = 0
     for csi, r in instances:
         n = csi.n_users

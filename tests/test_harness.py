@@ -403,6 +403,38 @@ def test_cli_writes_stdout(capsys):
     assert code == 0
 
 
+def test_cli_calls_share_one_parser_without_state(tmp_path, monkeypatch, capsys):
+    # main parses with one parser built at import: no call builds another,
+    # and no override or failed parse carries into the next call
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    seen = []
+
+    def recording(config):
+        seen.append((config.seed, config.trials, config.output_path))
+        return run_experiment(config)
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(scenario="csi_stability", seed=9, trials=2, n_users=5,
+                                    r_target_grid=[0.9])))
+    out = tmp_path / "rows.json"
+    assert main(["csi-stability", "--config", str(path), "--seed", "5", "--trials", "1",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["csi-stability", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("scenario,algorithm,x,metric")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert main(["csi-stability", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert seen == [(5, 1, str(out)), (9, 2, None), (9, 2, None)]
+
+
 def test_cli_stdout_csv(tmp_path, capsys):
     cfg = dict(scenario="csi_stability", seed=9, trials=2, n_users=5,
                r_target_grid=[0.9])
