@@ -48,11 +48,13 @@ _PARSER = _build_parser()
 def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
     path = args.config or Path(__file__).with_name("configs") / f"{bundled}.json"
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad JSON or UTF-8, an integer past Python's digit limit, or nesting
+    # past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -2,10 +2,13 @@
 
 Each scenario maps a validated ExperimentConfig to a flat table of
 ResultRow records, through one loop over (grid point, trial) that feeds
-one mean/stderr aggregator.  The grid points are the r_target_grid
-entries, except for cdi_complexity (slot counts 2..k) and csi_stability
-and cdi_convergence (one point, x = 0).  Randomness follows one splitting
-rule everywhere: the generator for trial t of grid point i in scenario s is
+one mean/stderr aggregator.  Everything the harness knows of a scenario
+is its record in _SCENARIOS: its point function, the config keys it reads,
+its grid points and whether it reports each trial as a row.  The grid
+points are the r_target_grid entries, except for cdi_complexity (slot
+counts 2..k) and csi_stability and cdi_convergence (one point, x = 0).
+Randomness follows one splitting rule everywhere: the generator for trial
+t of grid point i in scenario s is
 
     default_rng(SeedSequence(entropy=[seed, ordinal(s), i, t]))
 
@@ -30,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from time import perf_counter_ns
+from typing import Callable
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -48,30 +52,6 @@ from .csi_sched import (
 from .errors import ConfigError
 from .outage import GroupCdi, monte_carlo_outage, phase2_outage, total_outage
 from .rate_core import sinr_threshold
-
-SCENARIOS = (
-    "csi_sumrate",
-    "csi_complexity",
-    "csi_stability",
-    "cdi_convergence",
-    "cdi_outage",
-    "cdi_complexity",
-)
-
-# the config keys each scenario reads; from_dict rejects any other
-_COMMON_KEYS = frozenset({"scenario", "seed", "trials", "r_target_grid", "output_path"})
-_CSI_KEYS = _COMMON_KEYS | {"n_users", "p1_sigma_sq"}
-_CDI_KEYS = _COMMON_KEYS | {"m_groups", "k", "max_iters"}
-_SCENARIO_KEYS = {
-    "csi_sumrate": _CSI_KEYS,
-    "csi_complexity": _CSI_KEYS,
-    "csi_stability": _CSI_KEYS,
-    "cdi_convergence": _CDI_KEYS,
-    "cdi_outage": _CDI_KEYS | {"mc_trials", "p2", "sr_params"},
-    "cdi_complexity": _CDI_KEYS,
-}
-# scenarios that read r_target_grid[0] alone
-_SINGLE_RATE = ("csi_stability", "cdi_convergence", "cdi_complexity")
 
 # satellite SNR of the CSI experiments' unconstrained second hop: satellite
 # SNRs are finite, and this one is so large the terrestrial hop always binds
@@ -127,62 +107,43 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in SCENARIOS:  # the tuple: a list scenario is unhashable
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        # the field annotations (strings here) mark the int and float fields
+        spec = _SCENARIOS[self.scenario]
+        reads = spec.reads
+        # each field the scenario reads is checked: the annotations (strings
+        # here) mark the ints and floats, and a count or level exceeds its floor
         for f in fields(self):
+            if f.name not in reads:
+                continue
             v = getattr(self, f.name)
-            if f.type == "int" and not _is_int(v):
+            if f.type.startswith("int") and not _is_int(v):
                 raise ConfigError(f"{f.name} must be an int, got {v!r}")
             if f.type == "float":
                 _check_finite(f.name, v)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be a positive int, got {self.trials!r}")
+            if reads[f.name] is not None and not v > reads[f.name]:
+                raise ConfigError(f"{self.scenario} needs {f.name} > {reads[f.name]}, "
+                                  f"got {v!r}")
+        if "k" in reads and self.k > self.m_groups:
+            raise ConfigError(f"k must be at most m_groups = {self.m_groups}, got {self.k!r}")
         if not isinstance(self.r_target_grid, (list, tuple)):
             raise ConfigError("r_target_grid must be a list of numbers")
         grid = tuple(float(_check_finite("r_target_grid", r)) for r in self.r_target_grid)
         if not grid or any(r <= 0 for r in grid):
             raise ConfigError("r_target_grid must be non-empty with positive entries")
-        if self.scenario in _SINGLE_RATE and len(grid) != 1:
+        if spec.grid is not None and len(grid) != 1:
             raise ConfigError(f"{self.scenario} reads one rate, so 'r_target_grid' must have "
                               f"one entry, got {len(grid)}")
         object.__setattr__(self, "r_target_grid", grid)
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        csi = self.scenario.startswith("csi")
-        if csi:
-            if self.n_users < 1:
-                raise ConfigError("csi scenarios need n_users >= 1")
-            if self.k is not None:
-                raise ConfigError(f"'k' is for cdi scenarios; csi ones use determine_k, "
-                                  f"got {self.k!r}")
-            if not (self.p1_sigma_sq > 0):
-                raise ConfigError("p1_sigma_sq must be positive")
-        else:
-            if self.m_groups < 2:
-                raise ConfigError("cdi scenarios need m_groups >= 2")
-            if not (_is_int(self.k) and 1 <= self.k <= self.m_groups):
-                raise ConfigError(f"cdi scenarios need an int k in [1, m_groups], got {self.k!r}")
-            if self.max_iters < 1:
-                raise ConfigError("max_iters must be a positive int")
-        if self.scenario == "cdi_outage":
-            if self.sr_params is None:
-                raise ConfigError("cdi_outage needs sr_params {omega, b0, m_s}")
-            if self.mc_trials < 1:
-                raise ConfigError("mc_trials must be a positive int")
-            if not (self.p2 > 0):
-                raise ConfigError("p2 must be positive")
-        if self.sr_params is not None:
+        if "sr_params" in reads:
             if not isinstance(self.sr_params, dict) or set(self.sr_params) != {"omega", "b0", "m_s"}:
                 raise ConfigError(f"sr_params must be an object with keys omega, b0, m_s, "
                                   f"got {self.sr_params!r}")
             for name, v in self.sr_params.items():
                 if _check_finite(f"sr_params.{name}", v) <= 0:
                     raise ConfigError(f"sr_params.{name} must be positive, got {v!r}")
-        if self.scenario == "cdi_complexity" and self.k < 2:
-            raise ConfigError("cdi_complexity sweeps slot counts 2..k and needs k >= 2")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -196,7 +157,7 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         config = cls(**raw)
-        ignored = set(raw) - _SCENARIO_KEYS[config.scenario]
+        ignored = set(raw).difference(_SCENARIOS[config.scenario].reads)
         if ignored:
             raise ConfigError(f"{config.scenario} does not read {sorted(ignored)}")
         return config
@@ -329,23 +290,42 @@ def _cdi_complexity(cfg: ExperimentConfig, x: float):
     return trial
 
 
-_POINTS = {
-    "csi_sumrate": _csi_sumrate,
-    "csi_complexity": _csi_complexity,
-    "csi_stability": _csi_stability,
-    "cdi_convergence": _cdi_convergence,
-    "cdi_outage": _cdi_outage,
-    "cdi_complexity": _cdi_complexity,
+@dataclass(frozen=True)
+class _Scenario:
+    point: Callable  # (config, x) -> trial(rng, key) for the grid point at x
+    # each config key the scenario reads: None, or the floor its value must exceed
+    reads: dict
+    # None: the points are r_target_grid; else (config) -> the points' x,
+    # and the scenario reads r_target_grid[0] alone
+    grid: Callable | None = None
+    per_trial: bool = False  # one row per trial, at x = trial
+
+
+_COMMON = {"scenario": None, "seed": -1, "trials": 0, "r_target_grid": None,
+           "output_path": None}
+_CSI = {**_COMMON, "n_users": 0, "p1_sigma_sq": 0.0}
+_CDI = {**_COMMON, "m_groups": 1, "k": 0, "max_iters": 0}
+
+
+def _one_point(cfg: ExperimentConfig) -> list:
+    return [0.0]
+
+
+def _slot_counts(cfg: ExperimentConfig) -> list:
+    return [float(k) for k in range(2, cfg.k + 1)]
+
+
+# a scenario's position here is its ordinal in every trial_rng key
+_SCENARIOS = {
+    "csi_sumrate": _Scenario(_csi_sumrate, _CSI),
+    "csi_complexity": _Scenario(_csi_complexity, _CSI),
+    "csi_stability": _Scenario(_csi_stability, _CSI, _one_point, per_trial=True),
+    "cdi_convergence": _Scenario(_cdi_convergence, _CDI, _one_point),
+    "cdi_outage": _Scenario(_cdi_outage, {**_CDI, "mc_trials": 0, "p2": 0.0,
+                                          "sr_params": None}),
+    "cdi_complexity": _Scenario(_cdi_complexity, {**_CDI, "k": 1}, _slot_counts),
 }
-
-
-def _grid(cfg: ExperimentConfig) -> list:
-    """The x of each grid point; a point's index is its trial_rng key."""
-    if cfg.scenario == "cdi_complexity":
-        return [float(k) for k in range(2, cfg.k + 1)]  # slot counts
-    if cfg.scenario in ("csi_stability", "cdi_convergence"):
-        return [0.0]
-    return list(cfg.r_target_grid)
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def _aggregate(cfg: ExperimentConfig, x: float, acc: dict) -> list:
@@ -367,14 +347,13 @@ def _aggregate(cfg: ExperimentConfig, x: float, acc: dict) -> list:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Every trial of every grid point, aggregated per point; csi_stability
-    reports each trial as its own row at x = trial."""
-    point = _POINTS[config.scenario]
+    """Every trial of every grid point, aggregated per point, or per trial
+    where the scenario reports each trial as its own row."""
+    spec = _SCENARIOS[config.scenario]
     ordn = SCENARIOS.index(config.scenario)
-    per_trial = config.scenario == "csi_stability"
     rows = []
-    for xi, x in enumerate(_grid(config)):
-        trial = point(config, x)
+    for xi, x in enumerate(config.r_target_grid if spec.grid is None else spec.grid(config)):
+        trial = spec.point(config, x)
         acc: dict = {}
         for t in range(config.trials):
             key = (config.seed, ordn, xi, t)
@@ -382,7 +361,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                 values, nanos = acc.setdefault(name, ([], []))
                 values.append(value)
                 nanos.append(ns)
-            if per_trial:
+            if spec.per_trial:
                 rows += _aggregate(config, float(t), acc)
                 acc = {}
         rows += _aggregate(config, x, acc)

@@ -159,6 +159,33 @@ def phase1_outage_quad(lambdas, gamma_t):
     return 1.0 - layer(k - 1)(0.0)
 
 
+def phase1_outage_laguerre(lambdas, gamma_t, nodes=80):
+    """Chain outage by nested Gauss-Laguerre quadrature, vectorized in numpy.
+
+    The integral of phase1_outage_quad with the same two analytic inner
+    layers.  Each remaining layer j, the integral of
+    lam_j exp(-lam_j s) inner(t + s) over s >= g(1+t), becomes
+    exp(-lam_j g(1+t)) times the Laguerre sum of inner(t + g(1+t) + x/lam_j)
+    under the substitution s = g(1+t) + x/lam_j.
+    """
+    lam = [float(v) for v in lambdas]
+    k = len(lam)
+    g = gamma_t
+    if k == 1:
+        return 1.0 - math.exp(-lam[0] * g)
+    x, w = np.polynomial.laguerre.laggauss(nodes)
+    c = lam[1] + g * lam[0]
+
+    def layer(j, t):
+        if j == 1:
+            return lam[1] / c * np.exp(-(c + lam[0]) * g * (1.0 + t))
+        lo = g * (1.0 + t)
+        inner = layer(j - 1, (t + lo)[..., None] + x / lam[j])
+        return np.exp(-lam[j] * lo) * (inner @ w)
+
+    return 1.0 - float(layer(k - 1, np.asarray(0.0)))
+
+
 def sr_pdf_reference(omega, b0, m_s, tx_power, s):
     """Shadowed-Rician SNR density via scipy's confluent hypergeometric."""
     s = np.asarray(s, dtype=float)

@@ -60,18 +60,21 @@ def test_criterion_01_phase1_closed_form():
     hand = 1.0 - 0.5 * math.exp(-0.3)
     hand_diff = abs(phase1_outage([0.1, 0.1], 1.0) - hand)
     rng = trial_rng(90_001)
-    worst = 0.0
+    worst = cross = 0.0
     for _ in range(50):
         k = int(rng.integers(2, 6))
         lam = np.sort(_draw_rates(rng, k))
         gamma_t = float(2.0 ** rng.uniform(0.1, 1.0) - 1.0)
-        want = oracles.phase1_outage_quad(lam, gamma_t)
+        want = oracles.phase1_outage_laguerre(lam, gamma_t)
         worst = max(worst, abs(phase1_outage(lam, gamma_t) - want))
+        if k <= 4:  # adaptive quadrature cross-checks the oracle where it is cheap
+            cross = max(cross, abs(oracles.phase1_outage_quad(lam, gamma_t) - want))
     _verdict(
-        hand_diff <= 1e-12 and worst <= 1e-8,
+        hand_diff <= 1e-12 and worst <= 1e-8 and cross <= 1e-8,
         f"criterion 01 (phase-1 closed form): two-user hand value off by "
-        f"{hand_diff:.2e} (tol 1e-12); worst gap to nested quadrature "
-        f"{worst:.2e} over 50 draws, K in 2..5 (tol 1e-8)",
+        f"{hand_diff:.2e} (tol 1e-12); worst gap to nested Gauss-Laguerre "
+        f"quadrature {worst:.2e} over 50 draws, K in 2..5 (tol 1e-8); "
+        f"Gauss-Laguerre against adaptive quadrature {cross:.2e} at K <= 4 (tol 1e-8)",
     )
 
 

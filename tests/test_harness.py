@@ -175,7 +175,7 @@ def test_config_round_trip():
         output_path="x.csv"))
     # asdict carries every field; a config file holds the scenario's keys
     read = {k: v for k, v in dataclasses.asdict(cfg).items()
-            if k in harness._SCENARIO_KEYS[cfg.scenario]}
+            if k in harness._SCENARIOS[cfg.scenario].reads}
     again = ExperimentConfig.from_dict(json.loads(json.dumps(read)))
     assert again == cfg
 
@@ -460,6 +460,21 @@ def test_cli_config_errors(tmp_path, capsys):
                                     r_target_grid=[0.9], n_users=4)))
     assert main(["csi-sumrate", "--config", str(zero)]) == 2
     capsys.readouterr()
+
+
+def test_cli_unreadable_configs_exit_2(tmp_path, capsys):
+    files = {
+        "deep.json": ("[" * 100_000 + "]" * 100_000).encode(),  # past the recursion limit
+        "digits.json": b'{"seed": ' + b"9" * 5000 + b"}",  # past the int digit limit
+        "latin1.json": '{"scenario": "caf\u00e9"}'.encode("latin-1"),  # not UTF-8
+    }
+    for name, data in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["csi-sumrate", "--config", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err
 
 
 def test_cli_rejects_fractional_user_count(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Package-wide checks: every public function has a caller outside the
 tests, every config field is set by a bundled table or the benchmark, the
 package imports nothing beyond the standard library and numpy, the
-benchmark's tracer finds every function it wraps, and the README's python
-examples run as written."""
+benchmark's tracer finds every function it wraps, the benchmark's tables
+are valid configs, and the README's python examples run as written."""
 
 import ast
 import dataclasses
@@ -12,7 +12,8 @@ import re
 import sys
 from pathlib import Path
 
-from satsched.harness import ExperimentConfig
+from satsched import cli
+from satsched.harness import SCENARIOS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satsched"
@@ -123,6 +124,29 @@ def test_benchmark_tracer_finds_every_traced_function():
     spec.loader.exec_module(tracer)
     wrapped = tracer.Tracer()._wrappers
     assert len(wrapped) == len(tracer.SPANNED) + len(tracer.COUNTED)
+
+
+def test_benchmark_tables_are_valid_configs(tmp_path, monkeypatch):
+    # a table that stopped accepting a key the benchmark sends would fail
+    # every operation of its workload with exit 2; workloads.py is only read
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    # a scenario's position is part of every trial_rng key
+    assert SCENARIOS == ("csi_sumrate", "csi_complexity", "csi_stability",
+                         "cdi_convergence", "cdi_outage", "cdi_complexity")
+    assert {scenario for scenario, _ in cli._SUBCOMMANDS.values()} >= set(SCENARIOS)
+    figures = workloads.FigureWorkload(list(workloads.TABLES), workloads.DEFAULT_SEED, tmp_path)
+    calls = figures.prepare(0)
+    assert len(calls) == len(workloads.TABLES)
+    for name, config, argv, _ in calls:
+        assert config["trials"] == workloads.TABLES[name][1]
+        assert cli._SUBCOMMANDS[argv[0]][0] == config["scenario"], name
+        assert ExperimentConfig.from_dict(config).scenario == config["scenario"]
 
 
 def test_readme_python_examples_run():
