@@ -4,9 +4,8 @@ Each scenario maps a validated ExperimentConfig to a flat table of
 ResultRow records, through one loop over (grid point, trial) that feeds
 one mean/stderr aggregator.  Everything the harness knows of a scenario
 is its record in _SCENARIOS: its point function, the config keys it reads,
-its grid points and whether it reports each trial as a row.  The grid
-points are the r_target_grid entries, except for cdi_complexity (slot
-counts 2..k) and csi_stability and cdi_convergence (one point, x = 0).
+its grid points and whether it reports each trial as a row.
+
 Randomness follows one splitting rule everywhere: the generator for trial
 t of grid point i in scenario s is
 
@@ -111,12 +110,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         spec = _SCENARIOS[self.scenario]
         reads = spec.reads
-        # each field the scenario reads is checked: the annotations (strings
-        # here) mark the ints and floats, and a count or level exceeds its floor
+        # a field the scenario does not read keeps its default; each field it
+        # reads is checked: the annotations (strings here) mark the ints and
+        # floats, and a count or level exceeds its floor
         for f in fields(self):
-            if f.name not in reads:
-                continue
             v = getattr(self, f.name)
+            if f.name not in reads:
+                if type(v) is not type(f.default) or v != f.default:
+                    raise ConfigError(f"{self.scenario} does not read {f.name!r}, got {v!r}")
+                continue
             if f.type.startswith("int") and not _is_int(v):
                 raise ConfigError(f"{f.name} must be an int, got {v!r}")
             if f.type == "float":

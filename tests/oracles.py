@@ -159,21 +159,21 @@ def phase1_outage_quad(lambdas, gamma_t):
     return 1.0 - layer(k - 1)(0.0)
 
 
-def phase1_outage_laguerre(lambdas, gamma_t, nodes=80):
+def phase1_outage_laguerre(lambdas, gamma_t):
     """Chain outage by nested Gauss-Laguerre quadrature, vectorized in numpy.
 
     The integral of phase1_outage_quad with the same two analytic inner
     layers.  Each remaining layer j, the integral of
     lam_j exp(-lam_j s) inner(t + s) over s >= g(1+t), becomes
     exp(-lam_j g(1+t)) times the Laguerre sum of inner(t + g(1+t) + x/lam_j)
-    under the substitution s = g(1+t) + x/lam_j.
+    under the substitution s = g(1+t) + x/lam_j, with 80 nodes per layer.
     """
     lam = [float(v) for v in lambdas]
     k = len(lam)
     g = gamma_t
     if k == 1:
         return 1.0 - math.exp(-lam[0] * g)
-    x, w = np.polynomial.laguerre.laggauss(nodes)
+    x, w = np.polynomial.laguerre.laggauss(80)
     c = lam[1] + g * lam[0]
 
     def layer(j, t):

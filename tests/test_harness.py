@@ -125,6 +125,27 @@ def test_config_validation_cdi():
                                         r_target_grid=[0.1], m_groups=6, k=1))
 
 
+def test_constructor_rejects_a_field_its_scenario_does_not_read():
+    # the constructor and dataclasses.replace check what from_dict checks:
+    # a field the scenario does not read keeps its default
+    csi = ExperimentConfig("csi_sumrate", 1, 5, (0.9,), n_users=4)
+    cdi = ExperimentConfig("cdi_convergence", 1, 2, (0.1,), m_groups=6, k=2)
+    for cfg, changes in (
+        (csi, dict(k=3)),
+        (csi, dict(m_groups=6)),
+        (csi, dict(sr_params=dict(HEAVY))),
+        (cdi, dict(n_users=3.5)),
+        (cdi, dict(n_users=False)),  # equal to the default 0, but not an int
+        (cdi, dict(p1_sigma_sq=5)),
+        (cdi, dict(sr_params={"omega": "x"})),
+    ):
+        name = next(iter(changes))
+        with pytest.raises(ConfigError, match=f"does not read '{name}'"):
+            dataclasses.replace(cfg, **changes)
+    # an unread field left at its default passes
+    assert dataclasses.replace(cdi, p1_sigma_sq=5.0) == cdi
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
