@@ -74,23 +74,31 @@ class SrParams:
         shape_scale = 2.0 * self.b0 * self.m_s + self.omega
         if not math.isfinite(shape_scale):
             raise ParameterError(f"2*b0*m_s + omega overflows: {shape_scale}")
+        if 2.0 * self.b0 * self.tx_power == 0.0:  # the phase-2 outage divides by it
+            raise ParameterError(f"2*b0*tx_power underflows to 0: {self.b0}, {self.tx_power}")
+
+
+def _checked_snrs(values) -> np.ndarray:
+    """A read-only float copy of user SNRs, once they pass the checks below."""
+    snrs = np.array(values, dtype=float)
+    if snrs.ndim != 1 or snrs.size == 0:
+        raise ParameterError("SNRs must be a non-empty 1-D array")
+    if not (snrs.min() >= 0.0 and snrs.max() < math.inf):  # a NaN fails both
+        raise ParameterError("SNRs must be finite and non-negative")
+    snrs.setflags(write=False)
+    return snrs
 
 
 @dataclass(frozen=True)
 class CsiRealization:
-    """Instantaneous SNRs: one entry per ground user plus the satellite SNR,
-    positive and finite (a huge one models an unconstrained satellite hop)."""
+    """Instantaneous SNRs: one per ground user, kept as a read-only copy, plus
+    the satellite SNR, positive and finite (huge for an unconstrained hop)."""
 
     user_snrs: np.ndarray
     sat_snr: float
 
     def __post_init__(self):
-        snrs = np.asarray(self.user_snrs, dtype=float)
-        if snrs.ndim != 1 or snrs.size == 0:
-            raise ParameterError("user_snrs must be a non-empty 1-D array")
-        if not np.all(np.isfinite(snrs)) or np.any(snrs < 0):
-            raise ParameterError("user SNRs must be finite and non-negative")
-        object.__setattr__(self, "user_snrs", snrs)
+        object.__setattr__(self, "user_snrs", _checked_snrs(self.user_snrs))
         if not (0 < self.sat_snr < math.inf):
             raise ParameterError(f"sat_snr must be positive finite, got {self.sat_snr}")
 

@@ -43,10 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # built once per process: parse_args keeps no state between calls
 _PARSER = _build_parser()
+# numpy's ValueErrors for a shape or byte count past the largest index
+_PAST_ARRAY_LIMIT = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
-    path = args.config or Path(__file__).with_name("configs") / f"{bundled}.json"
+    bundled_path = Path(__file__).with_name("configs") / f"{bundled}.json"
+    path = bundled_path if args.config is None else args.config
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -58,7 +61,7 @@ def _load_config(args, scenario: str, bundled: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    if not args.config:
+    if args.config is None:
         del raw["output_path"]  # the bundled defaults print to stdout
     elif raw.get("scenario") != scenario:
         raise ConfigError(
@@ -91,7 +94,9 @@ def main(argv=None) -> int:
     except (NumericError, EnumerationBudgetError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_PAST_ARRAY_LIMIT):
+            raise
         print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return 3
     except RecursionError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsiRealization
+from .channel import CsiRealization, _checked_snrs
 from .errors import ParameterError
 from .rate_core import awgn_capacity, sinr_threshold
 
@@ -32,15 +32,9 @@ class BoundsResult:
     feasible: bool
 
 
-def _sorted_selection_args(snrs, k: int, gamma_t: float) -> list:
-    """The SNRs as an ascending list, once they and k and gamma_t are checked."""
-    s = np.asarray(snrs, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ParameterError("snrs must be a non-empty 1-D array")
-    asc = np.sort(s).tolist()
-    # NaN sorts last, so the two ends settle every SNR
-    if not (asc[0] >= 0.0 and asc[-1] < math.inf):
-        raise ParameterError("SNRs must be finite and non-negative")
+def _sorted_selection_args(snrs: np.ndarray, k: int, gamma_t: float) -> list:
+    """Already checked SNRs as an ascending list, once k and gamma_t are checked."""
+    asc = np.sort(snrs).tolist()
     if not (1 <= k <= len(asc)):
         raise ParameterError(f"k must be in [1, {len(asc)}], got {k}")
     if not (gamma_t > 0 and math.isfinite(gamma_t)):
@@ -104,7 +98,8 @@ def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     already implies its threshold is at most the strongest SNR, and a slot
     with no admissible element cannot be filled by any selection.
     """
-    return len(_economy_recursion(_sorted_selection_args(snrs, k, gamma_t), k, gamma_t)) == k
+    asc = _sorted_selection_args(_checked_snrs(snrs), k, gamma_t)
+    return len(_economy_recursion(asc, k, gamma_t)) == k
 
 
 def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResult:
@@ -116,7 +111,7 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     infeasible instance lb_snrs is None and lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
-    # one ascending list serves the checks, the economy fill and the maximum
+    # one ascending list serves the economy fill and the maximum
     asc = _sorted_selection_args(csi.user_snrs, k, gamma_t)
     s_max = asc[-1]
     lb = _economy_recursion(asc, k, gamma_t)

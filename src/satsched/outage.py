@@ -39,7 +39,7 @@ _PHASE2_MAX_TERMS = 1000
 
 @dataclass(frozen=True)
 class GroupCdi:
-    """Statistical CSI for M user groups: one exponential SNR rate each."""
+    """Statistical CSI for M user groups: one exponential rate each, in a read-only copy."""
 
     lambdas: np.ndarray
 
@@ -75,11 +75,13 @@ class OutageReport:
 
 
 def _check_lambdas(lambdas_in_order) -> np.ndarray:
-    lam = np.asarray(lambdas_in_order, dtype=float)
+    """A read-only float copy of exponential rates, once they pass the checks below."""
+    lam = np.array(lambdas_in_order, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ParameterError("lambdas must be a non-empty 1-D array")
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+    if not (lam.min() > 0.0 and lam.max() < math.inf):  # a NaN fails both
         raise ParameterError("lambdas must be positive finite")
+    lam.setflags(write=False)
     return lam
 
 

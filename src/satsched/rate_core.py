@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsiRealization
+from .channel import CsiRealization, _checked_snrs
 from .errors import ConstraintError, ParameterError
 
 _LN2 = math.log(2.0)
@@ -136,17 +136,6 @@ def sic_chains_close(slot_snrs, gamma_t: float):
     return closes, sums
 
 
-def _checked_snr_list(snrs_in_order) -> list:
-    s = np.asarray(snrs_in_order, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ParameterError("snrs_in_order must be a non-empty 1-D array")
-    vals = s.tolist()
-    for v in vals:
-        if not (v >= 0.0 and math.isfinite(v)):
-            raise ParameterError("SNRs must be finite and non-negative")
-    return vals
-
-
 def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:
     """Largest K <= n_users the relay-satellite hop can carry at r_target,
     i.e. the largest K with 2**(K*r_target) - 1 <= sat_snr."""
@@ -218,7 +207,7 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     Returns None exactly when the satellite hop cannot carry k positions at
     r_target, i.e. when 2**(k*r_target) - 1 > sat_snr.
     """
-    vals = _checked_snr_list(snrs_in_order)
+    vals = _checked_snrs(snrs_in_order).tolist()
     k = len(vals)
     if max_supported_users(sat_snr, r_target, k) < k:
         return None

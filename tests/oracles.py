@@ -617,17 +617,17 @@ class ScheduleThreePass:
 
 def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
     """throughput_power_split with the split arithmetic inline."""
+    from satsched.channel import _checked_snrs
     from satsched.rate_core import (
         _ALPHA_TOL,
         _LN2,
         _chain_back_to_front,
         _chain_capacities,
-        _checked_snr_list,
         awgn_capacity,
         max_supported_users,
     )
 
-    vals = _checked_snr_list(snrs_in_order)
+    vals = _checked_snrs(snrs_in_order).tolist()
     k = len(vals)
     if max_supported_users(sat_snr, r_target, k) < k:
         return None
@@ -722,7 +722,7 @@ def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:
 
     s = np.asarray(snrs, dtype=float)
     if s.ndim != 1 or s.size == 0:
-        raise ParameterError("snrs must be a non-empty 1-D array")
+        raise ParameterError("SNRs must be a non-empty 1-D array")
     if np.any(s < 0) or not np.all(np.isfinite(s)):
         raise ParameterError("SNRs must be finite and non-negative")
     if not (1 <= k <= s.size):

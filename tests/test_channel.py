@@ -12,13 +12,22 @@ from scipy.integrate import quad
 import oracles
 from satsched import (
     CsiRealization,
+    GroupCdi,
     ParameterError,
     RayleighLink,
     SrParams,
+    aoius,
     channel,
+    determine_k,
+    exhaustive,
+    exhaustive_groups,
+    gius,
+    lbus,
     sample_rayleigh_snr,
     sample_sr_snr,
+    sinr_threshold,
     sr_snr_below,
+    sum_rate_bounds,
 )
 
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
@@ -108,6 +117,9 @@ def test_sr_params_validation():
         SrParams(tx_power=1.7e308, **AVERAGE)
     with pytest.raises(ParameterError, match="2\\*b0\\*m_s"):
         SrParams(omega=1.0, b0=1e300, m_s=1e10, tx_power=1e-10)
+    # and the diffuse scale 2*b0*tx_power that underflows to 0
+    with pytest.raises(ParameterError, match="underflows"):
+        SrParams(tx_power=5e-324, **AVERAGE)
 
 
 # the largest relay power of each set keeps its mean SNR finite, while the
@@ -189,3 +201,28 @@ def test_csi_realization_validation():
     for sat_snr in (-2.0, 0.0, np.inf, np.nan):
         with pytest.raises(ParameterError):
             CsiRealization(np.array([1.0]), sat_snr)
+
+
+def test_records_keep_a_read_only_copy():
+    # a write into the caller's arrays after construction reaches neither
+    # record, and each record's own array refuses writes
+    snrs = np.array([9.0, 6.5, 4.0, 3.0, 2.2, 1.4, 0.8, 0.3])
+    lambdas = np.array([0.05, 0.2, 0.1, 0.9, 0.4, 0.02])
+    csi = CsiRealization(snrs, float(2**60))
+    cdi = GroupCdi(lambdas)
+    gamma_t = sinr_threshold(0.1)
+
+    def decisions():
+        k = determine_k(csi, 0.9)
+        return (k, gius(csi, k, 0.9), lbus(csi, k, 0.9), exhaustive(csi, k, 0.9),
+                sum_rate_bounds(csi, k, 0.9), aoius(cdi, 3, gamma_t, default_rng(7), 20),
+                exhaustive_groups(cdi, 3, gamma_t))
+
+    before = decisions()
+    assert before[0] == 4
+    snrs[:] = np.nan
+    lambdas[:] = np.nan
+    assert decisions() == before
+    for own in (csi.user_snrs, cdi.lambdas):
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 1.0

@@ -481,6 +481,12 @@ def test_cli_config_errors(tmp_path, capsys):
                                     r_target_grid=[0.9], n_users=4)))
     assert main(["csi-sumrate", "--config", str(zero)]) == 2
     capsys.readouterr()
+    # an empty path names no file; it does not run the bundled config
+    assert main(["csi-sumrate", "--config", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_unreadable_configs_exit_2(tmp_path, capsys):
@@ -554,13 +560,23 @@ def test_cli_budget_error_exit_code(tmp_path, capsys):
                             r_target_grid=[0.5], mc_trials=10**15, sr_params=HEAVY)),
         ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=10**15,
                              r_target_grid=[0.9])),
+        # counts past numpy's limits: a dimension past the largest index, and
+        # a byte count past it
+        ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
+                            r_target_grid=[0.5], mc_trials=10**20, sr_params=HEAVY)),
+        ("cdi-outage", dict(scenario="cdi_outage", seed=1, trials=1, m_groups=4, k=2,
+                            r_target_grid=[0.5], mc_trials=4 * 10**18, sr_params=HEAVY)),
+        ("csi-sumrate", dict(scenario="csi_sumrate", seed=1, trials=1, n_users=10**20,
+                             r_target_grid=[0.9])),
+        ("cdi-complexity", dict(scenario="cdi_complexity", seed=1, trials=1, m_groups=10**20,
+                                k=3, r_target_grid=[0.1])),
     )
     for i, (sub, cfg) in enumerate(cases):
         path = tmp_path / f"huge{i}.json"
         path.write_text(json.dumps(cfg))
-        assert main([sub, "--config", str(path)]) == 3
+        assert main([sub, "--config", str(path)]) == 3, cfg
         err = capsys.readouterr().err
-        assert err.startswith("numeric error") and err.count("\n") == 1
+        assert err.startswith("numeric error") and err.count("\n") == 1, err
 
 
 def test_cli_search_too_deep_exits_cleanly(tmp_path, capsys):
@@ -691,6 +707,7 @@ def _capped(raw):
 @example(sub="csi-sumrate", changed={}, dropped=set(), whole=True, other=[1, 2])
 @example(sub="csi-sumrate", changed={"sat_snr": 1e308, "r_target_grid": [1000]},
          dropped=set(), whole=False, other=None)
+@example(sub="cdi-outage", changed={"p2": 5e-324}, dropped=set(), whole=False, other=None)
 def test_cli_exit_code_contract(sub, changed, dropped, whole, other):
     # any JSON value as a --config file: exit 0, 2 or 3, never an exception
     raw = other if whole else {k: v for k, v in {**_SMALL[sub], **changed}.items()
