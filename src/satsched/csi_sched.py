@@ -10,7 +10,10 @@ SNR the remaining chain can still absorb; each slot picks the largest SNR
 inside a window that provably cannot exclude all completions, backtracking
 on dead ends.  A window is a contiguous range of positions in the
 descending SNR order, found by bisection; walking it visits the candidates
-in the order a scan of all N users would.
+in the order a scan of all N users would.  Slots K-1 and K are settled in
+one pass, which compares each slot K-1 candidate's bound with one SNR in
+place of a bisect and a count, and failed subtrees of slots 1..K-2 are
+replayed from a per-call cache.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -145,6 +148,18 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     (strongest first, equal SNRs in ascending index order), so are the
     picks, candidates_examined and backtracks.
 
+    Slots K-1 and K are settled in one pass, without recursion or a
+    bisect per candidate.  Slot K's window holds the free positions from
+    bisect_left(neg, -upper(p)), the first SNR <= upper(p), up to
+    last_end, where SNRs drop below gamma_t; p, the slot K-1 pick, is
+    taken.  Let Q be the largest free position below last_end and Q2 the
+    next free position before Q.  The last position the window could hold
+    is then Q, or Q2 when p is Q, and as SNRs descend the bisect lands at
+    or before it, so the count is non-zero, exactly when its SNR is <=
+    upper(p).  A NaN bound fails that comparison and admits nobody.
+    Only the candidate that closes the chain bisects, counts slot K's
+    window and takes its first position.
+
     A subtree that failed is not searched again.  A window below a search
     from start begins at the first position whose SNR is at most the bound
     a pick p >= start set, and that bound is at most desc[p] <=
@@ -155,13 +170,15 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     subtree backtracks once per candidate it examines, so a failure stores
     that one count under its key, and a later call with the key adds it to
     both counters and fails at once: picks, candidates_examined and
-    backtracks stay those of the full search.  The budget enters only
-    subtractions and comparisons, which treat +0.0 and -0.0 alike, so the
-    two zeros may share a key.  A NaN budget never hits: it comes with
-    start == N, an empty window that is never keyed (and NaN != NaN
-    besides).  Failures are stored once the call has backtracked
-    _STORE_AFTER_BACKTRACKS times, and the cache, which lives for one call,
-    is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
+    backtracks stay those of the full search.  Only slots 1..K-2 are
+    keyed: a failed slot K-1 window costs one test per candidate, and
+    adds its length to both counters, as a replay would.  The budget
+    enters only subtractions and comparisons, which treat +0.0 and -0.0
+    alike, so the two zeros may share a key.  A NaN budget never hits: it
+    comes with start == N, an empty window that is never keyed (and NaN
+    != NaN besides).  Failures are stored once the call has backtracked
+    _STORE_AFTER_BACKTRACKS times, and the cache, which lives for one
+    call, is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -171,6 +188,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # plain lists: numpy scalar access would dominate the search
     order = _descending_order(s).tolist()
     desc = s[order].tolist()
+    absorb = [v / gamma_t for v in desc]  # S/gamma_t, a pick's cap on the budget
     neg = [-v for v in desc]  # ascending, for bisect
     # lmin[n] = sum of the n smallest SNRs
     lmin = list(accumulate(reversed(desc), initial=0.0))
@@ -186,10 +204,48 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # examined, which are also the backtracks it made
     failed: dict[tuple[int, int, bool, float], int] = {}
 
+    def close(start: int, t_prev: float) -> bool:
+        """Fill slot K-1 from the positions from start on, and slot K; on
+        success both picks are on chosen, slot K's first."""
+        nonlocal candidates, backtracks
+        window = free[start:]
+        size = window.count(True)
+        q = last_end - 1
+        while q >= 0 and not free[q]:
+            q -= 1
+        q2 = q - 1
+        while q2 >= 0 and not free[q2]:
+            q2 -= 1
+        # a missing Q or Q2 reads inf, which no bound admits: each is at
+        # most a finite SNR
+        s_q = desc[q] if q >= 0 else math.inf
+        s_q2 = desc[q2] if q2 >= 0 else math.inf
+        for tried, p in enumerate(compress(range(start, n), window)):
+            s_p = desc[p]
+            # min() spelled out: the builtin call costs more than the math
+            t_here = t_prev - s_p
+            if absorb[p] < t_here:
+                t_here = absorb[p]
+            upper = t_here - 1.0
+            if s_p < upper:
+                upper = s_p
+            # slot K's bound already makes T_K >= 1
+            if (s_q2 if p == q else s_q) <= upper:
+                free[p] = False
+                nxt = bisect_left(neg, -upper)
+                found = free[nxt:last_end].count(True)
+                candidates += size + found
+                backtracks += tried
+                chosen.extend((free.index(True, nxt, last_end), p))
+                return True
+        candidates += size
+        backtracks += size
+        return False
+
     def search(depth: int, start: int, t_prev: float, top: int) -> bool:
-        """Fill slot depth < k from the positions from start on; on success
-        the picks of slots K..depth are on chosen.  top is the largest
-        position taken by slots 1..depth-1, -1 for none."""
+        """Fill slot depth < k - 1 from the positions from start on; on
+        success the picks of slots K..depth are on chosen.  top is the
+        largest position taken by slots 1..depth-1, -1 for none."""
         nonlocal candidates, backtracks
         # while the cache is empty a call pays no key for it
         if failed and top <= start < n:
@@ -204,11 +260,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         l_rest = lmin[k - depth - 1]
         for p in window:
             s_p = desc[p]
-            # min() spelled out: the builtin call costs more than the math
             t_here = t_prev - s_p
-            absorb = s_p / gamma_t
-            if absorb < t_here:
-                t_here = absorb
+            if absorb[p] < t_here:
+                t_here = absorb[p]
             upper = t_here - 1.0 - l_rest
             if s_p < upper:
                 upper = s_p
@@ -216,14 +270,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
             # bound (inf - inf) admits nobody
             nxt = bisect_left(neg, -upper) if upper == upper else n
             free[p] = False
-            if depth + 1 == k:
-                # slot K's upper bound already makes T_K >= 1
-                found = free[nxt:last_end].count(True)
-                candidates += found
-                if found:
-                    chosen.extend((free.index(True, nxt, last_end), p))
-                    return True
-            elif search(depth + 1, nxt, t_here, p if p > top else top):
+            if (close(nxt, t_here) if depth + 2 == k
+                    else search(depth + 1, nxt, t_here, p if p > top else top)):
                 chosen.append(p)
                 return True
             free[p] = True
@@ -239,6 +287,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         candidates = last_end
         chosen.append(0)
         found = last_end > 0
+    elif k == 2:
+        found = close(0, math.inf)
     else:
         found = search(1, 0, math.inf, -1)
     if not found:

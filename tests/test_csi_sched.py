@@ -229,10 +229,28 @@ def test_gius_matches_scan_version():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gius_matches_scan_version_beyond_determine_k():
     # a k above determine_k exhausts the first slot and raises; SNRs near
-    # the float limit make the window bound inf - inf = NaN
+    # the float limit make the window bound inf - inf = NaN.  The built
+    # instances reach each edge of slot K-1's test against the SNR of Q,
+    # the largest free position below last_end, or of Q2, the next free
+    # one before it, when the slot K-1 pick is Q
     rng = np.random.default_rng(78)
+    g3, g8 = sinr_threshold(0.3), sinr_threshold(0.8)
+    built = [
+        # determine_k 1: at k=2 the first candidate is Q with no Q2, and at
+        # k=3 slot 1 leaves no free SNR >= gamma_t
+        ([5.0, 0.2, 0.1], 0.3),
+        # determine_k 2: at k=3 slot 1 backtracks to 7, and slot 2's first
+        # candidate is Q=4 with Q2=8 free before its window
+        ([8.0, 7.0, 4.0, 0.5], 0.8),
+        # ties around Q, and Q at last_end - 1 with its SNR exactly gamma_t
+        ([12.0, 12.0, 7.0, g8, g8, 4.0], 0.8),
+        ([30.0, 30.0], 1.0),
+        ([7.0, g3, 8.0], 0.3),
+        ([g3, 30.0], 0.3),
+    ]
     instances = [(CsiRealization(np.full(4, 1e308), BIG_SAT), 0.3),
                  (CsiRealization(np.array([1e308, 9e307, 5e307, 1.0]), BIG_SAT), 0.1)]
+    instances += [(CsiRealization(np.array(snrs), BIG_SAT), r) for snrs, r in built]
     instances += [(CsiRealization(rng.integers(0, 6, size=int(rng.integers(1, 9))).astype(float),
                                   (BIG_SAT, 100.0, 5.0)[i % 3]), (0.3, 0.9, 1.8)[i // 3 % 3])
                   for i in range(300)]
@@ -247,7 +265,8 @@ def test_gius_matches_scan_version_beyond_determine_k():
 
 # seeds of the draws at r_target 0.3 on which gius's failure cache hits
 # and the scan version ends within 50 ms: N=22-27 small integers in [0, 12)
-# and N=32 exponential(10) SNRs
+# and N=32 exponential(10) SNRs.  Small-integer seed 69 hit only at slot
+# K-1, which has no key since gius settles slots K-1 and K in one pass
 _TIED_CACHE_SEEDS = (14, 21, 23, 32, 58, 63, 69, 99, 116, 117, 155, 167, 176, 202,
                      218, 232, 258, 272, 283, 290, 296)
 _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63, 71,
@@ -257,7 +276,7 @@ _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63
 @cache
 def _scan_outcomes_where_the_cache_hits():
     """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
-    csi_online decisions, 60 of which replay a failed subtree, and the
+    csi_online decisions, 33 of which replay a failed subtree, and the
     seeded draws above."""
     instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
     for seed in _TIED_CACHE_SEEDS:
