@@ -12,8 +12,9 @@ on dead ends.  A window is a contiguous range of positions in the
 descending SNR order, found by bisection; walking it visits the candidates
 in the order a scan of all N users would.  Slots K-1 and K are settled in
 one pass, which compares each slot K-1 candidate's bound with one SNR in
-place of a bisect and a count, and failed subtrees of slots 1..K-2 are
-replayed from a per-call cache.
+place of a bisect and a count, and ends where the candidates that can
+still close the chain end; failed subtrees of slots 1..K-2 are replayed
+from a per-call cache.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -150,15 +151,22 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 
     Slots K-1 and K are settled in one pass, without recursion or a
     bisect per candidate.  Slot K's window holds the free positions from
-    bisect_left(neg, -upper(p)), the first SNR <= upper(p), up to
-    last_end, where SNRs drop below gamma_t; p, the slot K-1 pick, is
-    taken.  Let Q be the largest free position below last_end and Q2 the
-    next free position before Q.  The last position the window could hold
-    is then Q, or Q2 when p is Q, and as SNRs descend the bisect lands at
-    or before it, so the count is non-zero, exactly when its SNR is <=
-    upper(p).  A NaN bound fails that comparison and admits nobody.
-    Only the candidate that closes the chain bisects, counts slot K's
-    window and takes its first position.
+    bisect_left(neg, -upper(p)), the first SNR <= upper(p) = min(S_p,
+    min(T - S_p, S_p/gamma_t) - 1), up to last_end, where SNRs drop below
+    gamma_t; p, the slot K-1 pick, is taken, and T is the budget slot K-2
+    left.  Let Q be the largest free position below last_end.  For p
+    before Q the window's last position is Q, so p closes the chain
+    exactly when S_Q <= upper(p).  Q itself never closes it: that needs
+    the next free SNR before Q to tie S_Q, and that position comes first
+    in the same window and passes the same test.  Rounding is monotone,
+    so before Q, where S_Q <= S_p, the test splits into S_Q <=
+    S_p/gamma_t - 1, which only gets harder as S_p descends along the
+    window, so the walk ends at its first failure, and S_Q <= T - S_p - 1,
+    which only gets easier.  A failed window adds its whole free count to
+    both counters however far it was walked, and a closing p adds found
+    and its index in the window, so candidates_examined and backtracks
+    stay those of the full search.  Only the closing candidate bisects,
+    counts slot K's window and takes its first position.
 
     A subtree that failed is not searched again.  A window below a search
     from start begins at the first position whose SNR is at most the bound
@@ -171,8 +179,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     that one count under its key, and a later call with the key adds it to
     both counters and fails at once: picks, candidates_examined and
     backtracks stay those of the full search.  Only slots 1..K-2 are
-    keyed: a failed slot K-1 window costs one test per candidate, and
-    adds its length to both counters, as a replay would.  The budget
+    keyed: a failed slot K-1 window costs at most one test per candidate,
+    and adds its length to both counters, as a replay would.  The budget
     enters only subtractions and comparisons, which treat +0.0 and -0.0
     alike, so the two zeros may share a key.  A NaN budget never hits: it
     comes with start == N, an empty window that is never keyed (and NaN
@@ -206,38 +214,35 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
 
     def close(start: int, t_prev: float) -> bool:
         """Fill slot K-1 from the positions from start on, and slot K; on
-        success both picks are on chosen, slot K's first."""
+        success both picks are on chosen, slot K's first.  t_prev is T,
+        the budget slot K-2 left."""
         nonlocal candidates, backtracks
         window = free[start:]
         size = window.count(True)
         q = last_end - 1
         while q >= 0 and not free[q]:
             q -= 1
-        q2 = q - 1
-        while q2 >= 0 and not free[q2]:
-            q2 -= 1
-        # a missing Q or Q2 reads inf, which no bound admits: each is at
-        # most a finite SNR
-        s_q = desc[q] if q >= 0 else math.inf
-        s_q2 = desc[q2] if q2 >= 0 else math.inf
-        for tried, p in enumerate(compress(range(start, n), window)):
-            s_p = desc[p]
-            # min() spelled out: the builtin call costs more than the math
-            t_here = t_prev - s_p
-            if absorb[p] < t_here:
-                t_here = absorb[p]
-            upper = t_here - 1.0
-            if s_p < upper:
-                upper = s_p
-            # slot K's bound already makes T_K >= 1
-            if (s_q2 if p == q else s_q) <= upper:
-                free[p] = False
-                nxt = bisect_left(neg, -upper)
-                found = free[nxt:last_end].count(True)
-                candidates += size + found
-                backtracks += tried
-                chosen.extend((free.index(True, nxt, last_end), p))
-                return True
+        if start < q:
+            s_q = desc[q]
+            for tried, p in enumerate(compress(range(start, q), window)):
+                if absorb[p] - 1.0 < s_q:
+                    break
+                s_p = desc[p]
+                # slot K's bound already makes T_K >= 1
+                if t_prev - s_p - 1.0 >= s_q:
+                    t_here = t_prev - s_p
+                    if absorb[p] < t_here:
+                        t_here = absorb[p]
+                    upper = t_here - 1.0
+                    if s_p < upper:
+                        upper = s_p
+                    free[p] = False
+                    nxt = bisect_left(neg, -upper)
+                    found = free[nxt:last_end].count(True)
+                    candidates += size + found
+                    backtracks += tried
+                    chosen.extend((free.index(True, nxt, last_end), p))
+                    return True
         candidates += size
         backtracks += size
         return False

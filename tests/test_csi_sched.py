@@ -232,7 +232,11 @@ def test_gius_matches_scan_version_beyond_determine_k():
     # the float limit make the window bound inf - inf = NaN.  The built
     # instances reach each edge of slot K-1's test against the SNR of Q,
     # the largest free position below last_end, or of Q2, the next free
-    # one before it, when the slot K-1 pick is Q
+    # one before it, when the slot K-1 pick is Q.  Slot K-1's walk stops
+    # before Q and ends at the first candidate with S/gamma_t - 1 < S_Q;
+    # before that, candidates may fail T - S - 1 >= S_Q alone.  The
+    # instances after the first six reach the edges of that walk named
+    # above each, at the k named there
     rng = np.random.default_rng(78)
     g3, g8 = sinr_threshold(0.3), sinr_threshold(0.8)
     built = [
@@ -247,6 +251,35 @@ def test_gius_matches_scan_version_beyond_determine_k():
         ([30.0, 30.0], 1.0),
         ([7.0, g3, 8.0], 0.3),
         ([g3, 30.0], 0.3),
+        # k=2: the first candidate closes with S/gamma_t - 1 == S_Q
+        ([3.0, 2.0], 1.0),
+        # k=2, above determine_k: S/gamma_t - 1 < S_Q ends the walk, with a
+        # tie of Q in it
+        ([3.0, 3.0], 1.0),
+        # k=3: slot 1, whose budget is inf, takes neither Q nor Q2, and slot
+        # 2 closes with both tests met with equality
+        ([1.0, 4.0, 2.0], 1.0),
+        # k=2 and 3: no SNR clears gamma_t, so there is no Q
+        ([0.0, 0.0, 0.0], 0.3),
+        # k=3, above determine_k: S/gamma_t - 1 < S_Q ends slot 2's walk
+        ([0.0, 2.0, 3.0, 2.0], 1.0),
+        # k=3, above determine_k: slot 1 takes Q, so Q moves to Q2
+        ([0.0, 1.0, 1.0], 0.3),
+        # k=2: a tie of Q closes.  k=3, above determine_k: slot 1 takes Q,
+        # Q2 and neither in turn, and a walk reaches Q with positions below
+        # gamma_t after it in its window
+        ([3.0, 0.0, 3.0, 3.0], 0.8),
+        # k=4 = determine_k: S/gamma_t - 1 < S_Q ends a walk
+        ([1.0, 5.0, 10.0, 1.0, 10.0, 2.0], 0.8),
+        # k=4 = determine_k: a candidate fails only the budget test before
+        # one closes, and a tie of Q closes.  k=5: slot 3 takes Q2
+        ([4.0, 3.0, 4.0, 2.0, 2.0, 0.0], 0.5),
+        # k=3: a candidate fails only the budget test before one closes.
+        # k=4 = determine_k: a walk reaches Q, and a close meets both tests
+        # with equality
+        ([2.0, 11.0, 1.0, 8.0, 12.0, 9.0, 0.0], 1.0),
+        # k=5 = determine_k: slot 3 takes Q2, and a walk reaches Q
+        ([0.0, 2.0, 4.0, 4.0, 2.0, 1.0, 3.0], 0.5),
     ]
     instances = [(CsiRealization(np.full(4, 1e308), BIG_SAT), 0.3),
                  (CsiRealization(np.array([1e308, 9e307, 5e307, 1.0]), BIG_SAT), 0.1)]
