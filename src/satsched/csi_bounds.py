@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +67,15 @@ def _economy_recursion(asc: list, k: int, gamma_t: float) -> list:
     return picks
 
 
+@lru_cache(maxsize=256)
+def _geometric_powers(gamma_t: float, k: int) -> np.ndarray:
+    """(1+gamma_t)**j for j < k, read-only: every caller shares one array."""
+    with np.errstate(over="ignore"):  # an overflowing power is inf: slot 0
+        powers = np.power(1.0 + gamma_t, np.arange(k, dtype=float))
+    powers.flags.writeable = False
+    return powers
+
+
 def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
     """Geometric SNR profile anchored at the strongest user.
 
@@ -82,8 +92,7 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k == 1:
         return np.array([s_max])
-    with np.errstate(over="ignore"):  # an overflowing power is inf: slot 0
-        out = s_max / np.power(1.0 + gamma_t, np.arange(k, dtype=float))
+    out = s_max / _geometric_powers(gamma_t, k)
     try:
         out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
     except OverflowError:

@@ -99,10 +99,10 @@ def _descending_order(snrs: np.ndarray) -> np.ndarray:
     return np.argsort(-snrs, kind="stable")
 
 
-def _finish(users, csi, r_target, candidates, backtracks) -> SchedulerOutcome:
-    # the schedulers checked at entry that the satellite hop carries len(users)
-    finished = _finish_superposition(users, csi.user_snrs[users].tolist(), r_target,
-                                     csi.sat_snr)
+def _finish(users, snrs, csi, r_target, candidates, backtracks) -> SchedulerOutcome:
+    # snrs: the users' SNRs in the same order; the schedulers checked at
+    # entry that the satellite hop carries len(users)
+    finished = _finish_superposition(users, snrs, r_target, csi.sat_snr)
     if finished is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
     schedule, report = finished
@@ -194,8 +194,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         return _infeasible(0, 0)
 
     # plain lists: numpy scalar access would dominate the search
-    order = _descending_order(s).tolist()
+    order = _descending_order(s)
     desc = s[order].tolist()
+    order = order.tolist()
     absorb = [v / gamma_t for v in desc]  # S/gamma_t, a pick's cap on the budget
     neg = [-v for v in desc]  # ascending, for bisect
     # lmin[n] = sum of the n smallest SNRs
@@ -300,7 +301,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish([order[p] for p in reversed(chosen)], csi, r_target, candidates, backtracks)
+    chosen.reverse()
+    return _finish([order[p] for p in chosen], [desc[p] for p in chosen], csi, r_target,
+                   candidates, backtracks)
 
 
 def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
@@ -319,9 +322,9 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         return _infeasible(0, 0)
 
     # stable ascending argsort: equal SNRs keep ascending index order
-    s_list = s.tolist()
-    users = sorted(range(len(s_list)), key=s_list.__getitem__)
-    snrs = [s_list[u] for u in users]
+    users = np.argsort(s, kind="stable")
+    snrs = s[users].tolist()
+    users = users.tolist()
     s_max = snrs[-1]
     # the strongest user is the lowest index among the largest SNRs
     top = bisect_left(snrs, s_max)
@@ -330,7 +333,7 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     if k == 1:
         if s_max < gamma_t:
             return _infeasible(0, 0)
-        return _finish([first], csi, r_target, 1, 0)
+        return _finish([first], [s_max], csi, r_target, 1, 0)
 
     # economy fill; only its last slot's pick seeds the final-slot window
     picks = _economy_recursion(snrs, k, gamma_t)
@@ -375,8 +378,10 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 # the first slot's chain constraint is not guaranteed by
                 # construction, so verify before accepting
                 if s_max >= gamma_t * (tail_sum + 1.0):
-                    chosen = [first, *(users[p] for p in reversed(picked)), users[q]]
-                    return _finish(chosen, csi, r_target, candidates, 0)
+                    picked.reverse()
+                    chosen = [first, *(users[p] for p in picked), users[q]]
+                    return _finish(chosen, [s_max, *(snrs[p] for p in picked), snrs[q]], csi,
+                                   r_target, candidates, 0)
         hi = group
     return _infeasible(candidates, 0)
 
@@ -439,7 +444,8 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
         chains.append(pos[tied])
         tied = parent[tied]
     best = np.lexsort(chains[::-1])[0]
-    return _finish(order[[c[best] for c in chains]].tolist(), csi, r_target, n_subsets, 0)
+    picks = [c[best] for c in chains]
+    return _finish(order[picks].tolist(), desc[picks].tolist(), csi, r_target, n_subsets, 0)
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:

@@ -97,26 +97,24 @@ class RateReport:
     meets_target: bool
 
 
-def _chain_back_to_front(vals: list, inv: float):
-    """Successive-decoding SINRs with denominator tail + inv > 0, last slot first.
+def _chain_rates(vals: list, inv: float, ceiling=None):
+    """awgn_capacity of each successive-decoding SINR, with denominator
+    tail + inv > 0, last slot first, as min(ceiling, rate) where a ceiling
+    is given; unchecked, as no SINR here is NaN or negative.  Returns
+    (rates, total).
 
     Plain floats on purpose: chains are a handful of slots and sit on every
     scheduler's hot path, where ndarray temporaries cost more than the math.
-    Returns (sinrs, total).
     """
-    out = [0.0] * len(vals)
+    out = [math.inf] * len(vals) if ceiling is None else list(ceiling)
     tail = 0.0
     for k in range(len(vals) - 1, -1, -1):
         v = vals[k]
-        out[k] = v / (tail + inv)
+        rate = math.log1p(v / (tail + inv)) / _LN2
+        if rate < out[k]:
+            out[k] = rate
         tail += v
     return out, tail
-
-
-def _chain_capacities(sinrs: list) -> list:
-    """awgn_capacity of each chain SINR, unchecked: _chain_back_to_front
-    never yields a NaN or a negative SINR."""
-    return [math.log1p(g) / _LN2 for g in sinrs]
 
 
 def sic_chains_close(slot_snrs, gamma_t: float):
@@ -167,12 +165,12 @@ def _hop_carries(k: int, r_target: float, sat_snr: float) -> bool:
         return False
 
 
-def _split_power(relay_rates: list, r_target: float, sat_snr: float):
+def _split_power(relay_rates: list, r_target: float, sat_snr: float, cap: float):
     """Relay power fractions in decode order carrying relay_rates through a
-    satellite hop that can carry len(relay_rates) positions at r_target;
-    None only when rounding pushes their sum past 1 + _ALPHA_TOL."""
+    satellite hop of capacity cap = awgn_capacity(sat_snr) that can carry
+    len(relay_rates) positions at r_target; None only when rounding pushes
+    their sum past 1 + _ALPHA_TOL."""
     k = len(relay_rates)
-    cap = awgn_capacity(sat_snr)
     total = 0.0
     for rate in relay_rates:  # left to right: sum() compensates from Python 3.12 on
         total += rate
@@ -211,9 +209,9 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     k = len(vals)
     if max_supported_users(sat_snr, r_target, k) < k:
         return None
-    chain, _ = _chain_back_to_front(vals, 1.0)
+    relay_rates, _ = _chain_rates(vals, 1.0)
     # the budget check above makes _split_power's fp guard unreachable
-    alphas = _split_power(_chain_capacities(chain), r_target, sat_snr)
+    alphas = _split_power(relay_rates, r_target, sat_snr, awgn_capacity(sat_snr))
     return None if alphas is None else np.array(alphas)
 
 
@@ -247,23 +245,23 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
         raise ParameterError("schedule references a user outside the realization")
     all_snrs = csi.user_snrs
     # the realization already vetted the SNRs, the Schedule its alphas
-    relay, total_snr = _chain_back_to_front([float(all_snrs[u]) for u in users], 1.0)
-    return _rate_report(_chain_capacities(relay), total_snr, schedule.alphas, csi.sat_snr,
-                        r_target)
+    relay_rates, total_snr = _chain_rates([float(all_snrs[u]) for u in users], 1.0)
+    return _rate_report(relay_rates, total_snr, schedule.alphas, csi.sat_snr,
+                        awgn_capacity(csi.sat_snr), r_target)
 
 
 def _rate_report(relay_rates: list, total_snr: float, alphas, sat_snr: float,
-                 r_target: float) -> RateReport:
-    """evaluate_schedule from the relay chain's rates and SNR sum."""
-    sat, _ = _chain_back_to_front(alphas, 1.0 / sat_snr)
-    rates = tuple(map(min, relay_rates, _chain_capacities(sat)))
+                 satellite_cap: float, r_target: float) -> RateReport:
+    """evaluate_schedule from the relay chain's rates and SNR sum, and the
+    satellite hop's capacity awgn_capacity(sat_snr)."""
+    rates, _ = _chain_rates(alphas, 1.0 / sat_snr, relay_rates)
     terrestrial_cap = awgn_capacity(total_snr)
-    satellite_cap = awgn_capacity(sat_snr)
     return RateReport(
-        per_user_rates=rates,
+        per_user_rates=tuple(rates),
         sum_rate=min(terrestrial_cap, satellite_cap),
         binding_hop=_binding_hop(terrestrial_cap, satellite_cap),
-        meets_target=all(r >= r_target - 1e-12 for r in rates),
+        # no rate is NaN, so the smallest meets the target when all do
+        meets_target=min(rates) >= r_target - 1e-12,
     )
 
 
@@ -277,10 +275,11 @@ def _finish_superposition(users, snrs: list, r_target: float, sat_snr: float):
     and finite, and the satellite hop carries len(users) positions at
     r_target.  None where throughput_power_split's fp guard would be.
     """
-    relay, total_snr = _chain_back_to_front(snrs, 1.0)
-    relay_rates = _chain_capacities(relay)
-    alphas = _split_power(relay_rates, r_target, sat_snr)
+    relay_rates, total_snr = _chain_rates(snrs, 1.0)
+    sat_cap = awgn_capacity(sat_snr)
+    alphas = _split_power(relay_rates, r_target, sat_snr, sat_cap)
     if alphas is None:
         return None
     schedule = Schedule(users=users, alphas=alphas)
-    return schedule, _rate_report(relay_rates, total_snr, schedule.alphas, sat_snr, r_target)
+    return schedule, _rate_report(relay_rates, total_snr, schedule.alphas, sat_snr, sat_cap,
+                                  r_target)

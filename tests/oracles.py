@@ -3,10 +3,10 @@
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
 paths it is used to check.  The exceptions are the earlier versions of
-the CSI schedulers, their finishing step, the sum-rate sandwich, the
-continuous CDI benchmark solver and its slot optimum, the two CDI group
-selectors and the Monte-Carlo estimator, kept verbatim as equivalence
-references.
+the decode-chain loops, the CSI schedulers, their finishing step, the
+sum-rate sandwich and its upper profile, the continuous CDI benchmark
+solver and its slot optimum, the two CDI group selectors and the
+Monte-Carlo estimator, kept verbatim as equivalence references.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import hyp1f1
 
+_LN2 = math.log(2.0)
+
 
 def chain_sinrs(snrs_in_order, noise=1.0):
     """Decode-order SINRs with a plain loop: slot k against slots k+1..K
@@ -33,6 +35,27 @@ def chain_sinrs(snrs_in_order, noise=1.0):
         denom = sum(s[k + 1:]) + noise
         out.append(s[k] / denom if denom > 0 else math.inf)
     return out
+
+
+def chain_back_to_front(vals: list, inv: float):
+    """Successive-decoding SINRs with denominator tail + inv > 0, last slot first.
+
+    rate_core's chain loop before it took the capacities in the same pass.
+    Returns (sinrs, total).
+    """
+    out = [0.0] * len(vals)
+    tail = 0.0
+    for k in range(len(vals) - 1, -1, -1):
+        v = vals[k]
+        out[k] = v / (tail + inv)
+        tail += v
+    return out, tail
+
+
+def chain_capacities(sinrs: list) -> list:
+    """awgn_capacity of each chain SINR, unchecked: chain_back_to_front
+    never yields a NaN or a negative SINR."""
+    return [math.log1p(g) / _LN2 for g in sinrs]
 
 
 def subset_feasible(snrs_desc, gamma_t):
@@ -478,7 +501,7 @@ def gius_scan(csi, k, r_target):
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"
         )
-    return _finish(chosen, csi, r_target, candidates, backtracks)
+    return _finish(chosen, [s_list[u] for u in chosen], csi, r_target, candidates, backtracks)
 
 
 def _economy_recursion(s, k, gamma_t):
@@ -528,7 +551,7 @@ def lbus_two_sorts(csi, k, r_target):
     if k == 1:
         if s_max < gamma_t:
             return _infeasible(0, 0)
-        return _finish([first], csi, r_target, 1, 0)
+        return _finish([first], [s_max], csi, r_target, 1, 0)
 
     # economy recursion; only its last slot seeds the scan window
     picks = _economy_recursion(s, k, gamma_t)
@@ -570,7 +593,8 @@ def lbus_two_sorts(csi, k, r_target):
         # construction, so verify before accepting
         if ok and s_max >= gamma_t * (tail_sum + 1.0):
             chosen.reverse()
-            return _finish([first] + chosen, csi, r_target, candidates, 0)
+            chosen.insert(0, first)
+            return _finish(chosen, [s_list[u] for u in chosen], csi, r_target, candidates, 0)
     return _infeasible(candidates, 0)
 
 
@@ -618,21 +642,14 @@ class ScheduleThreePass:
 def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
     """throughput_power_split with the split arithmetic inline."""
     from satsched.channel import _checked_snrs
-    from satsched.rate_core import (
-        _ALPHA_TOL,
-        _LN2,
-        _chain_back_to_front,
-        _chain_capacities,
-        awgn_capacity,
-        max_supported_users,
-    )
+    from satsched.rate_core import _ALPHA_TOL, awgn_capacity, max_supported_users
 
     vals = _checked_snrs(snrs_in_order).tolist()
     k = len(vals)
     if max_supported_users(sat_snr, r_target, k) < k:
         return None
-    chain, _ = _chain_back_to_front(vals, 1.0)
-    relay_rates = _chain_capacities(chain)
+    chain, _ = chain_back_to_front(vals, 1.0)
+    relay_rates = chain_capacities(chain)
     cap = awgn_capacity(sat_snr)
     if sum(relay_rates) <= cap:
         targets = relay_rates
@@ -658,13 +675,7 @@ def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
 def evaluate_schedule_two_chains(schedule, csi, r_target):
     """evaluate_schedule computing the relay chain a second time."""
     from satsched import ParameterError, RateReport
-    from satsched.rate_core import (
-        EMPTY_RATE_REPORT,
-        _binding_hop,
-        _chain_back_to_front,
-        _chain_capacities,
-        awgn_capacity,
-    )
+    from satsched.rate_core import EMPTY_RATE_REPORT, _binding_hop, awgn_capacity
 
     if schedule.n_users == 0:
         return EMPTY_RATE_REPORT
@@ -676,9 +687,9 @@ def evaluate_schedule_two_chains(schedule, csi, r_target):
     all_snrs = csi.user_snrs
     # the realization already vetted the SNRs, the Schedule its alphas
     snrs = [float(all_snrs[u]) for u in users]
-    relay, total_snr = _chain_back_to_front(snrs, 1.0)
-    sat, _ = _chain_back_to_front(schedule.alphas, 1.0 / csi.sat_snr)
-    rates = tuple(map(min, _chain_capacities(relay), _chain_capacities(sat)))
+    relay, total_snr = chain_back_to_front(snrs, 1.0)
+    sat, _ = chain_back_to_front(schedule.alphas, 1.0 / csi.sat_snr)
+    rates = tuple(map(min, chain_capacities(relay), chain_capacities(sat)))
     terrestrial_cap = awgn_capacity(total_snr)
     satellite_cap = awgn_capacity(csi.sat_snr)
     sum_rate = min(terrestrial_cap, satellite_cap)
@@ -748,11 +759,38 @@ def lower_bound_snrs(snrs, k: int, gamma_t: float):
     return np.array(hat)
 
 
+def upper_bound_snrs_every_call(s_max: float, k: int, gamma_t: float) -> np.ndarray:
+    """upper_bound_snrs taking its powers anew at every call.
+
+    Slot j < K gets s_max/(1+gamma_t)**(j-1); the final slot gets
+    s_max/((1+gamma_t)**(K-2) * gamma_t) - 1, which can go negative for
+    large K and is reported as-is (callers clamp at zero when summing); it
+    is -1 when (1+gamma_t)**(K-2) overflows.
+    """
+    from satsched import ParameterError
+
+    if not (s_max >= 0 and math.isfinite(s_max)):
+        raise ParameterError(f"s_max must be non-negative finite, got {s_max}")
+    if not (gamma_t > 0 and math.isfinite(gamma_t)):
+        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if k == 1:
+        return np.array([s_max])
+    with np.errstate(over="ignore"):  # an overflowing power is inf: slot 0
+        out = s_max / np.power(1.0 + gamma_t, np.arange(k, dtype=float))
+    try:
+        out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+    except OverflowError:
+        out[k - 1] = -1.0
+    return out
+
+
 def sum_rate_bounds_three_sorts(csi, k: int, r_target: float):
     """sum_rate_bounds checking the SNRs on the full array and taking the
     strongest one from a fresh reduction, with numpy scalars in its
     profiles."""
-    from satsched import BoundsResult, awgn_capacity, sinr_threshold, upper_bound_snrs
+    from satsched import BoundsResult, awgn_capacity, sinr_threshold
 
     gamma_t = sinr_threshold(r_target)
     # lower_bound_snrs checks the arguments for both bounds
@@ -761,7 +799,7 @@ def sum_rate_bounds_three_sorts(csi, k: int, r_target: float):
     feasible = lb is not None
     lb_rate = min(awgn_capacity(float(lb.sum())), sat_cap) if feasible else 0.0
 
-    ub = upper_bound_snrs(float(csi.user_snrs.max()), k, gamma_t)
+    ub = upper_bound_snrs_every_call(float(csi.user_snrs.max()), k, gamma_t)
     ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
 
     return BoundsResult(

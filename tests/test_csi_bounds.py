@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import lower_bound_snrs
+from satsched import csi_bounds
 from satsched import (
     CsiRealization,
     ParameterError,
@@ -64,6 +65,63 @@ def test_upper_bound_overflowing_power_is_a_value():
         ub = upper_bound_snrs(10.0, 5, sinr_threshold(600.0))
     assert ub[0] == 10.0
     assert ub[-1] == -1.0
+
+
+def test_upper_bound_power_memo_is_read_only():
+    upper_bound_snrs(100.0, 7, 0.75)
+    powers = csi_bounds._geometric_powers(0.75, 7)
+    assert not powers.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        powers[1] = 0.0
+
+
+def test_upper_bound_power_memo_stays_under_its_cap():
+    memo = csi_bounds._geometric_powers
+    cap = memo.cache_info().maxsize
+    for i in range(cap + 10):
+        gamma_t = 1.0 + i / 8.0
+        ub = upper_bound_snrs(50.0, 4, gamma_t)
+        assert memo.cache_info().currsize <= cap
+        assert ub.tolist() == oracles.upper_bound_snrs_every_call(50.0, 4, gamma_t).tolist()
+    hits = memo.cache_info().hits
+    upper_bound_snrs(50.0, 4, gamma_t)
+    assert memo.cache_info().hits == hits + 1
+
+
+def test_upper_bound_returns_a_fresh_writable_array():
+    first = upper_bound_snrs(100.0, 3, 1.0)
+    assert first.flags.writeable
+    first[:] = -7.0
+    second = upper_bound_snrs(100.0, 3, 1.0)
+    assert second is not first and second.flags.writeable
+    assert second.tolist() == [100.0, 50.0, 49.0]
+
+
+def test_sum_rate_bounds_at_one_slot_and_overflowing_powers():
+    # (1+gamma_t)**(K-1) overflows from about r_target 1024/(K-1) on; each
+    # instance runs twice, the second time from the memo
+    rng = np.random.default_rng(25)
+    checked = overflowed = 0
+    for k in range(1, 7):
+        edges = [1023.0 * (j + 1) / 8 for j in range(8)]
+        if k > 1:
+            edges += [1024.0 / (k - 1) + d for d in (-1.0, -1e-9, 0.0, 1e-9, 0.5)]
+        for r in edges:
+            if not 0.0 < r <= 1023.0:
+                continue
+            gamma_t = sinr_threshold(r)
+            with np.errstate(over="ignore"):
+                overflowed += bool(np.isinf(np.power(1.0 + gamma_t, float(k - 1))))
+            for scale in (1.0, 1e300):
+                csi = CsiRealization(rng.exponential(10.0, 6) * scale, BIG_SAT)
+                for _ in range(2):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        bounds = sum_rate_bounds(csi, k, r)
+                    assert _bounds_fields(bounds) == \
+                        _bounds_fields(oracles.sum_rate_bounds_three_sorts(csi, k, r))
+                    checked += 1
+    assert checked > 200 and overflowed > 10
 
 
 def test_upper_bound_sum_identity():

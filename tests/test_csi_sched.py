@@ -2,17 +2,19 @@
 exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
+import json
 import math
 import time
 import tracemalloc
 from collections import Counter
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from satsched import csi_sched, errors
+from satsched import csi_sched, errors, harness
 from satsched import (
     CsiRealization,
     EnumerationBudgetError,
@@ -29,7 +31,9 @@ from satsched import (
     sinr_threshold,
     sum_rate_bounds,
     throughput_power_split,
+    trial_rng,
 )
+from satsched.harness import SCENARIOS, ExperimentConfig
 
 BIG_SAT = float(2**60)
 
@@ -629,7 +633,7 @@ def _finish_instances():
 def test_finish_matches_the_three_step_finish():
     seen = Counter()
     for csi, r, users in _finish_instances():
-        outcome = csi_sched._finish(users, csi, r, 7, 2)
+        outcome = csi_sched._finish(users, csi.user_snrs[users].tolist(), csi, r, 7, 2)
         schedule, report = oracles.finish_three_steps(users, csi, r)
         assert repr((outcome.schedule.users, outcome.schedule.alphas)) == \
             repr((schedule.users, schedule.alphas))
@@ -644,3 +648,41 @@ def test_finish_matches_the_three_step_finish():
         seen["missed"] += not report.meets_target
     assert min(seen["relay"], seen["surplus"]) > 1000, seen
     assert min(seen["clamped"], seen["missed"]) > 20, seen
+
+
+def _csi_sumrate_draws():
+    """(csi, r_target) of every trial of the bundled csi_sumrate table."""
+    path = Path(csi_sched.__file__).parent / "configs" / "csi_sumrate.json"
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    ordinal = SCENARIOS.index(cfg.scenario)
+    for xi, r in enumerate(cfg.r_target_grid):
+        for t in range(cfg.trials):
+            yield harness._draw_csi_k(cfg, r, trial_rng(cfg.seed, ordinal, xi, t))[0], r
+
+
+def test_schedulers_finish_with_the_snrs_of_their_users():
+    # each scheduler hands _finish its picks' SNRs from its own sorted list;
+    # a list out of step with the users, at tied SNRs in lbus say, would
+    # move the split and the rates away from a finish that reads them by user
+    seen = Counter()
+    realizations = {(id(csi), r): (csi, r) for csi, r, _ in _finish_instances()}
+    for csi, r in [*realizations.values(), *_csi_sumrate_draws()]:
+        top = determine_k(csi, r)
+        runs = [("opportunistic", baseline_opportunistic(csi, r))]
+        for k in sorted({top, (top + 1) // 2} - {0}):
+            runs.append(("lbus", lbus(csi, k, r)))
+            # the two searches whose work grows with comb(N, K); gius takes
+            # seconds on some r_target 0.3 instances, as its search has no bound
+            if math.comb(csi.n_users, k) <= 5000:
+                runs += [("gius", gius(csi, k, r)), ("exhaustive", exhaustive(csi, k, r))]
+        for name, outcome in runs:
+            if outcome.schedule is None:
+                continue
+            users = outcome.schedule.users
+            schedule, report = oracles.finish_three_steps(users, csi, r)
+            assert repr((users, outcome.schedule.alphas)) == \
+                repr((schedule.users, schedule.alphas)), (name, csi, r)
+            assert repr(outcome.rate_report) == repr(report), (name, csi, r)
+            seen[name] += 1
+            seen["tied"] += len(set(csi.user_snrs[list(users)].tolist())) < len(users)
+    assert min(seen.values()) > 300, seen

@@ -1,8 +1,9 @@
 """Package-wide checks: every public function has a caller outside the
-tests, every config field is set by a bundled table or the benchmark, the
-package imports nothing beyond the standard library and numpy, the
-benchmark's tracer finds every function it wraps, the benchmark's tables
-are valid configs, and the README's python examples run as written."""
+tests, every private definition one in the package, every config field
+is set by a bundled table or the benchmark, the package imports nothing
+beyond the standard library and numpy, the benchmark's tracer finds every
+function it wraps, the benchmark's tables are valid configs, and the
+README's python examples run as written."""
 
 import ast
 import dataclasses
@@ -68,6 +69,36 @@ def test_every_public_function_has_a_caller():
     refs = [ref for tree in trees.values() for ref in _references(tree)]
     uncalled = _uncalled(trees, refs)
     assert not uncalled, f"public functions nothing in src/ or perfbench/ calls: {uncalled}"
+
+
+def _private_defs(tree):
+    """(name, node) of each private top-level function, class and constant,
+    dunders apart."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    # a private helper or constant that only the tests or the benchmark read
+    # is code kept alive for them alone; its own body and assignment do not count
+    trees = {path: tree for path, tree in _trees().items() if path.parent == SRC}
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    unused = []
+    for path, tree in sorted(trees.items()):
+        for name, definition in _private_defs(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and id(node) not in own for ref, node in refs):
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"private definitions nothing else in src/ reads: {unused}"
 
 
 def test_no_new_function_lives_on_tracer_strings_alone():

@@ -23,7 +23,7 @@ from satsched import (
     sinr_threshold,
     throughput_power_split,
 )
-from satsched.rate_core import _ALPHA_TOL, _chain_back_to_front
+from satsched.rate_core import _ALPHA_TOL, _chain_rates
 
 snr_arrays = hnp.arrays(
     dtype=float,
@@ -54,11 +54,16 @@ def test_capacity_threshold_roundtrip(r):
 
 
 def _relay_chain(snrs):
-    return _chain_back_to_front(list(map(float, snrs)), 1.0)[0]
+    return oracles.chain_back_to_front(list(map(float, snrs)), 1.0)[0]
 
 
 def _sat_chain(alphas, sat_snr):
-    return _chain_back_to_front(list(map(float, alphas)), 1.0 / sat_snr)[0]
+    return oracles.chain_back_to_front(list(map(float, alphas)), 1.0 / sat_snr)[0]
+
+
+def _chain_rates_two_loops(vals, inv):
+    sinrs, total = oracles.chain_back_to_front(vals, inv)
+    return oracles.chain_capacities(sinrs), total
 
 
 def test_relay_chain_hand_values():
@@ -76,6 +81,28 @@ def test_relay_chain_telescopes(snrs):
     assert lhs == pytest.approx(1.0 + snrs.sum(), rel=1e-9)
     # matches the plain-loop oracle slot by slot
     assert np.allclose(gammas, oracles.chain_sinrs(snrs), rtol=1e-12, atol=1e-12)
+
+
+def test_chain_rates_hand_values():
+    rates, total = _chain_rates([8.0, 4.0, 1.0], 1.0)
+    assert np.allclose(rates, np.log2(1.0 + np.array([8.0 / 6.0, 2.0, 1.0])))
+    assert total == 13.0
+    rates, total = _chain_rates([0.6, 0.4], 1.0 / 10.0)
+    assert np.allclose(rates, np.log2([2.2, 5.0]))
+    assert total == 1.0
+
+
+@given(snr_arrays, st.sampled_from([1.0, 1.0 / 3.0, 1e-3, 1e-300, 5.0, math.inf]))
+@settings(max_examples=100, deadline=None)
+def test_chain_rates_is_bitwise_the_two_loops(snrs, inv):
+    # one loop over the chain gives the SINR loop's total and the bits of
+    # its capacities, and under a ceiling the bits of their minimum with it
+    vals = snrs.tolist()
+    rates, total = _chain_rates_two_loops(vals, inv)
+    assert repr(_chain_rates(vals, inv)) == repr((rates, total))
+    ceiling, _ = _chain_rates_two_loops(vals[::-1], 1.0)
+    assert repr(_chain_rates(vals, inv, ceiling)) == \
+        repr((list(map(min, ceiling, rates)), total))
 
 
 def test_satellite_chain_hand_values():
