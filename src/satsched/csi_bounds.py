@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from .errors import ParameterError
 from .rate_core import awgn_capacity, sinr_threshold
 
 
-@dataclass(frozen=True)
-class BoundsResult:
-    lb_snrs: tuple | None
-    ub_snrs: tuple
+class BoundsResult(NamedTuple):
     lb_rate: float
     ub_rate: float
     feasible: bool
@@ -100,6 +97,36 @@ def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
     return out
 
 
+def _pairwise_sum(xs: list) -> float:
+    """float(np.sum(xs)) bit for bit on plain floats, in numpy's float64
+    order: under 8 values left to right; up to 128 in eight strided
+    accumulators, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest left to right; beyond that each half, split at a multiple of 8,
+    on its own.  numpy starts the reduction from its identity +0.0, which
+    only turns a -0.0 sum into 0.0.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for v in xs:  # left to right: sum() compensates from Python 3.12 on
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    m = n - n % 8
+    r = []
+    for j in range(8):
+        acc = xs[j]
+        for v in xs[j + 8:m:8]:
+            acc += v
+        r.append(acc)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in xs[m:]:
+        total += v
+    return total + 0.0
+
+
 def feasibility_check(snrs, k: int, gamma_t: float) -> bool:
     """True when some k-user selection closes the full SINR chain.
 
@@ -115,9 +142,10 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     """Sandwich on the best achievable sum rate for k scheduled users.
 
     The lower profile is the economy selection in decode order with the
-    strongest SNR substituted into slot 1, the upper one upper_bound_snrs.
-    Both bounds are capped by the satellite cut-set C(sat_snr).  On an
-    infeasible instance lb_snrs is None and lb_rate is 0.
+    strongest SNR substituted into slot 1, the upper one upper_bound_snrs
+    clamped at zero.  Both are summed in numpy's order, and both bounds
+    are capped by the satellite cut-set C(sat_snr).  On an infeasible
+    instance lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
     # one ascending list serves the economy fill and the maximum
@@ -129,17 +157,12 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     if feasible:
         lb.reverse()  # decode order
         lb[0] = s_max
-        lb_rate = min(awgn_capacity(float(np.sum(lb))), sat_cap)
+        lb_rate = min(awgn_capacity(_pairwise_sum(lb)), sat_cap)
     else:
         lb_rate = 0.0
 
-    ub = upper_bound_snrs(s_max, k, gamma_t)
-    ub_rate = min(awgn_capacity(float(np.maximum(ub, 0.0).sum())), sat_cap)
-
-    return BoundsResult(
-        lb_snrs=tuple(lb) if feasible else None,
-        ub_snrs=tuple(ub.tolist()),
-        lb_rate=lb_rate,
-        ub_rate=ub_rate,
-        feasible=feasible,
-    )
+    ub = upper_bound_snrs(s_max, k, gamma_t).tolist()
+    if ub[-1] < 0.0:  # only the final slot can go negative
+        ub[-1] = 0.0
+    ub_rate = min(awgn_capacity(_pairwise_sum(ub)), sat_cap)
+    return BoundsResult(lb_rate, ub_rate, feasible)

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .rate_core import (
     EMPTY_RATE_REPORT,
     RateReport,
     Schedule,
-    _binding_hop,
     _finish_superposition,
     awgn_capacity,
     max_supported_users,
@@ -56,14 +55,12 @@ from .rate_core import (
 )
 
 
-@dataclass(frozen=True)
-class SchedulerStats:
+class SchedulerStats(NamedTuple):
     candidates_examined: int
     backtracks: int
 
 
-@dataclass(frozen=True)
-class SchedulerOutcome:
+class SchedulerOutcome(NamedTuple):
     schedule: Schedule | None
     rate_report: RateReport
     stats: SchedulerStats
@@ -105,20 +102,11 @@ def _finish(users, snrs, csi, r_target, candidates, backtracks) -> SchedulerOutc
     finished = _finish_superposition(users, snrs, r_target, csi.sat_snr)
     if finished is None:
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
-    schedule, report = finished
-    return SchedulerOutcome(
-        schedule=schedule,
-        rate_report=report,
-        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks),
-    )
+    return SchedulerOutcome(*finished, SchedulerStats(candidates, backtracks))
 
 
 def _infeasible(candidates, backtracks) -> SchedulerOutcome:
-    return SchedulerOutcome(
-        schedule=None,
-        rate_report=EMPTY_RATE_REPORT,
-        stats=SchedulerStats(candidates_examined=candidates, backtracks=backtracks),
-    )
+    return SchedulerOutcome(None, EMPTY_RATE_REPORT, SchedulerStats(candidates, backtracks))
 
 
 def _entry_checks(csi: CsiRealization, k: int, r_target: float) -> float:
@@ -462,19 +450,9 @@ def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutc
             total = 0.0
             for rate in rates:  # left to right: sum() compensates from Python 3.12 on
                 total += rate
-            sat_cap = awgn_capacity(csi.sat_snr)
-            report = RateReport(
-                per_user_rates=tuple(rates),
-                sum_rate=min(total, sat_cap),
-                binding_hop=_binding_hop(total, sat_cap),
-                meets_target=True,
-            )
-            schedule = Schedule(users=tuple(kept), alphas=None)
-            return SchedulerOutcome(
-                schedule=schedule,
-                rate_report=report,
-                stats=SchedulerStats(len(kept), 0),
-            )
+            report = RateReport(tuple(rates), min(total, awgn_capacity(csi.sat_snr)), True)
+            return SchedulerOutcome(Schedule(users=tuple(kept), alphas=None), report,
+                                    SchedulerStats(len(kept), 0))
         kept.pop()  # weakest is last in descending order
     return _infeasible(0, 0)
 

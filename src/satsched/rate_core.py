@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,11 +90,9 @@ class Schedule:
         return len(self.users)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     per_user_rates: tuple
     sum_rate: float
-    binding_hop: str  # "terrestrial" or "satellite"
     meets_target: bool
 
 
@@ -215,13 +214,8 @@ def throughput_power_split(snrs_in_order, r_target: float, sat_snr: float):
     return None if alphas is None else np.array(alphas)
 
 
-def _binding_hop(terrestrial_cap: float, satellite_cap: float) -> str:
-    return "terrestrial" if terrestrial_cap <= satellite_cap else "satellite"
-
-
-# no user served: a zero terrestrial cut never exceeds the satellite's
-EMPTY_RATE_REPORT = RateReport(per_user_rates=(), sum_rate=0.0, binding_hop="terrestrial",
-                               meets_target=False)
+# no user served
+EMPTY_RATE_REPORT = RateReport(per_user_rates=(), sum_rate=0.0, meets_target=False)
 
 
 def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) -> RateReport:
@@ -234,7 +228,6 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
     power can always pass the full phase-1 sum through a satellite hop with
     that much capacity, so this is the sum the selection actually supports
     (and it upper-bounds the per-user total for any fixed split).
-    binding_hop names the smaller cut-set.
     """
     if schedule.n_users == 0:
         return EMPTY_RATE_REPORT
@@ -255,14 +248,9 @@ def _rate_report(relay_rates: list, total_snr: float, alphas, sat_snr: float,
     """evaluate_schedule from the relay chain's rates and SNR sum, and the
     satellite hop's capacity awgn_capacity(sat_snr)."""
     rates, _ = _chain_rates(alphas, 1.0 / sat_snr, relay_rates)
-    terrestrial_cap = awgn_capacity(total_snr)
-    return RateReport(
-        per_user_rates=tuple(rates),
-        sum_rate=min(terrestrial_cap, satellite_cap),
-        binding_hop=_binding_hop(terrestrial_cap, satellite_cap),
-        # no rate is NaN, so the smallest meets the target when all do
-        meets_target=min(rates) >= r_target - 1e-12,
-    )
+    # no rate is NaN, so the smallest meets the target when all do
+    return RateReport(tuple(rates), min(awgn_capacity(total_snr), satellite_cap),
+                      min(rates) >= r_target - 1e-12)
 
 
 def _finish_superposition(users, snrs: list, r_target: float, sat_snr: float):

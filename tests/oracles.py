@@ -675,7 +675,7 @@ def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
 def evaluate_schedule_two_chains(schedule, csi, r_target):
     """evaluate_schedule computing the relay chain a second time."""
     from satsched import ParameterError, RateReport
-    from satsched.rate_core import EMPTY_RATE_REPORT, _binding_hop, awgn_capacity
+    from satsched.rate_core import EMPTY_RATE_REPORT, awgn_capacity
 
     if schedule.n_users == 0:
         return EMPTY_RATE_REPORT
@@ -697,7 +697,6 @@ def evaluate_schedule_two_chains(schedule, csi, r_target):
     return RateReport(
         per_user_rates=rates,
         sum_rate=sum_rate,
-        binding_hop=_binding_hop(terrestrial_cap, satellite_cap),
         meets_target=meets,
     )
 
@@ -803,8 +802,6 @@ def sum_rate_bounds_three_sorts(csi, k: int, r_target: float):
     ub_rate = min(awgn_capacity(float(np.clip(ub, 0.0, None).sum())), sat_cap)
 
     return BoundsResult(
-        lb_snrs=tuple(lb) if feasible else None,
-        ub_snrs=tuple(ub),
         lb_rate=lb_rate,
         ub_rate=ub_rate,
         feasible=feasible,

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import oracles
-from satsched import csi_sched, errors, harness
+from satsched import csi_sched, errors, harness, rate_core
 from satsched import (
     CsiRealization,
     EnumerationBudgetError,
     InternalConsistencyError,
     ParameterError,
+    RateReport,
     awgn_capacity,
     baseline_opportunistic,
     baseline_tdma,
@@ -686,3 +687,24 @@ def test_schedulers_finish_with_the_snrs_of_their_users():
             seen[name] += 1
             seen["tied"] += len(set(csi.user_snrs[list(users)].tolist())) < len(users)
     assert min(seen.values()) > 300, seen
+
+
+def test_result_records_are_immutable():
+    csi = CsiRealization(np.array([9.0, 3.0, 1.0]), float(2**60))
+    outcome = lbus(csi, 2, 0.5)
+    infeasible = lbus(CsiRealization(np.array([0.4, 0.3]), float(2**60)), 2, 1.0)
+    bounds = sum_rate_bounds(csi, 2, 0.5)
+    assert outcome.feasible and not infeasible.feasible
+    for record in (outcome, outcome.rate_report, outcome.stats, bounds):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # every infeasible outcome shares the one empty report, which no call changed
+    assert infeasible.rate_report is rate_core.EMPTY_RATE_REPORT
+    # a satellite hop of SNR 1 carries no two users at rate 1
+    narrow = CsiRealization(np.array([9.0, 3.0, 1.0]), 1.0)
+    assert gius(narrow, 2, 1.0).rate_report is rate_core.EMPTY_RATE_REPORT
+    assert rate_core.EMPTY_RATE_REPORT == RateReport(per_user_rates=(), sum_rate=0.0,
+                                                     meets_target=False)

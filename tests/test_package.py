@@ -1,6 +1,6 @@
 """Package-wide checks: every public function has a caller outside the
-tests, every private definition one in the package, every config field
-is set by a bundled table or the benchmark, the package imports nothing
+tests, every private definition one in the package, every record field a
+reader there, every config field is set by a bundled table or the benchmark, the package imports nothing
 beyond the standard library and numpy, the benchmark's tracer finds every
 function it wraps, the benchmark's tables are valid configs, and the
 README's python examples run as written."""
@@ -118,6 +118,39 @@ def test_no_new_function_lives_on_tracer_strings_alone():
         "rate_core.evaluate_schedule",
         "rate_core.throughput_power_split",
     ]
+
+
+# record fields only README and the tests read; the list may only shrink.
+# ROADMAP item 6's --metrics sidecar would emit the three standard errors,
+# and it or a slimmer record settles the other two
+_FIELDS_WITHOUT_A_READER = [
+    "McStats.p1_std_error",
+    "McStats.p2_std_error",
+    "McStats.std_error",
+    "OutageReport.p1",
+    "Theorem3Solution.lambda_opt",
+]
+
+
+def test_every_record_field_has_a_reader():
+    # a field that nothing in src/ or perfbench/ reads is computed and
+    # carried for the tests alone.  A read is an attribute load of the
+    # field's name, or dataclasses.fields() of the class, which reads them all
+    trees = _trees()
+    loads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read_whole = {arg.id for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "fields"
+                  for arg in node.args if isinstance(arg, ast.Name)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in trees[path].body:
+            if (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and cls.name not in read_whole):
+                unread += [f"{cls.name}.{item.target.id}" for item in cls.body
+                           if isinstance(item, ast.AnnAssign) and item.target.id not in loads]
+    assert sorted(unread) == _FIELDS_WITHOUT_A_READER
 
 
 def test_every_config_field_is_set_by_a_table_or_the_benchmark():
