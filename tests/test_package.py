@@ -1,9 +1,10 @@
 """Package-wide checks: every public function has a caller outside the
 tests, every private definition one in the package, every record field a
-reader there, every config field is set by a bundled table or the benchmark, the package imports nothing
-beyond the standard library and numpy, the benchmark's tracer finds every
-function it wraps, the benchmark's tables are valid configs, and the
-README's python examples run as written."""
+reader there, every config field is set by a bundled table or the
+benchmark, the package imports nothing beyond the standard library and
+numpy, the benchmark's tracer finds every function it wraps, the
+benchmark's tables are valid configs, and the README's python examples
+run as written."""
 
 import ast
 import dataclasses
