@@ -24,7 +24,6 @@ from .csi_bounds import (
     BoundsResult,
     feasibility_check,
     sum_rate_bounds,
-    upper_bound_snrs,
 )
 from .csi_sched import (
     SchedulerOutcome,

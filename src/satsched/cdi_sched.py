@@ -45,7 +45,6 @@ from numpy.random import Generator
 from .errors import NumericError, ParameterError, budgeted_comb
 from .outage import GroupCdi, _phase1, _phase1_head, phase1_outage
 
-_BISECT_MAX_ITERS = 500
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 10_000
 _UNIT_ROUNDOFF = 2.0**-53
@@ -194,7 +193,7 @@ def find_zero_h(ds, tail: float, guess: float | None = None) -> float:
                 break
         else:
             raise NumericError(f"no sign change down to lambda={lo}")
-    for _ in range(_BISECT_MAX_ITERS):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break

@@ -65,36 +65,21 @@ def _economy_recursion(asc: list, k: int, gamma_t: float) -> list:
 
 
 @lru_cache(maxsize=256)
-def _geometric_powers(gamma_t: float, k: int) -> np.ndarray:
-    """(1+gamma_t)**j for j < k, read-only: every caller shares one array."""
+def _upper_divisors(gamma_t: float, k: int) -> tuple:
+    """Divisors of the strongest SNR in the geometric upper profile, as
+    plain floats: (1+gamma_t)**(j-1) for slots j < K, then
+    (1+gamma_t)**(K-2) * gamma_t for slot K (inf where that overflows),
+    whose quotient less 1 is the slot's SNR; (1.0,) at K = 1.
+    """
+    if k == 1:
+        return (1.0,)
     with np.errstate(over="ignore"):  # an overflowing power is inf: slot 0
         powers = np.power(1.0 + gamma_t, np.arange(k, dtype=float))
-    powers.flags.writeable = False
-    return powers
-
-
-def upper_bound_snrs(s_max: float, k: int, gamma_t: float) -> np.ndarray:
-    """Geometric SNR profile anchored at the strongest user.
-
-    Slot j < K gets s_max/(1+gamma_t)**(j-1); the final slot gets
-    s_max/((1+gamma_t)**(K-2) * gamma_t) - 1, which can go negative for
-    large K and is reported as-is (callers clamp at zero when summing); it
-    is -1 when (1+gamma_t)**(K-2) overflows.
-    """
-    if not (s_max >= 0 and math.isfinite(s_max)):
-        raise ParameterError(f"s_max must be non-negative finite, got {s_max}")
-    if not (gamma_t > 0 and math.isfinite(gamma_t)):
-        raise ParameterError(f"gamma_t must be positive finite, got {gamma_t}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return np.array([s_max])
-    out = s_max / _geometric_powers(gamma_t, k)
     try:
-        out[k - 1] = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+        last = (1.0 + gamma_t) ** (k - 2) * gamma_t
     except OverflowError:
-        out[k - 1] = -1.0
-    return out
+        last = math.inf
+    return (*powers[:-1].tolist(), last)
 
 
 def _pairwise_sum(xs: list) -> float:
@@ -142,10 +127,10 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     """Sandwich on the best achievable sum rate for k scheduled users.
 
     The lower profile is the economy selection in decode order with the
-    strongest SNR substituted into slot 1, the upper one upper_bound_snrs
-    clamped at zero.  Both are summed in numpy's order, and both bounds
-    are capped by the satellite cut-set C(sat_snr).  On an infeasible
-    instance lb_rate is 0.
+    strongest SNR substituted into slot 1, the upper one the geometric
+    profile of _upper_divisors, its final slot clamped at zero.  Both are
+    summed in numpy's order, and both bounds are capped by the satellite
+    cut-set C(sat_snr).  On an infeasible instance lb_rate is 0.
     """
     gamma_t = sinr_threshold(r_target)
     # one ascending list serves the economy fill and the maximum
@@ -161,8 +146,8 @@ def sum_rate_bounds(csi: CsiRealization, k: int, r_target: float) -> BoundsResul
     else:
         lb_rate = 0.0
 
-    ub = upper_bound_snrs(s_max, k, gamma_t).tolist()
-    if ub[-1] < 0.0:  # only the final slot can go negative
-        ub[-1] = 0.0
+    ub = [s_max / d for d in _upper_divisors(gamma_t, k)]
+    if k > 1:  # only the final slot can go negative
+        ub[-1] = max(ub[-1] - 1.0, 0.0)
     ub_rate = min(awgn_capacity(_pairwise_sum(ub)), sat_cap)
     return BoundsResult(lb_rate, ub_rate, feasible)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import CsiRealization
-from .csi_bounds import _economy_recursion
+from .csi_bounds import _economy_recursion, _upper_divisors
 from .errors import InternalConsistencyError, ParameterError, budgeted_comb
 from .rate_core import (
     EMPTY_RATE_REPORT,
@@ -328,13 +328,14 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     if len(picks) < k:
         return _infeasible(0, 0)
     last_low = picks[0]
-    last_high = s_max / ((1.0 + gamma_t) ** (k - 2) * gamma_t) - 1.0
+    last_high = s_max / _upper_divisors(gamma_t, k)[-1] - 1.0
 
     # the other users, still ascending
     del users[top], snrs[top]
     n = len(snrs)
     lo = bisect_left(snrs, last_low)
-    hi = max(bisect_right(snrs, last_high), lo)
+    # last_high can round below the economy's own final pick, which closes
+    hi = max(bisect_right(snrs, last_high), lo + 1)
     candidates = hi - lo
     mids = k - 2
     picked = [0] * mids  # middle slots K-1..2, by position in snrs

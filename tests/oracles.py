@@ -329,7 +329,7 @@ def find_zero_h_bisect(ds, tail):
                 break
         else:
             raise NumericError(f"no sign change down to lambda={lo}")
-    for _ in range(500):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             break
@@ -338,6 +338,25 @@ def find_zero_h_bisect(ds, tail):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def find_zero_h_decimal(ds, tail):
+    """Root of h(x) = 1/x - sum(1/(x+D)) - tail solved in 60-digit decimal
+    by geometric bisection of [1e-400, 1e10], rounded to a float once."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = [Decimal(d) for d in ds]
+        t = Decimal(tail)
+        lo, hi = Decimal("1e-400"), Decimal("1e10")
+        for _ in range(200):
+            mid = (lo * hi).sqrt()
+            if 1 / mid - sum(1 / (mid + d) for d in dd) - t > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
 
 
 def stationarity_residuals(lambdas_in_order, lambda_min: float, gamma_t: float) -> np.ndarray:
@@ -563,6 +582,8 @@ def lbus_two_sorts(csi, k, r_target):
     # strongest-first scan over admissible final-slot SNRs
     pool = order[1:]
     finals = [u for u in pool if last_low <= s_list[u] <= last_high]
+    if not finals:  # the economy's own final pick is always scanned
+        finals = [min((u for u in pool if s_list[u] >= last_low), key=lambda u: (s_list[u], u))]
     candidates += len(finals)
     # ascending SNR, equal SNRs in ascending index order
     asc_users = sorted(pool, key=s_list.__getitem__)
@@ -713,6 +734,29 @@ def csi_online_frames(count, seed=0):
              CsiRealization(sample_rayleigh_snr(link, 32, trial_rng(seed, 1000, i)),
                             (float(2**60), 100.0)[i // 3 % 2]))
             for i in range(count)]
+
+
+def threshold_lattice(count, seed=0):
+    """(SNR list, r_target) instances of 2 to 6 users whose SNRs sit on
+    exact SINR thresholds, where the threshold form S >= gamma_t*(tail+1)
+    and any other form of the chain test can round apart.  Each SNR is
+    drawn from gamma_t, gamma_t*(gamma_t+1) and the next step of that
+    chain (each summed as the threshold form sums its tail), the integers
+    0 to 3, 2*gamma_t and gamma_t+1, at r_target 0.3, 0.5, 1.0 or 2.0."""
+    from satsched import sinr_threshold
+
+    rng = np.random.default_rng(seed)
+    targets = (0.3, 0.5, 1.0, 2.0)
+    lattices = []
+    for r in targets:
+        g = sinr_threshold(r)
+        second = g * (g + 1.0)
+        lattices.append([g, second, g * ((g + second) + 1.0), 0.0, 1.0, 2.0, 3.0, 2.0 * g,
+                         g + 1.0])
+    for _ in range(count):
+        j = int(rng.integers(len(targets)))
+        n = int(rng.integers(2, 7))
+        yield [lattices[j][i] for i in rng.integers(len(lattices[j]), size=n)], targets[j]
 
 
 def finish_three_steps(users, csi, r_target):

@@ -176,6 +176,28 @@ def test_find_zero_h_is_bitwise_plain_bisection():
     assert not mismatches, mismatches[:3]
 
 
+def test_find_zero_h_is_accurate_on_tiny_d_values():
+    # D values from about 1e-290 to 1e-140 put the root below 2**-447,
+    # where bisection of the bracket [2**-j, 1] needs over 500 halvings.
+    # Each draw spans at most four decades: where the smallest D is under
+    # 2**-53 of the root, h's float form cancels at any scale.  abs=0.0,
+    # since approx's default absolute tolerance passes any root this small
+    assert find_zero_h([1e-290, 2e-290], 1e-290) == \
+        pytest.approx(1.4142135623730948e-290, rel=1e-12, abs=0.0)
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        ds = (10.0 ** (rng.uniform(-290.0, -144.0) + rng.uniform(0.0, 4.0, size=n))).tolist()
+        for tail in (1e-290, GAMMA_R002, 2.0**0.5 - 1.0, 1e3):
+            want = oracles.find_zero_h_decimal(ds, tail)
+            for guess in (None, ds[0]):
+                assert find_zero_h(ds, tail, guess) == pytest.approx(want, rel=1e-12, abs=0.0), \
+                    (ds, tail, guess)
+                checked += 1
+    assert checked == 320
+
+
 _D_VALUE = st.floats(-40.0, 40.0).map(lambda e: 2.0**e)
 
 

@@ -21,7 +21,6 @@ from satsched import (
     feasibility_check,
     sinr_threshold,
     sum_rate_bounds,
-    upper_bound_snrs,
 )
 
 BIG_SAT = float(2**60)
@@ -52,49 +51,64 @@ def test_lower_bound_profile_is_chain_feasible():
     assert checked > 300
 
 
+def _upper_profile(s_max, k, gamma_t):
+    """The geometric upper profile from the divisor memo, before the clamp."""
+    ub = [s_max / d for d in csi_bounds._upper_divisors(gamma_t, k)]
+    if k > 1:
+        ub[-1] -= 1.0
+    return ub
+
+
 def test_upper_bound_hand_values():
-    assert np.allclose(upper_bound_snrs(100.0, 3, 1.0), [100.0, 50.0, 49.0])
-    assert np.allclose(upper_bound_snrs(100.0, 1, 1.0), [100.0])
-    assert np.allclose(upper_bound_snrs(100.0, 2, 3.0), [100.0, 100.0 / 3.0 - 1.0])
+    assert np.allclose(_upper_profile(100.0, 3, 1.0), [100.0, 50.0, 49.0])
+    assert np.allclose(_upper_profile(100.0, 1, 1.0), [100.0])
+    assert np.allclose(_upper_profile(100.0, 2, 3.0), [100.0, 100.0 / 3.0 - 1.0])
 
 
 def test_upper_bound_overflowing_power_is_a_value():
-    # (1 + gamma_t)**(K-2) overflows a float: the final slot is -1, with no warning
+    # (1 + gamma_t)**(K-2) overflows a float: the final slot is -1, with no
+    # warning, also when the memo computes the divisors anew
+    csi_bounds._upper_divisors.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ub = upper_bound_snrs(10.0, 5, sinr_threshold(600.0))
+        ub = _upper_profile(10.0, 5, sinr_threshold(600.0))
     assert ub[0] == 10.0
     assert ub[-1] == -1.0
 
 
-def test_upper_bound_power_memo_is_read_only():
-    upper_bound_snrs(100.0, 7, 0.75)
-    powers = csi_bounds._geometric_powers(0.75, 7)
-    assert not powers.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        powers[1] = 0.0
+def test_upper_profile_is_the_every_call_profile():
+    # by repr at K = 1, at powers that overflow (r_target up to 1023), at
+    # s_max = 0 and at s_max scaled by 1e300 and 1e-300
+    rng = np.random.default_rng(27)
+    checked = 0
+    for k in range(1, 9):
+        targets = [0.3, 1.0, 2.5, 60.0, 511.0, 1023.0]
+        if k > 1:
+            targets += [1024.0 / (k - 1) + d for d in (-1.0, -1e-9, 0.0, 1e-9)]
+        for r in targets:
+            if not 0.0 < r <= 1023.0:
+                continue
+            gamma_t = sinr_threshold(r)
+            for s_max in (0.0, *(float(rng.exponential(10.0)) * scale
+                                 for scale in (1.0, 1e300, 1e-300))):
+                with np.errstate(over="ignore"):
+                    want = oracles.upper_bound_snrs_every_call(s_max, k, gamma_t)
+                assert repr(_upper_profile(s_max, k, gamma_t)) == repr(want.tolist())
+                checked += 1
+    assert checked > 250
 
 
 def test_upper_bound_power_memo_stays_under_its_cap():
-    memo = csi_bounds._geometric_powers
+    memo = csi_bounds._upper_divisors
     cap = memo.cache_info().maxsize
     for i in range(cap + 10):
         gamma_t = 1.0 + i / 8.0
-        ub = upper_bound_snrs(50.0, 4, gamma_t)
+        ub = _upper_profile(50.0, 4, gamma_t)
         assert memo.cache_info().currsize <= cap
-        assert ub.tolist() == oracles.upper_bound_snrs_every_call(50.0, 4, gamma_t).tolist()
+        assert ub == oracles.upper_bound_snrs_every_call(50.0, 4, gamma_t).tolist()
     hits = memo.cache_info().hits
-    upper_bound_snrs(50.0, 4, gamma_t)
+    _upper_profile(50.0, 4, gamma_t)
     assert memo.cache_info().hits == hits + 1
-
-
-def test_upper_bound_returns_a_fresh_writable_array():
-    first = upper_bound_snrs(100.0, 3, 1.0)
-    assert first.flags.writeable
-    first[:] = -7.0
-    second = upper_bound_snrs(100.0, 3, 1.0)
-    assert second is not first and second.flags.writeable
-    assert second.tolist() == [100.0, 50.0, 49.0]
 
 
 def test_sum_rate_bounds_at_one_slot_and_overflowing_powers():
@@ -155,7 +169,7 @@ def test_pairwise_sum_is_numpy_sum(xs):
 def test_upper_bound_sum_identity():
     # for K >= 2 the raw profile sums to S_max + S_max/gamma_t - 1 exactly
     for s_max, k, g in ((100.0, 2, 1.0), (25.0, 4, 0.5), (640.0, 6, 1.2)):
-        ub = upper_bound_snrs(s_max, k, g)
+        ub = _upper_profile(s_max, k, g)
         assert float(np.sum(ub)) == pytest.approx(s_max + s_max / g - 1.0,
                                                   rel=1e-12)
 

@@ -372,6 +372,56 @@ def test_lbus_matches_two_sort_version():
     assert compared > 8000
 
 
+def _closes_by_threshold(snrs_in_order, gamma_t):
+    # the threshold rule every CSI path shares, the tail summed last slot first
+    tail = 0.0
+    for s in reversed(snrs_in_order):
+        if not s >= gamma_t * (tail + 1.0):
+            return False
+        tail += s
+    return True
+
+
+def test_schedulers_close_exact_threshold_lattices():
+    # at every k <= determine_k, lbus and exhaustive each find a chain that
+    # passes the threshold rule, lbus keeps its two-sort version's outcome,
+    # and the bounds report feasible and sandwich the optimum.  At ties the
+    # bounds and the optimum sum in different orders, so they may lie 1 ulp
+    # apart.  On SNRs [gamma_t, gamma_t*(gamma_t+1)] at r_target 0.5, lbus's
+    # final-slot window once ended below the economy's own final pick
+    pairs = 0
+    for snrs, r in oracles.threshold_lattice(1000):
+        csi = CsiRealization(np.array(snrs), BIG_SAT)
+        gamma_t = sinr_threshold(r)
+        for k in range(1, determine_k(csi, r) + 1):
+            picked = _outcome(lbus, csi, k, r)
+            assert picked == _outcome(oracles.lbus_two_sorts, csi, k, r), (snrs, r, k)
+            best = exhaustive(csi, k, r)
+            for schedule in (picked[0], best.schedule):
+                assert schedule is not None, (snrs, r, k)
+                assert _closes_by_threshold([snrs[u] for u in schedule.users], gamma_t)
+            bounds = sum_rate_bounds(csi, k, r)
+            optimum = best.rate_report.sum_rate
+            assert bounds.feasible
+            assert bounds.lb_rate <= optimum * (1.0 + 1e-9)
+            assert optimum <= bounds.ub_rate * (1.0 + 1e-9)
+            pairs += 1
+    assert pairs > 2400
+
+
+@pytest.mark.xfail(raises=InternalConsistencyError, strict=True,
+                   reason="gius tests each slot in a budget form that rounds apart "
+                          "from the threshold rule")
+def test_gius_closes_an_exact_threshold_tie():
+    # slot 2's threshold gamma_t * (tail + 1.0) is exactly 1.0, which SNR
+    # 1.0 clears; lbus and exhaustive both pick every user
+    csi = CsiRealization(np.array([0.5857864376269051, 0.8284271247461903, 1.0, 3.0]),
+                         BIG_SAT)
+    assert determine_k(csi, 0.5) == 4
+    assert exhaustive(csi, 4, 0.5).schedule.users == (3, 2, 1, 0)
+    assert gius(csi, 4, 0.5).schedule.users == (3, 2, 1, 0)
+
+
 def test_exhaustive_budget_guard(monkeypatch):
     csi = CsiRealization(np.ones(30) * 10.0, BIG_SAT)
     with pytest.raises(EnumerationBudgetError):
