@@ -22,9 +22,9 @@ the D values and the tail as they are; _slot_d_values builds the D values
 and checks that they are positive and finite.  Both callers warm-start
 the Newton run from the slot's current rate, which a sweep moves little
 once the profile settles.  solve_theorem3 iterates coordinate updates to
-that stationary profile, carrying the B prefix along each sweep and
-taking the powers of 1+gamma once per solve; aoius runs the same
-coordinate moves over the discrete group rates, picking per slot the best
+that stationary profile, and aoius runs the same coordinate moves over
+the discrete group rates; both carry the B prefix along each sweep and
+take the powers of 1+gamma once per call.  aoius picks per slot the best
 of the two groups bracketing the continuous optimum, which makes every
 update, and hence the whole outage trace, monotone non-increasing.  The
 root lies in the certified bracket, so aoius places it among the group
@@ -43,7 +43,7 @@ from functools import partial
 from numpy.random import Generator
 
 from .errors import NumericError, ParameterError, budgeted_comb
-from .outage import GroupCdi, _phase1, _phase1_head, phase1_outage
+from .outage import GroupCdi, _phase1, phase1_outage
 
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 10_000
@@ -83,8 +83,11 @@ def _slot_d_values(lam: list, p: int, b: float, gamma_t: float, gpow: list) -> l
     slot i has D = (g*B~_{i-1} + lam_i) / (g*(1+g)**(i-1-p)), where B~ is
     the B prefix with slot p left out: its analytic contribution to every D
     cancels, so the D values do not depend on the coordinate being
-    optimized.  ParameterError unless every D value is positive and finite.
+    optimized.  ParameterError unless gpow reaches e = len(lam) - 1 - p,
+    the slot's tail, and every D value is positive and finite.
     """
+    if len(gpow) < len(lam) - p:
+        raise ParameterError("a power of 1+gamma is not finite")
     c = 1.0 + gamma_t
     ds = [gamma_t * b]
     bt = c * b  # slot p contributes nothing
@@ -223,6 +226,17 @@ def last_lambda_opt(b_prefix: float, gamma_t: float) -> float:
     return 2.0 * b_prefix / (math.sqrt(gb * gb + 4.0 * b_prefix) + gb)
 
 
+def _gamma_powers(gamma_t: float, k: int) -> list:
+    """g*(1+g)**e for e = 0..k-2, up to the first beyond float range."""
+    gpow = []
+    try:
+        for e in range(k - 1):
+            gpow.append(gamma_t * (1.0 + gamma_t) ** e)
+    except OverflowError:
+        pass
+    return gpow
+
+
 @dataclass(frozen=True)
 class Theorem3Solution:
     lambda_opt: tuple
@@ -255,10 +269,7 @@ def solve_theorem3(lambda_min: float, k: int, gamma_t: float) -> Theorem3Solutio
 
     lam = [float(lambda_min)] * k
     c = 1.0 + gamma_t
-    try:  # slot 2, the first visited, needs every power
-        gpow = [gamma_t * c**e for e in range(k - 1)]
-    except OverflowError as exc:
-        raise NumericError(f"slot 2 of {k} is beyond float range: {exc}") from exc
+    gpow = _gamma_powers(gamma_t, k)
     for sweeps in range(1, _MAX_SWEEPS + 1):
         delta = 0.0
         b = lam[0]  # the B prefix through the slot before p
@@ -301,8 +312,8 @@ def _bracket_pick(below, above, lambdas, gamma_t, rates, slot, b, head, z):
     optimum, then to the lower index, so only a tie needs the optimum
     itself: `z` is it, or a function that computes it.  `lambdas` is a list
     of floats and `rates` the selection's rates, whose entry at `slot` this
-    overwrites; (b, head) is _phase1_head(rates, gamma_t, slot), which both
-    candidates share.  Returns (group, outage, evaluations).
+    overwrites; both candidates share b and head, _phase1's B prefix and
+    log success before `slot`.  Returns (group, outage, evaluations).
     """
     best = best_out = None
     evals = 0
@@ -377,44 +388,49 @@ def aoius(cdi: GroupCdi, k: int, gamma_t: float, rng: Generator,
     selection = [first] + sorted((g + (g >= first) for g in picked), key=lam.__getitem__)
     asc_lam = [lam[g] for g in asc]
 
+    rates = [lam[g] for g in selection]
     c = 1.0 + gamma_t
+    gpow = _gamma_powers(gamma_t, k)
     evals = 1
-    outage = _phase1([lam[g] for g in selection], gamma_t)
+    outage = _phase1(rates, gamma_t)
     trace = [outage]
     moves = 0  # visits that changed their slot's group
     seen_at = [-1] * k  # moves after each slot's last visit
     seen_evals = [0] * k  # that visit's evaluations
     for _sweep in range(max_iters):
+        b, head = rates[0], 0.0  # _phase1's B prefix and log success before slot 2
         for slot in range(1, k):  # 0-based; slots 2..K in 1-based terms
-            lo = bisect_right(asc_lam, lam[selection[slot - 1]])
-            hi = bisect_left(asc_lam, lam[selection[slot + 1]], lo) if slot < k - 1 else m
+            if slot > 1:  # carry both past slot - 1, as _phase1's loop does
+                v = rates[slot - 1]
+                head += math.log(v) - math.log(gamma_t * b + v)
+                b = c * b + v
+            lo = bisect_right(asc_lam, rates[slot - 1])
+            hi = bisect_left(asc_lam, rates[slot + 1], lo) if slot < k - 1 else m
             if lo == hi:
                 continue
             if seen_at[slot] == moves:  # nothing moved since this slot's last visit
                 evals += seen_evals[slot]
                 continue
-            rates = [lam[g] for g in selection]
-            b, head = _phase1_head(rates, gamma_t, slot)
             try:
                 if slot < k - 1:
-                    gpow = [gamma_t * c**e for e in range(k - slot)]
                     ds = _slot_d_values(rates, slot, b, gamma_t, gpow)
-                    left, right = _certified_bracket(ds, gpow[-1], rates[slot])
+                    left, right = _certified_bracket(ds, gpow[k - 1 - slot], rates[slot])
                     mid = bisect_right(asc_lam, left, lo, hi)
-                    z = partial(find_zero_h, ds, gpow[-1], rates[slot])
+                    z = partial(find_zero_h, ds, gpow[k - 1 - slot], rates[slot])
                     if mid != bisect_right(asc_lam, right, lo, hi):  # a rate in (left, right]
                         z = z()
                         mid = bisect_right(asc_lam, z, lo, hi)
                 else:
                     z = last_lambda_opt(b, gamma_t)
                     mid = bisect_right(asc_lam, z, lo, hi)
-            except (OverflowError, ParameterError) as exc:
+            except ParameterError as exc:
                 raise NumericError(f"slot {slot + 1} of {k} is beyond float range: {exc}") from exc
             above = asc[mid] if mid < hi else None
             # among equal rates the lowest index, first in the run
             below = asc[bisect_left(asc_lam, asc_lam[mid - 1], lo)] if mid > lo else None
             group, outage, used = _bracket_pick(below, above, lam, gamma_t, rates, slot,
                                                 b, head, z)
+            rates[slot] = lam[group]
             evals += used
             if group != selection[slot]:
                 selection[slot] = group
@@ -448,7 +464,7 @@ def exhaustive_groups(cdi: GroupCdi, k: int, gamma_t: float) -> GroupSchedule:
     x = [lam[g] for g in asc]
     n = len(x)
     if k == 1:
-        outs = [-math.expm1(-v * gamma_t) for v in x]
+        outs = [_phase1([v], gamma_t) for v in x]
         best = outs.index(min(outs))
         return GroupSchedule((asc[best],), outs[best], (outs[best],), n_subsets)
 

@@ -83,9 +83,6 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     return len(_economy_recursion(np.sort(csi.user_snrs).tolist(), upper, gamma_t))
 
 
-# gius stores failed subtrees only once a call has backtracked this often:
-# a search that fails less often ends before its stores could pay off
-_STORE_AFTER_BACKTRACKS = 64
 # gius clears its failure cache at this many entries, so one call's memory
 # stays bounded whatever the instance
 _FAILURE_CACHE_ENTRIES = 1 << 16
@@ -172,9 +169,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     enters only subtractions and comparisons, which treat +0.0 and -0.0
     alike, so the two zeros may share a key.  A NaN budget never hits: it
     comes with start == N, an empty window that is never keyed (and NaN
-    != NaN besides).  Failures are stored once the call has backtracked
-    _STORE_AFTER_BACKTRACKS times, and the cache, which lives for one
-    call, is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
+    != NaN besides).  Every failure is stored, and the cache, which lives
+    for one call, is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -270,7 +266,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 return True
             free[p] = True
             backtracks += 1
-        if backtracks >= _STORE_AFTER_BACKTRACKS and top <= start < n:
+        if top <= start < n:
             if len(failed) >= _FAILURE_CACHE_ENTRIES:
                 failed.clear()
             failed[depth, start, top == start, t_prev] = backtracks - entry

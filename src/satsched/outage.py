@@ -104,9 +104,9 @@ def _phase1(lam: list, gamma_t: float, start: int = 1, b: float | None = None,
             log_success: float = 0.0) -> float:
     """phase1_outage on a non-empty list of positive finite floats and a
     non-negative finite gamma_t, without the checks.  Given the b and
-    log_success that _phase1_head(lam, gamma_t, start) returns, it resumes
-    at slot `start` (0-based), so lists that share their first slots share
-    that work and every outage keeps its bits."""
+    log_success that its own loop holds before slot `start` (0-based), it
+    resumes there, so lists that share their first slots share that work
+    and every outage keeps its bits."""
     if len(lam) == 1:
         return -math.expm1(-lam[0] * gamma_t)
     if b is None:
@@ -118,19 +118,6 @@ def _phase1(lam: list, gamma_t: float, start: int = 1, b: float | None = None,
             b = (1.0 + gamma_t) * b + lk
     log_success -= gamma_t * ((1.0 + gamma_t) * b + lam[-1])
     return -math.expm1(log_success)
-
-
-def _phase1_head(lam: list, gamma_t: float, stop: int) -> tuple:
-    """(b, log_success) as _phase1's loop leaves them before slot `stop`
-    (0-based, 1 <= stop < len(lam)): the B prefix through slot stop - 1
-    and the log success of slots 1..stop - 1."""
-    b = lam[0]
-    log_success = 0.0
-    for k in range(1, stop):
-        lk = lam[k]
-        log_success += math.log(lk) - math.log(gamma_t * b + lk)
-        b = (1.0 + gamma_t) * b + lk
-    return b, log_success
 
 
 def _phase2_threshold(k_users: int, r_target: float) -> float:

@@ -625,6 +625,17 @@ def test_aoius_validation():
         aoius(cdi, 2, 0.5, rng, max_iters=0)
 
 
+@pytest.mark.parametrize("k", [12, 13])  # a D value overflows, then a power of 1 + gamma
+def test_aoius_float_range_failures(k):
+    g = sinr_threshold(100.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericError, match=rf"^slot \d+ of {k} is beyond float range"):
+        aoius(_draw_cdi(rng, 30), k, g, rng)
+    # tied rates leave every window empty, so no slot needs a power
+    out = aoius(GroupCdi(np.full(30, 0.5)), k, g, np.random.default_rng(0))
+    assert out.outage == 1.0 and out.trace == (1.0, 1.0) and out.evaluations == 1
+
+
 def test_exhaustive_groups_matches_brute_force():
     rng = np.random.default_rng(90)
     for _ in range(30):

@@ -314,7 +314,7 @@ _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63
 @cache
 def _scan_outcomes_where_the_cache_hits():
     """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
-    csi_online decisions, 33 of which replay a failed subtree, and the
+    csi_online decisions, 38 of which replay a failed subtree, and the
     seeded draws above."""
     instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
     for seed in _TIED_CACHE_SEEDS:
@@ -328,15 +328,11 @@ def _scan_outcomes_where_the_cache_hits():
             for csi, r in instances for k in [determine_k(csi, r)]]
 
 
-@pytest.mark.parametrize("store_after", [None, 0])
 @pytest.mark.parametrize("entries", [None, 1, 3])
-def test_gius_failure_cache_matches_scan_version(monkeypatch, store_after, entries):
+def test_gius_failure_cache_matches_scan_version(monkeypatch, entries):
     # replayed failures keep the picks, rate report and both counters of
-    # the full search, also when failures are stored from the first
-    # backtrack on and when the cache is cleared at every store or every
-    # third (None keeps the module's value)
-    if store_after is not None:
-        monkeypatch.setattr(csi_sched, "_STORE_AFTER_BACKTRACKS", store_after)
+    # the full search, also when the cache is cleared at every store or
+    # every third (None keeps the module's value)
     if entries is not None:
         monkeypatch.setattr(csi_sched, "_FAILURE_CACHE_ENTRIES", entries)
     for i, (csi, r, k, expected) in enumerate(_scan_outcomes_where_the_cache_hits()):
