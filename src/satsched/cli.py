@@ -1,7 +1,8 @@
 """Command-line entry point: one subcommand per experiment scenario.
 
 Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
-including a count too large to allocate and a search too deep.
+including a count too large to allocate and a search too deep, 4 an
+internal error: a state the package's own contracts rule out.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, EnumerationBudgetError, NumericError, ParameterError
+from .errors import (ConfigError, EnumerationBudgetError, InternalConsistencyError, NumericError,
+                     ParameterError)
 from .harness import ExperimentConfig, emit, run_experiment
 
 # subcommand -> (scenario, bundled config in configs/ run without --config)
@@ -102,6 +104,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"numeric error: search too deep: {exc}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -45,19 +45,26 @@ def awgn_capacity(snr: float) -> float:
 class Schedule:
     """A scheduling decision.
 
-    users: user indices in relay decode order (descending SNR when emitted
-        by the schedulers here).
+    users: distinct non-negative integer user indices in relay decode order
+        (descending SNR when emitted by the schedulers here), stored as ints.
     alphas: relay power fractions in *satellite decode position* order, or
         None for orthogonal access where no split applies.  The satellite
         decodes relay slot k k-th.  Fractions within _ALPHA_TOL of [0, 1]
         are stored clamped to it.
+
+    This constructor checks every field; _finish_superposition builds its
+    Schedules without it, under the same alpha rule, _checked_alphas.
     """
 
     users: tuple
     alphas: tuple | None = None
 
     def __post_init__(self):
-        users = tuple(map(int, self.users))
+        users = tuple(self.users)
+        for u in users:
+            if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+                raise ConstraintError(f"user index {u!r} is not an integer")
+        users = tuple(map(int, users))
         object.__setattr__(self, "users", users)
         if len(set(users)) != len(users):
             raise ConstraintError(f"duplicate users in schedule: {users}")
@@ -67,27 +74,33 @@ class Schedule:
             alphas = tuple(map(float, self.alphas))
             if len(alphas) != len(users):
                 raise ConstraintError("alphas must have one entry per user")
-            if alphas:
-                # one pass, left to right (sum() compensates from Python 3.12
-                # on); the sum is NaN when any alpha is, which low and high miss
-                total, low, high = 0.0, math.inf, -math.inf
-                for a in alphas:
-                    total += a
-                    if a < low:
-                        low = a
-                    if a > high:
-                        high = a
-                if total != total or low < -_ALPHA_TOL or high > 1 + _ALPHA_TOL:
-                    raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
-                if total > 1 + _ALPHA_TOL:
-                    raise ConstraintError(f"alphas sum to {total} > 1")
-                if low < 0.0 or high > 1.0:
-                    alphas = tuple(min(max(a, 0.0), 1.0) for a in alphas)
-            object.__setattr__(self, "alphas", alphas)
+            object.__setattr__(self, "alphas", _checked_alphas(alphas))
 
     @property
     def n_users(self) -> int:
         return len(self.users)
+
+
+def _checked_alphas(alphas: tuple) -> tuple:
+    """A Schedule's alphas, a tuple of floats, clamped to [0, 1]; raises
+    ConstraintError when one is NaN or more than _ALPHA_TOL outside [0, 1],
+    or when their sum exceeds 1 + _ALPHA_TOL."""
+    # one pass, left to right (sum() compensates from Python 3.12 on); the
+    # sum is NaN when any alpha is, which low and high miss
+    total, low, high = 0.0, math.inf, -math.inf
+    for a in alphas:
+        total += a
+        if a < low:
+            low = a
+        if a > high:
+            high = a
+    if total != total or low < -_ALPHA_TOL or high > 1 + _ALPHA_TOL:
+        raise ConstraintError(f"alphas outside [0, 1]: {alphas}")
+    if total > 1 + _ALPHA_TOL:
+        raise ConstraintError(f"alphas sum to {total} > 1")
+    if low < 0.0 or high > 1.0:
+        return tuple(min(max(a, 0.0), 1.0) for a in alphas)
+    return alphas
 
 
 class RateReport(NamedTuple):
@@ -96,20 +109,22 @@ class RateReport(NamedTuple):
     meets_target: bool
 
 
-def _chain_rates(vals: list, inv: float, ceiling=None):
-    """awgn_capacity of each successive-decoding SINR, with denominator
-    tail + inv > 0, last slot first, as min(ceiling, rate) where a ceiling
-    is given; unchecked, as no SINR here is NaN or negative.  Returns
-    (rates, total).
+def _chain_rates(vals, inv: float, out=None):
+    """awgn_capacity of each successive-decoding SINR of the sequence vals,
+    with denominator tail + inv > 0, last slot first; unchecked, as no SINR
+    here is NaN or negative.  Where a list out is given, each rate is taken
+    into it in place as min(out[k], rate).  Returns (rates, total).
 
     Plain floats on purpose: chains are a handful of slots and sit on every
     scheduler's hot path, where ndarray temporaries cost more than the math.
     """
-    out = [math.inf] * len(vals) if ceiling is None else list(ceiling)
+    out = [math.inf] * len(vals) if out is None else out
+    log1p = math.log1p
     tail = 0.0
-    for k in range(len(vals) - 1, -1, -1):
-        v = vals[k]
-        rate = math.log1p(v / (tail + inv)) / _LN2
+    k = len(vals)
+    for v in reversed(vals):
+        k -= 1
+        rate = log1p(v / (tail + inv)) / _LN2
         if rate < out[k]:
             out[k] = rate
         tail += v
@@ -245,8 +260,8 @@ def evaluate_schedule(schedule: Schedule, csi: CsiRealization, r_target: float) 
 
 def _rate_report(relay_rates: list, total_snr: float, alphas, sat_snr: float,
                  satellite_cap: float, r_target: float) -> RateReport:
-    """evaluate_schedule from the relay chain's rates and SNR sum, and the
-    satellite hop's capacity awgn_capacity(sat_snr)."""
+    """evaluate_schedule from the relay chain's rates, which it overwrites,
+    and SNR sum, and the satellite hop's capacity awgn_capacity(sat_snr)."""
     rates, _ = _chain_rates(alphas, 1.0 / sat_snr, relay_rates)
     # no rate is NaN, so the smallest meets the target when all do
     return RateReport(tuple(rates), min(awgn_capacity(total_snr), satellite_cap),
@@ -255,19 +270,22 @@ def _rate_report(relay_rates: list, total_snr: float, alphas, sat_snr: float,
 
 def _finish_superposition(users, snrs: list, r_target: float, sat_snr: float):
     """(Schedule, RateReport) of users decoded in the order given, with
-    SNRs snrs: throughput_power_split, a Schedule and evaluate_schedule in
-    one pass over the relay chain, with the same arithmetic, so every
-    alpha and rate has the same bits.
+    SNRs snrs: throughput_power_split, a Schedule built without its
+    constructor but under its alpha rule, and evaluate_schedule, in one pass
+    with the same arithmetic, so every alpha and rate has the same bits.
 
-    Unchecked: the SNRs are finite and non-negative, sat_snr is positive
-    and finite, and the satellite hop carries len(users) positions at
-    r_target.  None where throughput_power_split's fp guard would be.
+    Unchecked: users are distinct non-negative Python ints, the SNRs are
+    finite and non-negative, sat_snr is positive and finite, and the
+    satellite hop carries len(users) positions at r_target.  None where
+    throughput_power_split's fp guard would be.
     """
     relay_rates, total_snr = _chain_rates(snrs, 1.0)
     sat_cap = awgn_capacity(sat_snr)
     alphas = _split_power(relay_rates, r_target, sat_snr, sat_cap)
     if alphas is None:
         return None
-    schedule = Schedule(users=users, alphas=alphas)
-    return schedule, _rate_report(relay_rates, total_snr, schedule.alphas, sat_snr, sat_cap,
-                                  r_target)
+    alphas = _checked_alphas(tuple(alphas))
+    schedule = object.__new__(Schedule)
+    object.__setattr__(schedule, "users", tuple(users))
+    object.__setattr__(schedule, "alphas", alphas)
+    return schedule, _rate_report(relay_rates, total_snr, alphas, sat_snr, sat_cap, r_target)

@@ -2,6 +2,7 @@
 exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
+import dataclasses
 import json
 import math
 import time
@@ -21,6 +22,7 @@ from satsched import (
     InternalConsistencyError,
     ParameterError,
     RateReport,
+    Schedule,
     awgn_capacity,
     baseline_opportunistic,
     baseline_tdma,
@@ -695,6 +697,43 @@ def test_finish_matches_the_three_step_finish():
         seen["missed"] += not report.meets_target
     assert min(seen["relay"], seen["surplus"]) > 1000, seen
     assert min(seen["clamped"], seen["missed"]) > 20, seen
+
+
+def test_finish_stores_what_the_checked_constructor_would():
+    # the finishing pass builds its Schedule without the constructor; given
+    # the split's unclamped alphas, the checked constructor stores the same
+    seen = Counter()
+
+    def check(schedule, csi, r):
+        users = list(schedule.users)
+        raw = oracles.throughput_power_split_checked(csi.user_snrs[users], r, csi.sat_snr)
+        checked = Schedule(users=users, alphas=raw)
+        assert schedule == checked and repr(schedule) == repr(checked), (csi, r, users)
+        assert all(type(u) is int for u in schedule.users)
+        for name in ("users", "alphas"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(schedule, name, None)
+        seen["clamped"] += bool(np.any(raw > 1.0))
+        seen["schedules"] += 1
+
+    for csi, r, users in _finish_instances():
+        check(csi_sched._finish(users, csi.user_snrs[users].tolist(), csi, r, 0, 0).schedule,
+              csi, r)
+    for r, csi in oracles.csi_online_frames(512):
+        k = determine_k(csi, r)
+        for outcome in (gius(csi, k, r), lbus(csi, k, r)) if k else ():
+            if outcome.schedule is not None:
+                check(outcome.schedule, csi, r)
+    for snrs, r in oracles.threshold_lattice(500):
+        for sat in (BIG_SAT, 5.0):
+            csi = CsiRealization(np.array(snrs), sat)
+            runs = [baseline_opportunistic(csi, r)]
+            for k in range(1, determine_k(csi, r) + 1):
+                runs += [lbus(csi, k, r), exhaustive(csi, k, r)]
+            for outcome in runs:
+                if outcome.schedule is not None:
+                    check(outcome.schedule, csi, r)
+    assert seen["clamped"] > 20 and seen["schedules"] > 10_000, seen
 
 
 def _csi_sumrate_draws():

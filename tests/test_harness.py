@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satsched import ConfigError, cli, harness
+from satsched import ConfigError, InternalConsistencyError, cli, harness
 from satsched.cli import main
 from satsched.harness import (
     SCENARIOS,
@@ -589,6 +589,19 @@ def test_cli_search_too_deep_exits_cleanly(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numeric error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_cli_internal_error_exits_4(monkeypatch, capsys):
+    # a state the package's contracts rule out, such as gius exhausting its
+    # first slot below determine_k's k, ends in one line, not a traceback
+    def broken(csi, k, r_target):
+        raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
+
+    monkeypatch.setattr(harness, "gius", broken)
+    assert main(["csi-sumrate", "--trials", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: satellite hop cannot carry a selected schedule\n"
 
 
 def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):

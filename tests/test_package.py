@@ -181,6 +181,29 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert not foreign, f"imports outside the standard library and numpy: {foreign}"
 
 
+def _unchecked_schedules(tree):
+    """Each call X.__new__(Schedule, ...) in tree: a Schedule built without
+    its constructor's checks."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__" and node.args
+                and "Schedule" in (getattr(node.args[0], "id", None),
+                                   getattr(node.args[0], "attr", None))):
+            yield node
+
+
+def test_only_rate_core_builds_a_schedule_without_its_constructor():
+    # the CSI finishing pass skips the checks for users it knows are valid;
+    # a second unchecked route could store what no check has seen
+    paths = [*_trees(), *(ROOT / "tests").glob("*.py")]
+    found = {path.relative_to(ROOT).as_posix(): len(list(_unchecked_schedules(
+        ast.parse(path.read_text())))) for path in paths}
+    assert {path: n for path, n in found.items() if n} == {"src/satsched/rate_core.py": 1}
+    for source in ("s = object.__new__(Schedule)", "s = object.__new__(rate_core.Schedule)",
+                   "s = Schedule.__new__(Schedule)"):
+        assert len(list(_unchecked_schedules(ast.parse(source)))) == 1, source
+
+
 def test_benchmark_tracer_finds_every_traced_function():
     # Tracer() looks up each SPANNED and COUNTED name and fails on a missing one
     spec = importlib.util.spec_from_file_location("perfbench_tracer",

@@ -3,6 +3,7 @@ bound, power splitting, and schedule evaluation, pinned to hand-solved
 values and the plain-loop chain oracle."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_schedule_validation():
             0.9991296520331814, 4.462059750406634e-09)
     with pytest.raises(ConstraintError, match=r"^alphas sum to 1\.0000000010000003 > 1$"):
         Schedule(users=range(8), alphas=edge)
+
+
+@pytest.mark.parametrize("users, bad", [
+    ((1.5, 2.7), 1.5),
+    ("12", "1"),
+    ((True, 0), True),
+    ((0, math.nan), math.nan),
+    ((np.float64(2.0),), np.float64(2.0)),
+    ((np.True_,), np.True_),
+])
+def test_schedule_rejects_user_indices_that_are_not_integers(users, bad):
+    # these were once truncated to ints, or raised a bare ValueError
+    for alphas in (None, (1.0,) + (0.0,) * (len(users) - 1)):
+        with pytest.raises(ConstraintError, match=f"^user index {re.escape(repr(bad))} is not"):
+            Schedule(users=users, alphas=alphas)
+    assert Schedule(users=(np.int64(3), np.uint8(1), 0)).users == (3, 1, 0)
 
 
 def test_evaluate_schedule_hand_example():
