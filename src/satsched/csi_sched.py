@@ -305,6 +305,12 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     if max_supported_users(csi.sat_snr, r_target, k) < k:
         return _infeasible(0, 0)
 
+    if k == 1:  # argmax picks the user the sort below would
+        first = int(s.argmax())
+        if s[first] < gamma_t:
+            return _infeasible(0, 0)
+        return _finish([first], [float(s[first])], csi, r_target, 1, 0)
+
     # stable ascending argsort: equal SNRs keep ascending index order
     users = np.argsort(s, kind="stable")
     snrs = s[users].tolist()
@@ -313,11 +319,6 @@ def lbus(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # the strongest user is the lowest index among the largest SNRs
     top = bisect_left(snrs, s_max)
     first = users[top]
-
-    if k == 1:
-        if s_max < gamma_t:
-            return _infeasible(0, 0)
-        return _finish([first], [s_max], csi, r_target, 1, 0)
 
     # economy fill; only its last slot's pick seeds the final-slot window
     picks = _economy_recursion(snrs, k, gamma_t)
@@ -434,23 +435,22 @@ def exhaustive(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome
 
 
 def baseline_tdma(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
-    """Orthogonal reference: top-k users get equal slot shares, weakest
-    users dropped until everyone meets r_target in their share."""
+    """Orthogonal reference: top-k users get equal shares of capacities taken
+    once, weakest users dropped until everyone meets r_target in their share."""
     _entry_checks(csi, k, r_target)
     s = csi.user_snrs
-    order = _descending_order(s)
-    kept = [int(u) for u in order[:k]]
-    while kept:
-        share = 1.0 / len(kept)
-        rates = [share * awgn_capacity(float(s[u])) for u in kept]
-        if rates[-1] >= r_target:
+    kept = _descending_order(s)[:k]
+    caps = [awgn_capacity(v) for v in s[kept].tolist()]
+    for m in range(len(kept), 0, -1):
+        share = 1.0 / m
+        if share * caps[m - 1] >= r_target:
+            rates = [share * c for c in caps[:m]]
             total = 0.0
             for rate in rates:  # left to right: sum() compensates from Python 3.12 on
                 total += rate
             report = RateReport(tuple(rates), min(total, awgn_capacity(csi.sat_snr)), True)
-            return SchedulerOutcome(Schedule(users=tuple(kept), alphas=None), report,
-                                    SchedulerStats(len(kept), 0))
-        kept.pop()  # weakest is last in descending order
+            return SchedulerOutcome(Schedule(users=tuple(kept[:m].tolist()), alphas=None), report,
+                                    SchedulerStats(m, 0))
     return _infeasible(0, 0)
 
 

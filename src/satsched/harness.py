@@ -39,7 +39,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .channel import CsiRealization, RayleighLink, SrParams, sample_rayleigh_snr
 from .cdi_sched import aoius, exhaustive_groups, solve_theorem3
-from .csi_bounds import sum_rate_bounds
+from .csi_bounds import _pairwise_sum, sum_rate_bounds
 from .csi_sched import (
     baseline_opportunistic,
     baseline_tdma,
@@ -171,15 +171,18 @@ def trial_rng(seed: int, *key) -> np.random.Generator:
 
 
 def _mean_stderr(values) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+    """float(np.mean(a)) and float(np.std(a, ddof=1) / math.sqrt(a.size)) on
+    plain floats, bit for bit: numpy's arithmetic, its sums in numpy's order."""
+    n = len(values)
+    if n == 1:
+        return float(values[0]), 0.0
+    mean = _pairwise_sum(values) / n
+    var = _pairwise_sum([d * d for d in [v - mean for v in values]]) / (n - 1)
+    return float(mean), float(math.sqrt(var) / math.sqrt(n))
 
 
-def _draw_csi_k(cfg: ExperimentConfig, r: float, rng) -> tuple:
+def _draw_csi_k(cfg: ExperimentConfig, link: RayleighLink, r: float, rng) -> tuple:
     """A CSI draw with the unconstrained satellite, and its determine_k slot count."""
-    link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
     csi = CsiRealization(sample_rayleigh_snr(link, cfg.n_users, rng), UNCONSTRAINED_SAT_SNR)
     return csi, determine_k(csi, r)
 
@@ -215,8 +218,9 @@ def _cdi_schedulers(cfg: ExperimentConfig, cdi, k: int, gamma_t: float, rng) -> 
 # a point is done once, before the trial function is returned.
 
 def _csi_sumrate(cfg: ExperimentConfig, r: float):
+    link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
     def trial(rng, key):
-        csi, k = _draw_csi_k(cfg, r, rng)
+        csi, k = _draw_csi_k(cfg, link, r, rng)
         runs = _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus", "tdma"))
         runs["opportunistic"] = _timed(baseline_opportunistic, csi, r)
         out = {(alg, "sum_rate_mean"): (o.rate_report.sum_rate if o else 0.0, ns)
@@ -229,8 +233,9 @@ def _csi_sumrate(cfg: ExperimentConfig, r: float):
 
 
 def _csi_complexity(cfg: ExperimentConfig, r: float):
+    link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
     def trial(rng, key):
-        csi, k = _draw_csi_k(cfg, r, rng)
+        csi, k = _draw_csi_k(cfg, link, r, rng)
         out = {}
         for alg, (o, ns) in _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus")).items():
             out[alg, "candidates_examined_mean"] = (
@@ -242,9 +247,10 @@ def _csi_complexity(cfg: ExperimentConfig, r: float):
 
 def _csi_stability(cfg: ExperimentConfig, _x: float):
     r = cfg.r_target_grid[0]
+    link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
 
     def trial(rng, key):
-        csi, k = _draw_csi_k(cfg, r, rng)
+        csi, k = _draw_csi_k(cfg, link, r, rng)
         return {(alg, "candidates_examined"): (float(o.stats.candidates_examined) if o else 0.0, ns)
                 for alg, (o, ns) in _csi_schedulers(csi, k, r, ("exhaustive", "gius", "lbus")).items()}
     return trial
@@ -339,8 +345,8 @@ def _aggregate(cfg: ExperimentConfig, x: float, acc: dict) -> list:
         if isinstance(values[0], list):
             # traces padded with their final value to the longest
             width = max(len(v) for v in values)
-            padded = np.array([v + v[-1:] * (width - len(v)) for v in values])
-            stats = [(float(i), *_mean_stderr(padded[:, i])) for i in range(width)]
+            padded = [v + v[-1:] * (width - len(v)) for v in values]
+            stats = [(float(i), *_mean_stderr(col)) for i, col in enumerate(zip(*padded))]
         else:
             stats = [(x, *_mean_stderr(values))]
         rows += [ResultRow(cfg.scenario, alg, at, metric, mean, se, cfg.seed, ns)

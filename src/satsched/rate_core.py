@@ -194,7 +194,11 @@ def _split_power(relay_rates: list, r_target: float, sat_snr: float, cap: float)
         surplus = cap - k * r_target
         targets = []
         for rate in relay_rates:
-            extra = min(max(rate - r_target, 0.0), max(surplus, 0.0))
+            # min(max(rate - r_target, 0.0), max(surplus, 0.0)) bit for bit, no calls
+            extra = rate - r_target
+            extra = 0.0 if 0.0 > extra else extra
+            room = 0.0 if 0.0 > surplus else surplus
+            extra = room if room < extra else extra
             targets.append(r_target + extra)
             surplus -= extra
     alphas = [0.0] * k

@@ -3,10 +3,11 @@
 Everything here is written against the math directly (plain loops, scipy
 quadrature, triangular solves) and deliberately avoids the production code
 paths it is used to check.  The exceptions are the earlier versions of
-the decode-chain loops, the CSI schedulers, their finishing step, the
-sum-rate sandwich and its upper profile, the continuous CDI benchmark
-solver and its slot optimum, the two CDI group selectors and the
-Monte-Carlo estimator, kept verbatim as equivalence references.
+the decode-chain loops, the CSI schedulers and the TDMA baseline, their
+power split and finishing step, the sum-rate sandwich and its upper
+profile, the continuous CDI benchmark solver and its slot optimum, the
+two CDI group selectors and the Monte-Carlo estimator, kept verbatim as
+equivalence references.
 """
 
 from __future__ import annotations
@@ -693,6 +694,36 @@ def throughput_power_split_checked(snrs_in_order, r_target, sat_snr):
     return np.array(alphas)
 
 
+def split_power_min_max(relay_rates, r_target, sat_snr, cap):
+    """rate_core._split_power with its surplus grants written as
+    min(max(rate - r_target, 0.0), max(surplus, 0.0))."""
+    from satsched.rate_core import _ALPHA_TOL
+
+    k = len(relay_rates)
+    total = 0.0
+    for rate in relay_rates:
+        total += rate
+    if total <= cap:
+        targets = relay_rates
+    else:
+        surplus = cap - k * r_target
+        targets = []
+        for rate in relay_rates:
+            extra = min(max(rate - r_target, 0.0), max(surplus, 0.0))
+            targets.append(r_target + extra)
+            surplus -= extra
+    alphas = [0.0] * k
+    inv = 1.0 / sat_snr
+    tail = 0.0
+    for j in range(k - 1, -1, -1):
+        alphas[j] = math.expm1(targets[j] * _LN2) * (tail + inv)
+        tail += alphas[j]
+    if tail > 1.0 + _ALPHA_TOL:
+        return None
+    alphas[0] += max(0.0, 1.0 - tail)
+    return alphas
+
+
 def evaluate_schedule_two_chains(schedule, csi, r_target):
     """evaluate_schedule computing the relay chain a second time."""
     from satsched import ParameterError, RateReport
@@ -769,6 +800,36 @@ def finish_three_steps(users, csi, r_target):
         raise InternalConsistencyError("satellite hop cannot carry a selected schedule")
     schedule = ScheduleThreePass(users=tuple(users), alphas=tuple(alphas.tolist()))
     return schedule, evaluate_schedule_two_chains(schedule, csi, r_target)
+
+
+def tdma_every_drop(csi, k, r_target):
+    """baseline_tdma taking every kept user's capacity again after each
+    drop of the weakest."""
+    from satsched.csi_sched import (
+        SchedulerOutcome,
+        SchedulerStats,
+        _descending_order,
+        _entry_checks,
+        _infeasible,
+    )
+    from satsched.rate_core import RateReport, Schedule, awgn_capacity
+
+    _entry_checks(csi, k, r_target)
+    s = csi.user_snrs
+    order = _descending_order(s)
+    kept = [int(u) for u in order[:k]]
+    while kept:
+        share = 1.0 / len(kept)
+        rates = [share * awgn_capacity(float(s[u])) for u in kept]
+        if rates[-1] >= r_target:
+            total = 0.0
+            for rate in rates:
+                total += rate
+            report = RateReport(tuple(rates), min(total, awgn_capacity(csi.sat_snr)), True)
+            return SchedulerOutcome(Schedule(users=tuple(kept), alphas=None), report,
+                                    SchedulerStats(len(kept), 0))
+        kept.pop()  # weakest is last in descending order
+    return _infeasible(0, 0)
 
 
 def _check_selection_args(snrs, k: int, gamma_t: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from satsched import (
     InternalConsistencyError,
     ParameterError,
     RateReport,
+    RayleighLink,
     Schedule,
     awgn_capacity,
     baseline_opportunistic,
@@ -621,6 +622,48 @@ def test_opportunistic_equals_exhaustive_at_one_slot():
             assert o.rate_report.sum_rate == e.rate_report.sum_rate
 
 
+def test_opportunistic_takes_the_lowest_index_of_tied_maxima():
+    csi = CsiRealization(np.array([3.0, 5.0, 5.0, 1.0, 5.0]), BIG_SAT)
+    assert baseline_opportunistic(csi, 1.0).schedule.users == (1,)
+    # integer SNRs tie often, at the maximum too; exhaustive takes the
+    # first position of its stable descending order
+    rng = np.random.default_rng(30)
+    seen = Counter()
+    for _ in range(600):
+        snrs = rng.integers(0, 5, size=int(rng.integers(1, 12))).astype(float)
+        csi = CsiRealization(snrs, float(rng.choice([BIG_SAT, 3.0, 15.0])))
+        top = float(snrs.max())
+        for r in (0.5, 1.0, 2.0, awgn_capacity(top) if top else 0.1):
+            o, e = lbus(csi, 1, r), exhaustive(csi, 1, r)
+            assert repr((o.schedule, o.rate_report)) == repr((e.schedule, e.rate_report)), \
+                (snrs, csi.sat_snr, r)
+            seen["tied" if o.feasible and (snrs == top).sum() > 1 else "other"] += 1
+    assert seen["tied"] > 800, seen
+
+
+def test_tdma_is_the_every_drop_loop():
+    # the capacities taken once and one product per drop give the outcome
+    # of the loop that took every kept capacity again after each drop
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    for i in range(120):
+        n = int(rng.integers(1, 21))
+        snrs = rng.exponential(10.0, n) if i % 2 else rng.integers(0, 4, n).astype(float)
+        csi = CsiRealization(snrs, float(rng.choice([BIG_SAT, 5.0])))
+        caps = sorted((awgn_capacity(float(v)) for v in snrs), reverse=True)
+        for k in range(1, n + 1):
+            m = int(rng.integers(1, k + 1))
+            # r exactly at one share's edge, and past the strongest user's
+            # capacity, where every user is dropped
+            for r in (0.3, 1.0, (1.0 / m) * caps[m - 1] or 0.2, caps[0] + 0.5):
+                t = baseline_tdma(csi, k, r)
+                assert repr(t) == repr(oracles.tdma_every_drop(csi, k, r)), (snrs, k, r)
+                kept = t.stats.candidates_examined
+                seen["all dropped" if not t.feasible else "none dropped" if kept == k
+                     else "some dropped"] += 1
+    assert min(seen.values()) > 1000, seen
+
+
 def test_tdma_never_beats_exhaustive():
     rng = np.random.default_rng(62)
     for _ in range(100):
@@ -741,9 +784,10 @@ def _csi_sumrate_draws():
     path = Path(csi_sched.__file__).parent / "configs" / "csi_sumrate.json"
     cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
     ordinal = SCENARIOS.index(cfg.scenario)
+    link = RayleighLink(sigma_sq=cfg.p1_sigma_sq, tx_power=1.0)
     for xi, r in enumerate(cfg.r_target_grid):
         for t in range(cfg.trials):
-            yield harness._draw_csi_k(cfg, r, trial_rng(cfg.seed, ordinal, xi, t))[0], r
+            yield harness._draw_csi_k(cfg, link, r, trial_rng(cfg.seed, ordinal, xi, t))[0], r
 
 
 def test_schedulers_finish_with_the_snrs_of_their_users():

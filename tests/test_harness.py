@@ -349,6 +349,60 @@ _TINY = {
 }
 
 
+def _numpy_mean_stderr(values):
+    a = np.array(values, dtype=float)
+    if a.size == 1:
+        return float(a[0]), 0.0
+    with np.errstate(all="ignore"):
+        return float(np.mean(a)), float(np.std(a, ddof=1) / math.sqrt(a.size))
+
+
+def _assert_numpy_mean_stderr(values):
+    got = harness._mean_stderr(values)
+    assert [type(v) for v in got] == [float, float]
+    assert repr(got) == repr(_numpy_mean_stderr(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(0.0, 100.0)
+                | st.integers(0, 50).map(float), min_size=1, max_size=300))
+@example([0.1 * i for i in range(300)])
+@example([1e10, -1e10, 3.0] * 43)
+@example([-0.0])
+def test_mean_stderr_is_numpy_mean_and_stderr(values):
+    # mean and ddof=1 standard error on plain floats, each sum in numpy's
+    # pairwise order: under 8, 8 to 128 and halves beyond
+    _assert_numpy_mean_stderr(values)
+
+
+def test_mean_stderr_is_numpy_mean_and_stderr_at_block_edges():
+    # lengths about numpy's default buffer of 8,192 values
+    rng = np.random.default_rng(30)
+    for n in (8191, 8192, 8193, 20_000):
+        for values in (rng.exponential(3.0, n), rng.integers(0, 9, n).astype(float),
+                       rng.normal(0.0, 1e10, n), 10.0 ** rng.uniform(-20.0, 20.0, n)):
+            _assert_numpy_mean_stderr(values.tolist())
+
+
+def test_aggregate_pads_traces_like_numpy():
+    # per-sweep traces of unequal length, each padded with its final value
+    cfg = ExperimentConfig.from_dict(dict(
+        scenario="cdi_convergence", seed=3, trials=6, m_groups=30, k=4,
+        r_target_grid=[0.02], max_iters=10))
+    rng = np.random.default_rng(31)
+    traces = [rng.uniform(0.0, 1.0, int(n)).tolist() for n in rng.integers(1, 40, 37)]
+    traces[5] = [0.25]
+    rows = harness._aggregate(cfg, 0.0, {("aoius", "outage_mean"): (traces, [7] * 37),
+                                          ("benchmark", "outage_mean"): ([0.5] * 37, [3] * 37)})
+    width = max(map(len, traces))
+    padded = np.array([v + v[-1:] * (width - len(v)) for v in traces])
+    want = [(float(i), *_numpy_mean_stderr(padded[:, i])) for i in range(width)]
+    want.append((0.0, *_numpy_mean_stderr([0.5] * 37)))
+    assert repr([(r.x, r.value, r.stderr) for r in rows]) == repr(want)
+    assert all(type(r.value) is float and type(r.stderr) is float for r in rows)
+    assert "np." not in emit(rows)
+
+
 def test_wall_time_is_the_reported_calls_time(monkeypatch):
     for scenario in SCENARIOS:
         cfg = ExperimentConfig.from_dict(dict(scenario=scenario, seed=3, trials=3,

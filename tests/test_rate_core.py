@@ -24,6 +24,7 @@ from satsched import (
     sinr_threshold,
     throughput_power_split,
 )
+from satsched import rate_core
 from satsched.rate_core import _ALPHA_TOL, _chain_rates
 
 snr_arrays = hnp.arrays(
@@ -175,6 +176,39 @@ def test_throughput_split_satellite_limited():
     assert all(r >= 1.0 - 1e-9 for r in rates)
     assert sum(rates) == pytest.approx(awgn_capacity(10.0), rel=1e-9)
     assert throughput_power_split(snrs, 2.0, 10.0) is None  # 2**4-1 > 10
+
+
+def test_split_power_surplus_grants_are_the_min_max_form():
+    # the surplus branch grants min(max(rate - r_target, 0.0), max(surplus,
+    # 0.0)) by plain comparisons; pin it by repr on relay rates at K 1..8,
+    # some tied with r_target, under satellite capacities that leave the
+    # surplus negative, zero and positive
+    rng = np.random.default_rng(29)
+    seen = {"negative": 0, "zero": 0, "positive": 0, "tied": 0, "clipped": 0}
+    for k in range(1, 9):
+        for _ in range(400):
+            r_target = float(rng.choice([0.1, 0.3, 0.5, 1.0, 2.5]))
+            rates = rng.uniform(0.0, 3.0 * r_target, size=k)
+            rates[rng.random(k) < 0.3] = r_target
+            rates = rates.tolist()
+            total = 0.0
+            for rate in rates:
+                total += rate
+            for surplus in (-float(rng.uniform(0.0, r_target)), 0.0,
+                            float(rng.uniform(0.0, max(total - k * r_target, 0.0) + r_target))):
+                cap = k * r_target + surplus
+                if not cap > 0.0:
+                    continue
+                sat_snr = math.expm1(cap * math.log(2.0))
+                got = rate_core._split_power(list(rates), r_target, sat_snr, cap)
+                want = oracles.split_power_min_max(list(rates), r_target, sat_snr, cap)
+                assert repr(got) == repr(want), (rates, r_target, cap)
+                if total > cap:
+                    seen["negative" if surplus < 0.0 else "zero" if surplus == 0.0
+                         else "positive"] += 1
+                    seen["tied"] += r_target in rates
+                    seen["clipped"] += any(rate < r_target for rate in rates)
+    assert min(seen.values()) > 200, seen
 
 
 def test_schedule_validation():
