@@ -99,7 +99,8 @@ def main(argv=None) -> int:
     except (MemoryError, ValueError) as exc:
         if isinstance(exc, ValueError) and not str(exc).startswith(_PAST_ARRAY_LIMIT):
             raise
-        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric error: out of memory{detail}", file=sys.stderr)
         return 3
     except RecursionError as exc:
         print(f"numeric error: search too deep: {exc}", file=sys.stderr)

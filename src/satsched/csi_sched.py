@@ -13,8 +13,9 @@ descending SNR order, found by bisection; walking it visits the candidates
 in the order a scan of all N users would.  Slots K-1 and K are settled in
 one pass, which compares each slot K-1 candidate's bound with one SNR in
 place of a bisect and a count, and ends where the candidates that can
-still close the chain end; failed subtrees of slots 1..K-2 are replayed
-from a per-call cache.
+still close the chain end; failed subtrees of slots 1..K-2, and failed
+window suffixes from where a slot's cap S/gamma_t binds its budget, are
+replayed from per-call caches.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -171,6 +172,24 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     comes with start == N, an empty window that is never keyed (and NaN
     != NaN besides).  Every failure is stored, and the cache, which lives
     for one call, is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
+
+    A failed window suffix is not searched again either.  Along a window
+    t_prev - S_p only rises and S_p/gamma_t only falls, rounding being
+    monotone, so from the first candidate p* whose cap binds, S_p/gamma_t
+    <= t_prev - S_p, every candidate passes S_p/gamma_t down whatever
+    t_prev was (a NaN budget never binds, inf binds at once).  When no
+    ancestor holds a position of p*'s SNR or after it, every position from
+    the first of p*'s SNR on is free but for what the suffix takes, and
+    every window below starts there or later; a Q before that lies before
+    every close start, where close fails with its size either way.  So the
+    suffix and its outcome are a function of (depth, p*).  A failed suffix
+    makes G backtracks, one per candidate plus its children's, and the
+    children examined as many candidates as they backtracked, so it adds
+    G to backtracks and G minus its length to candidates_examined, which
+    counted the whole window at entry.  The first failure stores G under
+    (depth, p*); a later window with the key adds both counts and fails,
+    and its own subtree entry stores the total.  This memo holds at most
+    (K-2)*N keys, so it is never cleared.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -196,6 +215,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # (depth, start, start taken, t_prev) -> the candidates a failed subtree
     # examined, which are also the backtracks it made
     failed: dict[tuple[int, int, bool, float], int] = {}
+    # (depth, p*) -> the backtracks of a failed window suffix from p*, the
+    # first candidate whose cap S/gamma_t binds the budget
+    failed_suffix: dict[tuple[int, int], int] = {}
 
     def close(start: int, t_prev: float) -> bool:
         """Fill slot K-1 from the positions from start on, and slot K; on
@@ -248,11 +270,22 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         window = list(compress(range(start, n), free[start:]))
         candidates += len(window)
         l_rest = lmin[k - depth - 1]
+        star = -1  # p* once the cap binds; n if it has no key or was replayed
         for p in window:
             s_p = desc[p]
             t_here = t_prev - s_p
-            if absorb[p] < t_here:
+            if absorb[p] <= t_here:
                 t_here = absorb[p]
+                if star < 0:
+                    star = p if top < 0 or desc[top] > s_p else n
+                    suffix_entry = backtracks
+                    if star < n and failed_suffix:
+                        replay = failed_suffix.get((depth, p))
+                        if replay is not None:
+                            candidates += replay - len(window) + window.index(p)
+                            backtracks += replay
+                            star = n
+                            break
             upper = t_here - 1.0 - l_rest
             if s_p < upper:
                 upper = s_p
@@ -266,6 +299,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 return True
             free[p] = True
             backtracks += 1
+        if 0 <= star < n:
+            failed_suffix[depth, star] = backtracks - suffix_entry
         if top <= start < n:
             if len(failed) >= _FAILURE_CACHE_ENTRIES:
                 failed.clear()

@@ -317,8 +317,8 @@ _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63
 @cache
 def _scan_outcomes_where_the_cache_hits():
     """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
-    csi_online decisions, 38 of which replay a failed subtree, and the
-    seeded draws above."""
+    csi_online decisions, of which 35 replay a failed subtree from the
+    exact cache and 65 a failed window suffix, and the seeded draws above."""
     instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
     for seed in _TIED_CACHE_SEEDS:
         rng = np.random.default_rng(seed)
@@ -357,6 +357,59 @@ def test_gius_tied_stall_replays_its_failures():
     assert out.stats == csi_sched.SchedulerStats(candidates_examined=1_942_187,
                                                  backtracks=1_942_036)
     assert elapsed < 0.5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gius_suffix_replay_matches_scan_version():
+    # a failed window suffix from p*, the first candidate whose cap
+    # S/gamma_t binds its budget, is replayed by (depth, p*): the picks,
+    # rate report and both counters stay those of the full search.  The
+    # key is refused when an ancestor ties p*'s SNR.  One slot below a pick
+    # of the same SNR the cap binds only if S/gamma_t - S rounds back to
+    # S/gamma_t, at gamma_t below about 2**-53 or where S/gamma_t
+    # overflows, hence the tiny rate targets and the draws near the float
+    # limit.  Counted in a scratch copy: the memo hit on 30 of the 128
+    # csi_online frames, 148 of the 200 small-integer draws, 161 of the 300
+    # at tiny rate targets (the key refused on 144, 94 of them with hits
+    # too) and 102 of the 300 near the float limit (refused on 53).  The
+    # 1e308 instances make the window bound inf - inf = NaN
+    instances = [(csi, r, [determine_k(csi, r)]) for r, csi in oracles.csi_online_frames(128, 1)]
+    rng = np.random.default_rng(82)
+    for i in range(200):
+        csi = CsiRealization(rng.integers(0, 6, size=int(rng.integers(6, 13))).astype(float),
+                             BIG_SAT)
+        instances.append((csi, (0.3, 0.5, 0.9)[i % 3], range(1, csi.n_users + 1)))
+    rng = np.random.default_rng(83)
+    for i in range(300):
+        csi = CsiRealization(rng.integers(0, 4, size=int(rng.integers(3, 9))).astype(float),
+                             BIG_SAT)
+        instances.append((csi, (1e-17, 1e-18, 3e-16)[i % 3], range(1, csi.n_users + 1)))
+    rng = np.random.default_rng(81)
+    near_limit = (1.7e308, 1e308, 5e307, 1e300, 3.0, 2.0, 1.0, 0.5, 0.0)
+    draws = [([near_limit[j] for j in rng.integers(0, 9, size=int(rng.integers(3, 10)))],
+              (0.3, 0.9, 1.8)[i % 3]) for i in range(300)]
+    draws += [([1e308] * 4, 0.3), ([1e308, 9e307, 5e307, 1.0], 0.1)]
+    for snrs, r in draws:
+        csi = CsiRealization(np.array(snrs), BIG_SAT)
+        instances.append((csi, r, range(1, csi.n_users + 1)))
+    compared = 0
+    for csi, r, ks in instances:
+        for k in ks:
+            assert _outcome(gius, csi, k, r) == _outcome(oracles.gius_scan, csi, k, r), (csi, r, k)
+            compared += 1
+    assert compared > 5000
+
+
+def test_gius_exponential_stall_replays_window_suffixes():
+    # the costliest of README's 32 exponential(10) draws at r_target 0.3:
+    # the suffix memo keeps the picks and counts of the full search
+    csi = CsiRealization(np.random.default_rng(25).exponential(10.0, 32), BIG_SAT)
+    assert determine_k(csi, 0.3) == 19
+    out = gius(csi, 19, 0.3)
+    assert out.schedule.users == (17, 11, 31, 10, 26, 7, 12, 9, 18, 19, 28, 3, 14, 5, 27, 29,
+                                  8, 24, 0)
+    assert out.stats == csi_sched.SchedulerStats(candidates_examined=11_683_090,
+                                                 backtracks=11_682_786)
 
 
 def test_lbus_matches_two_sort_version():

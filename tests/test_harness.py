@@ -658,6 +658,19 @@ def test_cli_internal_error_exits_4(monkeypatch, capsys):
     assert captured.err == "internal error: satellite hop cannot carry a selected schedule\n"
 
 
+def test_cli_bare_memory_error_prints_one_clean_line(monkeypatch, capsys):
+    # an allocation can fail with a MemoryError that carries no text; the
+    # line then ends at "out of memory", with no dangling colon
+    def exhausted(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    assert main(["csi-sumrate", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: out of memory\n"
+
+
 def test_cli_large_rate_targets_exit_cleanly(tmp_path, capsys):
     cases = (
         # 2**2000 - 1 is beyond float range
