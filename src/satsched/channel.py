@@ -16,6 +16,7 @@ with 1F1 the confluent hypergeometric function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +121,24 @@ def _sr_fade(params: SrParams, count: int, rng: Generator) -> tuple:
     with per-component variance b0.
 
     Draw order is fixed (LOS power, phase, scatter re, scatter im) so a
-    seeded generator reproduces the stream exactly.
+    seeded generator reproduces the stream exactly.  numpy's Generator
+    defines gamma(shape, scale) as scale * standard_gamma(shape),
+    uniform(low, high) as low + (high - low) * random() and normal(loc,
+    scale) as loc + scale * standard_normal(); the fills below take the
+    same draws and form the same products in place.  Adding loc = 0.0
+    would only turn a scatter of -0.0 into 0.0, which squares away.
     Returns (amplitude, phase, scatter_re, scatter_im).
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    los_power = rng.gamma(shape=params.m_s, scale=params.omega / params.m_s, size=count)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    scatter_re = rng.normal(0.0, math.sqrt(params.b0), size=count)
-    scatter_im = rng.normal(0.0, math.sqrt(params.b0), size=count)
-    return np.sqrt(los_power), phase, scatter_re, scatter_im
+    amp = rng.standard_gamma(params.m_s, size=count)
+    amp *= params.omega / params.m_s
+    np.sqrt(amp, out=amp)
+    phase = rng.random(count)
+    phase *= 2.0 * np.pi
+    scatter = rng.standard_normal((2, count))
+    scatter *= math.sqrt(params.b0)
+    return amp, phase, scatter[0], scatter[1]
 
 
 def _sr_power(params: SrParams, amp, phase, scatter_re, scatter_im) -> np.ndarray:
@@ -145,52 +154,77 @@ def sample_sr_snr(params: SrParams, count: int, rng: Generator) -> np.ndarray:
     return _sr_power(params, *_sr_fade(params, count, rng))
 
 
-# sr_snr_below's slack: relative to (a + |n|)**2 and absolute
-_MASK_REL = 2.0**-32
-_MASK_ABS = 2.0**-1000
+# sr_snr_below's cutoffs, as multiples of sqrt(threshold/tx_power), and the
+# least threshold/tx_power its error bound covers
+_BELOW_CUT = 1.0 - 2.0**-32
+_NOT_BELOW_CUT = 1.0 + 2.0**-22
+_RADIUS_CAP = 2.0**10
+_TAU_MIN = 2.0**-600
 
 
 def sr_snr_below(params: SrParams, count: int, rng: Generator, threshold: float) -> np.ndarray:
     """sample_sr_snr(params, count, rng) < threshold, bit for bit, with the
     generator left in the same state, but without the trigonometry for
-    draws the triangle inequality already settles.
+    draws that three scalar cutoffs already settle.
 
-    With a the LOS amplitude and n the scatter, |a*e^(i*phase) + n|^2 lies
-    in [(|n| - a)^2, (|n| + a)^2].  Let u = 2**-53 and assume np.cos and
-    np.sin are within eta <= 2**-34 of the exact values (they are within a
-    few ulp).  The squared modulus sample_sr_snr computes before scaling by
-    tx_power is then within (3*eta + 8*u) * R^2 + 2**-1070 * (1 + R) of
-    the exact one, with R = |n| + a; underflow in the scatter's squares
-    adds at most 2**-536 * R.  The slack 2**-32 * R^2 + 2**-1000 covers
-    both with room for the rounding of the bounds themselves, so the
-    computed bounds enclose the computed squared modulus, and as rounding
-    is monotone, tx_power*lower <= SNR <= tx_power*upper as computed,
-    overflow to inf included.  A draw is settled below when
-    tx_power*upper < threshold and not below when tx_power*lower >=
-    threshold; a bound that is NaN settles nothing.
-    The rest are composed exactly on the gathered subset, which relies on
-    np.cos and np.sin giving an element the same bits in a subset as in
-    the full array.
+    With a the LOS amplitude, n the scatter and z = a*e^(i*phase) + n, the
+    triangle inequality puts |z| in [||n| - a|, |n| + a].  Let D and R be
+    those two ends as computed, and s = sqrt(tau), tau = threshold/tx_power,
+    as computed.  A draw is settled
+
+      below where R < U = s*(1 - 2**-32),
+      not below where D > V = s*(1 + 2**-22) and R < R_cap = 2**10*s;
+
+    every other draw is composed as sample_sr_snr composes it, on the
+    gathered subset, which relies on np.cos and np.sin giving an element
+    the same bits in a subset as in the full array.
+
+    The bound.  Let u = 2**-53 and t = 2**-536, assume np.cos and np.sin
+    are within eta <= 2**-34 of the exact values (they are within a few
+    ulp), and let e = sqrt(2)*(eta + 1.01*u) <= 2**-33.49.  A rounded sum,
+    square, product or root errs by a relative u, plus 2**-1075 for a
+    product that underflows.  So sample_sr_snr's sum of squares q has
+
+      (1-u)**2 * (|z| - e*a) - t  <=  sqrt(q)  <=  (1+u)**2 * (|z| + e*a) + t,
+
+    and the exact ends R_x = |n| + a and D_x = ||n| - a| obey
+    R_x <= R*(1 + 3.01*u) + 2*t and D_x >= D*(1 - u) - 2.01*u*R_x - t.
+    The cutoffs are rounded multiples of s, U <= s*(1 - 2**-32)*(1 + u) and
+    V >= s*(1 + 2**-22)*(1 - u), with R_cap exact.  As a <= R_x, a draw
+    settled below has sqrt(q) < s*(1 - 2**-33) + 3*t; as
+    2**10*(e + 2.01*u) < 0.36 * 2**-22, one settled not below has
+    sqrt(q) > s*(1 + 2**-24) - 5*t.  The rounded s is within a factor
+    1 +- 1.6*u of the exact sqrt(threshold/tx_power), and, rounding being
+    monotone, tx_power*q rounds below a normal threshold where sqrt(q) lies
+    below that exact root by a factor 1 - 2**-50, and to the threshold or
+    above, inf included, where it lies above it by a factor 1 + 2**-50.
+    Both margins hold as t <= 2**-236*s, which tau >= 2**-600 buys.  A
+    draw settled below has q < tau, so its composition overflows nowhere,
+    and where one settled not below overflows, inf is not below either.
+    Where the threshold is not a normal float, or tau is below 2**-600,
+    infinite or NaN, the cutoffs settle nothing.  A NaN or infinite R or D
+    fails every cutoff test, so that draw is composed too.
     """
     amp, phase, scatter_re, scatter_im = _sr_fade(params, count, rng)
-    # in place: the bounds cost a few passes where cos and sin cost many;
-    # a bound that overflows is still a bound, and a NaN one settles nothing
+    threshold = float(threshold)
+    tau = threshold / params.tx_power
+    if not (threshold >= sys.float_info.min and _TAU_MIN <= tau < math.inf):
+        return _sr_power(params, amp, phase, scatter_re, scatter_im) < threshold
+    root = math.sqrt(tau)
+    # an overflowing R or D is inf and a NaN one fails each test
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = scatter_re * scatter_re
-        lower += scatter_im * scatter_im
-        np.sqrt(lower, out=lower)  # |n|
-        upper = lower + amp
-        lower -= amp
-        upper *= upper
-        lower *= lower
-        slack = upper * _MASK_REL
-        slack += _MASK_ABS
-        upper += slack
-        upper *= params.tx_power
-        lower -= slack
-        lower *= params.tx_power
-        below = upper < threshold
-    undecided = np.flatnonzero(~(below | (lower >= threshold)))
+        gap = np.multiply(scatter_im, scatter_im)
+        radius = scatter_re * scatter_re
+        radius += gap
+        np.sqrt(radius, out=radius)  # |n|
+        np.subtract(radius, amp, out=gap)
+        np.abs(gap, out=gap)  # D
+        radius += amp  # R
+        below = radius < root * _BELOW_CUT
+        settled = radius < root * _RADIUS_CAP
+        settled &= gap > root * _NOT_BELOW_CUT
+    settled |= below
+    undecided = np.flatnonzero(~settled)
     if undecided.size:
         below[undecided] = _sr_power(params, amp[undecided], phase[undecided],
                                      scatter_re[undecided], scatter_im[undecided]) < threshold

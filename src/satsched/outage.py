@@ -200,7 +200,9 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams, r_target: float,
     first, then all satellite SNRs, so the estimate is a function of rng's
     state and p1 does not depend on sr.  The satellite hop fails where
     sr_snr_below says its SNR falls short of 2**(K*r_target) - 1, which is
-    the comparison of the sampled SNRs, bit for bit.
+    the comparison of the sampled SNRs, bit for bit.  The user draws are
+    dropped once the chain test has read them, so the two sets of draws
+    never coexist.
     """
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
@@ -208,10 +210,11 @@ def monte_carlo_outage(lambdas_in_order, sr: SrParams, r_target: float,
     gamma_t = sinr_threshold(r_target)
     k = lam.size
 
-    # rng.exponential(scale=1/lam) draws the same stream, scaled the same way
-    snrs = rng.standard_exponential((trials, k))
-    snrs *= 1.0 / lam
-    phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
+    # rng.exponential(scale=1/lam) draws the same stream, and the chain test
+    # scales each slot by its reciprocal the same way
+    draws = rng.standard_exponential((trials, k))
+    phase1_fail = ~sic_chains_close(draws, 1.0 / lam, gamma_t)
+    del draws  # the satellite draws can take its memory
     phase2_fail = sr_snr_below(sr, trials, rng, _phase2_threshold(k, r_target))
 
     p1 = int(np.count_nonzero(phase1_fail)) / trials

@@ -131,21 +131,31 @@ def _chain_rates(vals, inv: float, out=None):
     return out, tail
 
 
-def sic_chains_close(slot_snrs, gamma_t: float):
+def sic_chains_close(draws: np.ndarray, scales, gamma_t: float) -> np.ndarray:
     """Batched decode-chain test: which chains clear gamma_t in every slot.
 
-    slot_snrs yields one SNR array per decode slot, last decode slot first,
-    holding one entry per chain; each slot is decoded against the slots
-    after it plus unit noise.  Returns (closes, sums): the mask of chains
-    that close and each chain's SNR sum, both updated in place slot by slot.
+    draws is a (chains, K) float array of unscaled draws in decode order;
+    slot j's SNRs are draws[:, j] * scales[j].  Each slot is decoded against
+    the slots after it plus unit noise, S_j >= gamma_t * (tail + 1.0) with
+    the tail summed last slot first.  The slots are scaled one column at a
+    time into preallocated buffers, so no scaled copy of draws is made.
+    Returns the mask of chains that close.
     """
-    slots = iter(slot_snrs)
-    sums = np.array(next(slots), dtype=float)  # the last slot sees noise only
-    closes = sums >= gamma_t
-    for v in slots:
-        closes &= v >= gamma_t * (sums + 1.0)
-        sums += v
-    return closes, sums
+    k = draws.shape[1]
+    tail = np.multiply(draws[:, k - 1], scales[k - 1])  # the last slot sees noise only
+    closes = tail >= gamma_t
+    if k > 1:
+        snr = np.empty_like(tail)
+        need = np.empty_like(tail)
+        clears = np.empty_like(closes)
+        for j in range(k - 2, -1, -1):
+            np.multiply(draws[:, j], scales[j], out=snr)
+            np.add(tail, 1.0, out=need)
+            need *= gamma_t
+            np.greater_equal(snr, need, out=clears)
+            closes &= clears
+            tail += snr
+    return closes
 
 
 def max_supported_users(sat_snr: float, r_target: float, n_users: int) -> int:

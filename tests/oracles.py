@@ -6,8 +6,8 @@ paths it is used to check.  The exceptions are the earlier versions of
 the decode-chain loops, the CSI schedulers and the TDMA baseline, their
 power split and finishing step, the sum-rate sandwich and its upper
 profile, the continuous CDI benchmark solver and its slot optimum, the
-two CDI group selectors and the Monte-Carlo estimator, kept verbatim as
-equivalence references.
+two CDI group selectors, the Monte-Carlo estimator and its satellite
+fade draws, kept verbatim as equivalence references.
 """
 
 from __future__ import annotations
@@ -1029,12 +1029,23 @@ def exhaustive_groups_combinations(cdi, k, gamma_t):
     )
 
 
+def sr_fade_generator_calls(params, count, rng):
+    """channel._sr_fade as it drew with Generator.gamma, .uniform and
+    .normal, one call per array."""
+    los_power = rng.gamma(shape=params.m_s, scale=params.omega / params.m_s, size=count)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    scatter_re = rng.normal(0.0, math.sqrt(params.b0), size=count)
+    scatter_im = rng.normal(0.0, math.sqrt(params.b0), size=count)
+    return np.sqrt(los_power), phase, scatter_re, scatter_im
+
+
 def monte_carlo_outage_sampled(lambdas_in_order, sr, r_target, trials, rng):
-    """monte_carlo_outage with every satellite SNR sampled in full and
+    """monte_carlo_outage with the user SNRs drawn scaled, the chain test
+    run over the slots of the scaled array (its batched loop before it took
+    the unscaled draws), and every satellite SNR sampled in full and
     compared with the phase-2 threshold."""
     from satsched import McStats, OutageReport, ParameterError, sample_sr_snr, sinr_threshold
     from satsched.outage import _check_lambdas, _phase2_threshold
-    from satsched.rate_core import sic_chains_close
 
     lam = _check_lambdas(lambdas_in_order)
     if trials < 1:
@@ -1043,7 +1054,13 @@ def monte_carlo_outage_sampled(lambdas_in_order, sr, r_target, trials, rng):
     k = lam.size
 
     snrs = rng.exponential(scale=1.0 / lam, size=(trials, k))
-    phase1_fail = ~sic_chains_close(snrs.T[::-1], gamma_t)[0]
+    slots = iter(snrs.T[::-1])
+    sums = np.array(next(slots), dtype=float)  # the last slot sees noise only
+    closes = sums >= gamma_t
+    for v in slots:
+        closes &= v >= gamma_t * (sums + 1.0)
+        sums += v
+    phase1_fail = ~closes
     phase2_fail = sample_sr_snr(sr, trials, rng) < _phase2_threshold(k, r_target)
 
     p1 = int(np.count_nonzero(phase1_fail)) / trials

@@ -2,6 +2,12 @@
 shadowed-Rician satellite law, checked against the scipy-based density
 oracle, quadrature CDFs, and seeded-stream determinism."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +35,7 @@ from satsched import (
     sr_snr_below,
     sum_rate_bounds,
 )
+from satsched.outage import _phase2_threshold
 
 HEAVY = dict(omega=8.97e-4, b0=0.063, m_s=0.739)
 AVERAGE = dict(omega=0.835, b0=0.126, m_s=10.1)
@@ -170,6 +177,106 @@ def test_sr_snr_below_at_the_triangle_bounds(monkeypatch, shadowing):
     for threshold in np.concatenate([snrs, np.nextafter(snrs, np.inf),
                                      np.nextafter(snrs, -np.inf)]):
         assert np.array_equal(sr_snr_below(sr, 1000, None, threshold), snrs < threshold)
+
+
+def _cutoff_fade(root):
+    # draws whose |n| + a or ||n| - a| lands on each cutoff and one float to
+    # either side: a = 0 puts both on |n|; a = v/2 with |n| = v/2 puts R on
+    # v and D on 0; a = v with |n| = 2v puts D on v.  The scatter lies on
+    # the real axis, so a phase of 0 or pi puts |z| on an end of [D, R].
+    cuts = [root * channel._BELOW_CUT, root * channel._NOT_BELOW_CUT,
+            root * channel._RADIUS_CAP]
+    values = [f(c) for c in cuts for f in (lambda c: np.nextafter(c, 0.0), float,
+                                           lambda c: np.nextafter(c, np.inf))]
+    amp, scatter = [], []
+    for v in values:
+        for a, n in ((0.0, v), (v / 2.0, v / 2.0), (v, 2.0 * v)):
+            assert math.sqrt(n * n) == n
+            amp.append(a)
+            scatter.append(n)
+    amp = np.repeat(amp, 4)
+    scatter_re = np.repeat(scatter, 4)
+    phase = np.tile([0.0, np.pi, 0.5 * np.pi, 2.0], len(values) * 3)
+    return amp, phase, scatter_re, np.zeros_like(scatter_re)
+
+
+@pytest.mark.parametrize("shadowing", [HEAVY, AVERAGE], ids=["heavy", "average"])
+def test_sr_snr_below_at_its_cutoffs(monkeypatch, shadowing):
+    # (tx_power, threshold, whether the cutoffs may settle draws): the
+    # bundled thresholds, tau at 2**-600 and one float below, and the
+    # thresholds whose tau is 0, subnormal, below 2**-600, infinite or
+    # overflowing, plus a subnormal threshold whose tau is normal
+    cases = [(1000.0, _phase2_threshold(k, r), True) for k, r in ((2, 0.02), (3, 0.5), (3, 1.0))]
+    cases += [(1024.0, 2.0**-590, True), (1024.0, 2.0**-590 * (1.0 - 2.0**-53), False)]
+    cases += [(1000.0, 0.0, False), (1000.0, 5e-324, False), (1.0, 1e-310, False),
+              (1000.0, 1e-200, False), (1000.0, math.inf, False), (0.5, 1.7e308, False),
+              (1e-300, 5e-324, False)]
+    power = channel._sr_power
+    composed = []
+    monkeypatch.setattr(channel, "_sr_power",
+                        lambda sr, amp, *rest: composed.append(amp.size) or power(sr, amp, *rest))
+    for tx_power, threshold, settles in cases:
+        sr = SrParams(tx_power=tx_power, **shadowing)
+        tau = threshold / tx_power
+        fades = [channel._sr_fade(sr, 200, default_rng(3))]
+        if sys.float_info.min <= tau < math.inf:  # |n| = sqrt(n*n) stays exact
+            fades.append(_cutoff_fade(math.sqrt(tau)))
+        for fade in fades:
+            monkeypatch.setattr(channel, "_sr_fade", lambda *_: fade)
+            composed.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = power(sr, *fade) < threshold
+                got = sr_snr_below(sr, fade[0].size, None, threshold)
+            assert np.array_equal(got, want), (tx_power, threshold)
+            if not settles:
+                assert composed == [fade[0].size], (tx_power, threshold)
+        if settles:  # on the cutoff fade some draws settle and some do not
+            assert 0 < sum(composed) < fade[0].size, (tx_power, threshold)
+
+
+@pytest.mark.parametrize("shadowing", [HEAVY, AVERAGE, dict(omega=2.0, b0=0.5, m_s=1.0)],
+                         ids=["heavy", "average", "unit-shape"])
+def test_sr_fade_is_the_generator_calls(shadowing):
+    # gamma, uniform and normal are scale * standard_gamma, 0.0 + 2*pi *
+    # random and 0.0 + scale * standard_normal: the amplitude and phase
+    # keep their bits, and the scatter its value (the sum could only turn
+    # -0.0 into 0.0); the generator ends in the same state
+    sr = SrParams(tx_power=1000.0, **shadowing)
+    for seed in range(100):
+        count = 1 + 37 * (seed % 9)
+        got_rng, want_rng = default_rng(seed), default_rng(seed)
+        got = channel._sr_fade(sr, count, got_rng)
+        want = oracles.sr_fade_generator_calls(sr, count, want_rng)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), seed
+        for g, w in zip(got[2:], want[2:]):
+            assert np.array_equal(g, w), seed
+        assert got_rng.random() == want_rng.random()
+
+
+def test_mask_and_estimator_under_baseline_dispatch():
+    # numpy picks float64 kernels by CPU; with its AVX-512 targets disabled
+    # the sampled-comparison check and one estimator-vs-oracle case must
+    # hold on the baseline kernels too
+    here = Path(__file__).resolve().parent
+    script = (
+        "import numpy as np, oracles, test_channel\n"
+        "from satsched import SrParams, monte_carlo_outage\n"
+        "for case in test_channel.SR_MASK_CASES:\n"
+        "    test_channel.test_sr_snr_below_is_the_sampled_comparison(*case.values)\n"
+        "sr = SrParams(tx_power=1000.0, **test_channel.HEAVY)\n"
+        "lam = np.array([0.05, 0.1, 0.3])\n"
+        "got = monte_carlo_outage(lam, sr, 0.5, 10_000, np.random.default_rng(7))\n"
+        "want = oracles.monte_carlo_outage_sampled(lam, sr, 0.5, 10_000,\n"
+        "                                          np.random.default_rng(7))\n"
+        "assert got == want, (got, want)\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000, 10_000])

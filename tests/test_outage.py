@@ -4,6 +4,7 @@ for the incomplete gamma) plus the Monte-Carlo estimator's self-consistency."""
 
 import math
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -253,6 +254,22 @@ def test_mc_matches_the_fully_sampled_estimator():
                 want = oracles.monte_carlo_outage_sampled(lam, sr, r, 2_000, want_rng)
                 assert got == want, (k, r)
                 assert got_rng.random() == want_rng.random()
+
+
+def test_mc_peak_memory_per_trial():
+    # the user draws are dropped before the satellite draws, and the mask
+    # works in two float buffers: 56.1 bytes per trial at the bundled
+    # link's K = 3, r = 1.0, where a scaled copy of the draws made it 87.1
+    lam = np.array([0.05, 0.1, 0.3])
+    sr = SrParams(tx_power=1000.0, **HEAVY)
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        monte_carlo_outage(lam, sr, 1.0, trials, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * trials, peak / trials
 
 
 def test_mc_determinism():

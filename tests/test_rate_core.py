@@ -125,6 +125,49 @@ def test_satellite_chain_telescopes_at_full_power(k, sat_snr):
     assert np.allclose(gammas, oracles.chain_sinrs(alphas, 1.0 / sat_snr), rtol=1e-12)
 
 
+def _chains_close_per_trial(draws, scales, gamma_t):
+    # each trial's chain on Python floats, slot j's SNR draws[i, j] * scales[j]
+    out = []
+    for row in draws.tolist():
+        snrs = [d * float(c) for d, c in zip(row, scales)]
+        tail = snrs[-1]
+        ok = tail >= gamma_t
+        for v in reversed(snrs[:-1]):
+            ok = (v >= gamma_t * (tail + 1.0)) and ok
+            tail += v
+        out.append(ok)
+    return out
+
+
+def test_sic_chains_close_is_the_per_trial_loop():
+    rng = np.random.default_rng(14)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 7):
+            for gamma_t in (0.0, 0.02, sinr_threshold(0.5), 1.0, 7.0):
+                # plain draws, some exactly 0, under rates like the estimator's
+                draws = rng.standard_exponential((200, k))
+                draws[rng.random((200, k)) < 0.02] = 0.0
+                scales = 1.0 / np.sort(rng.uniform(0.01, 1.0, size=k))
+                # draws tied with gamma_t*(tail + 1.0): the scales are powers
+                # of two, so draw * scale is the tied SNR exactly
+                tied = rng.standard_exponential((200, k))
+                pow2 = 2.0 ** rng.integers(-3, 4, size=k).astype(float)
+                for row, tie in zip(tied, rng.random((200, k)) < 0.5):
+                    tail = row[-1] * pow2[-1]
+                    for j in range(k - 2, -1, -1):
+                        if tie[j]:
+                            row[j] = gamma_t * (tail + 1.0) / pow2[j]
+                            assert row[j] * pow2[j] == gamma_t * (tail + 1.0)
+                        tail += row[j] * pow2[j]
+                # an infinite reciprocal from a subnormal rate, in each slot
+                inf_scales = [np.where(np.arange(k) == j, 1.0 / 5e-324, scales)
+                              for j in range(k)]
+                for d, c in [(draws, scales), (tied, pow2)] + [(draws, c) for c in inf_scales]:
+                    got = rate_core.sic_chains_close(d, c, gamma_t)
+                    assert got.dtype == bool
+                    assert got.tolist() == _chains_close_per_trial(d, c, gamma_t), (k, gamma_t)
+
+
 def test_max_supported_users_values():
     assert max_supported_users(1000.0, 1.2, 40) == 8
     assert max_supported_users(1.0, 1.0, 10) == 1
