@@ -178,7 +178,11 @@ def find_zero_h(ds, tail: float, guess: float | None = None) -> float:
     Sign tests outside _certified_bracket's (a, b) are settled by comparing
     with a and b; only those strictly inside evaluate h, so the root is
     plain bisection's, bit for bit, for any `guess`.  A guess near the root
-    (the slot's current rate) only shortens the certificate's Newton run."""
+    (the slot's current rate) only shortens the certificate's Newton run.
+    h is evaluated in floats as 1/x - sum(1/(x+D)) - tail, which cancels
+    where the smallest D is below about 2**-53 of the root, i.e. D values
+    more than about 32 decades apart; the root found there can be far off.
+    No bundled config draws such values."""
     a, b = _certified_bracket(ds, tail, guess)
     # x is left of the root (h > 0) when x <= a or (a < x < b and h(x) > 0)
     lo = hi = 1.0

@@ -15,7 +15,9 @@ one pass, which compares each slot K-1 candidate's bound with one SNR in
 place of a bisect and a count, and ends where the candidates that can
 still close the chain end; failed subtrees of slots 1..K-2, and failed
 window suffixes from where a slot's cap S/gamma_t binds its budget, are
-replayed from per-call caches.
+replayed from per-call caches.  Windows are counted from the path's
+taken positions, not built, and the caller fails a window that is empty
+or, at slot K-1, holds no candidate that could close, without a call.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -154,6 +156,25 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     stay those of the full search.  Only the closing candidate bisects,
     counts slot K's window and takes its first position.
 
+    No window is built.  The taken positions are the picks of slots
+    1..K-2 on the current path, all at most top or the candidate itself,
+    so a window's free count is N - start less the taken positions among
+    start..top, one short slice, and the walk takes the free positions
+    lazily.  Calls that cannot change the outcome are not made:
+    - A window below a candidate that holds no free position fails with
+      no candidate and no backtrack, so the parent adds only its own
+      backtrack.  It stores no cache entry; such an entry replays zero,
+      and the cache is exact, so only the speed changes.
+    - Slot K-2's walk finds Q once.  Taking a candidate moves Q only when
+      the candidate is Q, and every later candidate lies at or past
+      last_end, so its slot K-1 window starts past both Qs and fails
+      either way.
+    - A slot K-1 window that starts at or after Q, or at or after the
+      position where a walk under the same Q met a cap S/gamma_t - 1
+      below S_Q, has no candidate that close would test: caps fall along
+      the order.  The caller adds its free count to both counters, as
+      close does.  close keeps every closing comparison.
+
     A subtree that failed is not searched again.  A window below a search
     from start begins at the first position whose SNR is at most the bound
     a pick p >= start set, and that bound is at most desc[p] <=
@@ -169,9 +190,10 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     and adds its length to both counters, as a replay would.  The budget
     enters only subtractions and comparisons, which treat +0.0 and -0.0
     alike, so the two zeros may share a key.  A NaN budget never hits: it
-    comes with start == N, an empty window that is never keyed (and NaN
-    != NaN besides).  Every failure is stored, and the cache, which lives
-    for one call, is cleared when it holds _FAILURE_CACHE_ENTRIES keys.
+    comes with start == N, an empty window that is never searched (and
+    NaN != NaN besides).  Every failed search is stored, and the cache,
+    which lives for one call, is cleared when it holds
+    _FAILURE_CACHE_ENTRIES keys.
 
     A failed window suffix is not searched again either.  Along a window
     t_prev - S_p only rises and S_p/gamma_t only falls, rounding being
@@ -218,60 +240,69 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # (depth, p*) -> the backtracks of a failed window suffix from p*, the
     # first candidate whose cap S/gamma_t binds the budget
     failed_suffix: dict[tuple[int, int], int] = {}
+    # Q -> where a slot K-1 walk under Q met a cap S/gamma_t - 1 below S_Q;
+    # caps fall along the order, so every later position fails it too
+    cap_ends: dict[int, int] = {}
 
-    def close(start: int, t_prev: float) -> bool:
-        """Fill slot K-1 from the positions from start on, and slot K; on
-        success both picks are on chosen, slot K's first.  t_prev is T,
-        the budget slot K-2 left."""
-        nonlocal candidates, backtracks
-        window = free[start:]
-        size = window.count(True)
-        q = last_end - 1
+    def last_free(below: int) -> int:
+        """Q: the largest free position before below, -1 for none."""
+        q = below - 1
         while q >= 0 and not free[q]:
             q -= 1
-        if start < q:
-            s_q = desc[q]
-            for tried, p in enumerate(compress(range(start, q), window)):
-                if absorb[p] - 1.0 < s_q:
-                    break
-                s_p = desc[p]
-                # slot K's bound already makes T_K >= 1
-                if t_prev - s_p - 1.0 >= s_q:
-                    t_here = t_prev - s_p
-                    if absorb[p] < t_here:
-                        t_here = absorb[p]
-                    upper = t_here - 1.0
-                    if s_p < upper:
-                        upper = s_p
-                    free[p] = False
-                    nxt = bisect_left(neg, -upper)
-                    found = free[nxt:last_end].count(True)
-                    candidates += size + found
-                    backtracks += tried
-                    chosen.extend((free.index(True, nxt, last_end), p))
-                    return True
+        return q
+
+    def close(start: int, size: int, t_prev: float, q: int, end: int) -> bool:
+        """Fill slot K-1 from the size free positions from start on, and
+        slot K; on success both picks are on chosen, slot K's first.  t_prev
+        is T, the budget slot K-2 left, q is Q, and the walk stops at end,
+        Q or cap_ends[Q]."""
+        nonlocal candidates, backtracks
+        s_q = desc[q]
+        for tried, p in enumerate(compress(range(start, end), free[start:end])):
+            if absorb[p] - 1.0 < s_q:
+                cap_ends[q] = p
+                break
+            s_p = desc[p]
+            # slot K's bound already makes T_K >= 1
+            if t_prev - s_p - 1.0 >= s_q:
+                t_here = t_prev - s_p
+                if absorb[p] < t_here:
+                    t_here = absorb[p]
+                upper = t_here - 1.0
+                if s_p < upper:
+                    upper = s_p
+                free[p] = False
+                nxt = bisect_left(neg, -upper)
+                found = free[nxt:last_end].count(True)
+                candidates += size + found
+                backtracks += tried
+                chosen.extend((free.index(True, nxt, last_end), p))
+                return True
         candidates += size
         backtracks += size
         return False
 
-    def search(depth: int, start: int, t_prev: float, top: int) -> bool:
-        """Fill slot depth < k - 1 from the positions from start on; on
-        success the picks of slots K..depth are on chosen.  top is the
-        largest position taken by slots 1..depth-1, -1 for none."""
+    def search(depth: int, start: int, size: int, t_prev: float, top: int) -> bool:
+        """Fill slot depth < k - 1 from the size > 0 free positions from
+        start on; on success the picks of slots K..depth are on chosen.  top
+        is the largest position taken by slots 1..depth-1, -1 for none."""
         nonlocal candidates, backtracks
         # while the cache is empty a call pays no key for it
-        if failed and top <= start < n:
+        if failed and top <= start:
             replay = failed.get((depth, start, top == start, t_prev))
             if replay is not None:
                 candidates += replay
                 backtracks += replay
                 return False
         entry = backtracks
-        window = list(compress(range(start, n), free[start:]))
-        candidates += len(window)
+        candidates += size
         l_rest = lmin[k - depth - 1]
+        closing = depth + 2 == k
+        if closing:
+            q = q_all = last_free(last_end)
+            end = cap_ends.get(q, q)
         star = -1  # p* once the cap binds; n if it has no key or was replayed
-        for p in window:
+        for p in compress(range(start, n), free[start:]):
             s_p = desc[p]
             t_here = t_prev - s_p
             if absorb[p] <= t_here:
@@ -282,7 +313,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                     if star < n and failed_suffix:
                         replay = failed_suffix.get((depth, p))
                         if replay is not None:
-                            candidates += replay - len(window) + window.index(p)
+                            # the window's candidates before p are free
+                            candidates += replay - size + free[start:p].count(True)
                             backtracks += replay
                             star = n
                             break
@@ -292,16 +324,38 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
             # the next window starts at the first SNR <= upper; a NaN
             # bound (inf - inf) admits nobody
             nxt = bisect_left(neg, -upper) if upper == upper else n
-            free[p] = False
-            if (close(nxt, t_here) if depth + 2 == k
-                    else search(depth + 1, nxt, t_here, p if p > top else top)):
+            # its free positions: p and slots 1..depth-1, all at most top,
+            # are taken
+            rest = n - nxt - (nxt <= p)
+            if nxt <= top:
+                rest -= free[nxt:top + 1].count(False)
+            if closing:
+                if p == q_all:
+                    # every later candidate lies past last_end, so its
+                    # window starts past Q and fails with either Q
+                    q = last_free(p)
+                    end = cap_ends.get(q, q)
+                if nxt >= end:  # no candidate before end: fail as close does
+                    candidates += rest
+                    backtracks += rest + 1
+                    continue
+                free[p] = False
+                done = close(nxt, rest, t_here, q, end)
+                end = cap_ends.get(q, q)
+            elif rest:
+                free[p] = False
+                done = search(depth + 1, nxt, rest, t_here, p if p > top else top)
+            else:  # an empty window fails with no candidate
+                backtracks += 1
+                continue
+            if done:
                 chosen.append(p)
                 return True
             free[p] = True
             backtracks += 1
         if 0 <= star < n:
             failed_suffix[depth, star] = backtracks - suffix_entry
-        if top <= start < n:
+        if top <= start:
             if len(failed) >= _FAILURE_CACHE_ENTRIES:
                 failed.clear()
             failed[depth, start, top == start, t_prev] = backtracks - entry
@@ -313,9 +367,10 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         chosen.append(0)
         found = last_end > 0
     elif k == 2:
-        found = close(0, math.inf)
+        q = last_free(last_end)
+        found = q > 0 and close(0, n, math.inf, q, q)
     else:
-        found = search(1, 0, math.inf, -1)
+        found = search(1, 0, n, math.inf, -1)
     if not found:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"

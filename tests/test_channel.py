@@ -165,8 +165,9 @@ def test_sr_snr_below_is_the_sampled_comparison(shadowing, tx_power):
 @pytest.mark.parametrize("shadowing", [HEAVY, AVERAGE], ids=["heavy", "average"])
 def test_sr_snr_below_at_the_triangle_bounds(monkeypatch, shadowing):
     # a LOS phase along the scatter or against it puts the SNR on an end of
-    # the triangle-inequality interval, where only the slack keeps the
-    # bounds from settling a draw wrongly (a zero slack fails here)
+    # the triangle-inequality interval, R = |n| + a or D = ||n| - a|, where
+    # only the margins of the scalar cutoffs U = s*_BELOW_CUT and V =
+    # s*_NOT_BELOW_CUT keep a draw from being settled wrongly
     sr = SrParams(tx_power=1000.0, **shadowing)
     amp, phase, scatter_re, scatter_im = channel._sr_fade(sr, 1000, default_rng(5))
     phase = np.arctan2(scatter_im, scatter_re) % (2.0 * np.pi)
@@ -232,6 +233,45 @@ def test_sr_snr_below_at_its_cutoffs(monkeypatch, shadowing):
                 assert composed == [fade[0].size], (tx_power, threshold)
         if settles:  # on the cutoff fade some draws settle and some do not
             assert 0 < sum(composed) < fade[0].size, (tx_power, threshold)
+
+
+def _margin_fade(root, rng, count):
+    # LOS along a scatter of modulus root/2 puts R = |n| + a up to four
+    # half-ulps below root; LOS against a scatter of modulus 2**8 * root
+    # puts D = ||n| - a| within 300 ulps of root, on either side.  cos and
+    # sin round, so the composed |z| strays from those ends by a few ulps
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    re, im = 0.5 * root * np.cos(theta), 0.5 * root * np.sin(theta)
+    along = root * (1.0 + rng.integers(-4, 0, count) * 2.0**-53) - np.sqrt(re * re + im * im)
+    far_re, far_im = 2.0**8 * re, 2.0**8 * im
+    against = (np.sqrt(far_re * far_re + far_im * far_im)
+               - root * (1.0 + rng.integers(-300, 301, count) * 2.0**-52))
+    return (np.concatenate([along, against]),
+            np.concatenate([theta, (theta + np.pi) % (2.0 * np.pi)]),
+            np.concatenate([re, far_re]), np.concatenate([im, far_im]))
+
+
+def test_sr_snr_below_margins_at_the_threshold(monkeypatch):
+    # draws whose composed SNR lands within a few ulps of the bundled
+    # thresholds, with R just below s or D just above it.  Some compose to
+    # the other side of the threshold, so cutoffs at s itself (_BELOW_CUT
+    # or _NOT_BELOW_CUT 1.0) would settle them wrongly; the margins must not
+    sr = SrParams(tx_power=1000.0, **HEAVY)
+    rng = default_rng(12)
+    wrong_below = wrong_not_below = 0
+    for k, r in ((2, 0.02), (3, 0.5), (3, 1.0)):
+        threshold = _phase2_threshold(k, r)
+        root = math.sqrt(threshold / sr.tx_power)
+        fade = _margin_fade(root, rng, 2000)
+        monkeypatch.setattr(channel, "_sr_fade", lambda *_: fade)
+        want = channel._sr_power(sr, *fade) < threshold
+        assert np.array_equal(sr_snr_below(sr, fade[0].size, None, threshold), want), threshold
+        amp, _, re, im = fade
+        modulus = np.sqrt(re * re + im * im)
+        radius, gap = modulus + amp, np.abs(modulus - amp)
+        wrong_below += np.count_nonzero((radius < root) & ~want)
+        wrong_not_below += np.count_nonzero((gap > root) & (radius < 2.0**10 * root) & want)
+    assert wrong_below > 0 and wrong_not_below > 0
 
 
 @pytest.mark.parametrize("shadowing", [HEAVY, AVERAGE, dict(omega=2.0, b0=0.5, m_s=1.0)],

@@ -412,6 +412,34 @@ def test_gius_exponential_stall_replays_window_suffixes():
                                                  backtracks=11_682_786)
 
 
+def test_gius_skipped_windows_match_scan_version():
+    # gius counts each window from the taken positions without building
+    # it, fails an empty window below a slot 1..K-2 candidate in the parent,
+    # finds Q once per slot K-2 walk (again only when the candidate is Q),
+    # and fails at the caller a slot K-1 window that starts at or after Q
+    # or after where a walk under the same Q met a cap below S_Q.  The
+    # picks, rate report and both counters stay those of the full search.
+    # Counted in a scratch copy: over the 64 csi_online frames of seed 2
+    # (32 of them with k >= 3) empty windows were failed in the parent on
+    # 13 frames, Q moved on 26, a window failed at Q on 32 (on 21 starting
+    # exactly at Q) and at a learned cap on 19, and a search window began
+    # at or before its own candidate on 18.  Over the 1,085 (draw, k)
+    # pairs of the small-integer draws: 409, 179, 209 (71), 13 and 444,
+    # and on 218 the window count skipped a taken position of an ancestor
+    instances = [(csi, r, [determine_k(csi, r)]) for r, csi in oracles.csi_online_frames(64, 2)]
+    rng = np.random.default_rng(84)
+    for i in range(150):
+        csi = CsiRealization(rng.integers(0, 6, size=int(rng.integers(4, 11))).astype(float),
+                             BIG_SAT)
+        instances.append((csi, (0.3, 0.5, 0.9)[i % 3], range(1, csi.n_users + 1)))
+    compared = 0
+    for csi, r, ks in instances:
+        for k in ks:
+            assert _outcome(gius, csi, k, r) == _outcome(oracles.gius_scan, csi, k, r), (csi, r, k)
+            compared += 1
+    assert compared == 1149
+
+
 def test_lbus_matches_two_sort_version():
     # same picks, power split, rate report and candidate count as the
     # version with a descending argsort and two more sorts; k one above
