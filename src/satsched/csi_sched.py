@@ -368,7 +368,7 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         found = last_end > 0
     elif k == 2:
         q = last_free(last_end)
-        found = q > 0 and close(0, n, math.inf, q, q)
+        found = close(0, n, math.inf, q, q)
     else:
         found = search(1, 0, n, math.inf, -1)
     if not found:

@@ -307,7 +307,11 @@ def test_gius_matches_scan_version_beyond_determine_k():
 # seeds of the draws at r_target 0.3 on which gius's failure cache hits
 # and the scan version ends within 50 ms: N=22-27 small integers in [0, 12)
 # and N=32 exponential(10) SNRs.  Small-integer seed 69 hit only at slot
-# K-1, which has no key since gius settles slots K-1 and K in one pass
+# K-1, which has no key since gius settles slots K-1 and K in one pass.
+# Recounted with empty and hopeless windows failed at the caller: the subtree
+# memo replays on 20 of the 21 small-integer seeds (not 69) and 26 of the
+# 28 exponential ones (not 47 or 81, where the suffix memo takes them),
+# the suffix memo on 18 (not 117, 155 or 272) and on all 28
 _TIED_CACHE_SEEDS = (14, 21, 23, 32, 58, 63, 69, 99, 116, 117, 155, 167, 176, 202,
                      218, 232, 258, 272, 283, 290, 296)
 _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63, 71,
@@ -318,7 +322,8 @@ _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63
 def _scan_outcomes_where_the_cache_hits():
     """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
     csi_online decisions, of which 35 replay a failed subtree from the
-    exact cache and 65 a failed window suffix, and the seeded draws above."""
+    exact cache and 65 a failed window suffix (the same counts with
+    windows failed at the caller), and the seeded draws above."""
     instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
     for seed in _TIED_CACHE_SEEDS:
         rng = np.random.default_rng(seed)
@@ -417,15 +422,18 @@ def test_gius_skipped_windows_match_scan_version():
     # it, fails an empty window below a slot 1..K-2 candidate in the parent,
     # finds Q once per slot K-2 walk (again only when the candidate is Q),
     # and fails at the caller a slot K-1 window that starts at or after Q
-    # or after where a walk under the same Q met a cap below S_Q.  The
-    # picks, rate report and both counters stay those of the full search.
-    # Counted in a scratch copy: over the 64 csi_online frames of seed 2
-    # (32 of them with k >= 3) empty windows were failed in the parent on
-    # 13 frames, Q moved on 26, a window failed at Q on 32 (on 21 starting
-    # exactly at Q) and at a learned cap on 19, and a search window began
-    # at or before its own candidate on 18.  Over the 1,085 (draw, k)
-    # pairs of the small-integer draws: 409, 179, 209 (71), 13 and 444,
-    # and on 218 the window count skipped a taken position of an ancestor
+    # or at or after where a walk under the same Q met a cap below S_Q.
+    # The picks, rate report and both counters stay those of the full
+    # search.  A window that starts exactly at that end fails the same way
+    # in close, which walks an empty range, so > in place of >= there
+    # changes no outcome.  Counted in an instrumented copy: over the 64
+    # csi_online frames of seed 2 (32 of them with k >= 3) empty windows
+    # were failed in the parent on 13 frames, Q moved on 26, a window
+    # failed at Q on 32 (on 21 starting exactly at Q) and at a learned cap
+    # on 19, and a search window began at or before its own candidate on
+    # 18.  Over the 1,085 (draw, k) pairs of the small-integer draws: 409,
+    # 179, 209 (71), 13 and 444, and on 218 the window count skipped a
+    # taken position of an ancestor
     instances = [(csi, r, [determine_k(csi, r)]) for r, csi in oracles.csi_online_frames(64, 2)]
     rng = np.random.default_rng(84)
     for i in range(150):
