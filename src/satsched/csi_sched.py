@@ -15,9 +15,10 @@ one pass, which compares each slot K-1 candidate's bound with one SNR in
 place of a bisect and a count, and ends where the candidates that can
 still close the chain end; failed subtrees of slots 1..K-2, and failed
 window suffixes from where a slot's cap S/gamma_t binds its budget, are
-replayed from per-call caches.  Windows are counted from the path's
-taken positions, not built, and the caller fails a window that is empty
-or, at slot K-1, holds no candidate that could close, without a call.
+replayed from per-call caches, freed when the call returns.  Windows are
+counted from the path's taken positions, not built, and the caller fails
+a window that is empty or, at slot K-1, holds no candidate that could
+close, without a call.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -86,8 +87,8 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     return len(_economy_recursion(np.sort(csi.user_snrs).tolist(), upper, gamma_t))
 
 
-# gius clears its failure cache at this many entries, so one call's memory
-# stays bounded whatever the instance
+# gius clears its failure cache at this many entries, so the cache stays
+# bounded within a call whatever the instance; it is freed on return
 _FAILURE_CACHE_ENTRIES = 1 << 16
 
 
@@ -191,9 +192,8 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     enters only subtractions and comparisons, which treat +0.0 and -0.0
     alike, so the two zeros may share a key.  A NaN budget never hits: it
     comes with start == N, an empty window that is never searched (and
-    NaN != NaN besides).  Every failed search is stored, and the cache,
-    which lives for one call, is cleared when it holds
-    _FAILURE_CACHE_ENTRIES keys.
+    NaN != NaN besides).  Every failed search is stored, and the cache is
+    cleared when it holds _FAILURE_CACHE_ENTRIES keys.
 
     A failed window suffix is not searched again either.  Along a window
     t_prev - S_p only rises and S_p/gamma_t only falls, rounding being
@@ -212,6 +212,11 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     (depth, p*); a later window with the key adds both counts and fails,
     and its own subtree entry stores the total.  This memo holds at most
     (K-2)*N keys, so it is never cleared.
+
+    Both memos and the rest of the search state are freed when the call
+    returns: search refers to itself through its closure cell, so gius
+    drops that reference once the search is done, and no cycle is left for
+    the cyclic collector to find inside some later call.
     """
     gamma_t = _entry_checks(csi, k, r_target)
     s = csi.user_snrs
@@ -371,6 +376,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         found = close(0, n, math.inf, q, q)
     else:
         found = search(1, 0, n, math.inf, -1)
+    # search holds itself through its closure cell; breaking that cycle lets
+    # reference counting free the call's memos and closures on return
+    search = None
     if not found:
         raise InternalConsistencyError(
             "first-slot candidates exhausted although k came from determine_k"

@@ -3,19 +3,25 @@ tests, every private definition one in the package, every record field a
 reader there, every config field is set by a bundled table or the
 benchmark, the package imports nothing beyond the standard library and
 numpy, the benchmark's tracer finds every function it wraps, the
-benchmark's tables are valid configs, and the README's python examples
-run as written."""
+benchmark's tables are valid configs, the package leaves no reference
+cycle behind, and the README's python examples run as written."""
 
 import ast
 import dataclasses
+import gc
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
-from satsched import cli
-from satsched.harness import SCENARIOS, ExperimentConfig
+import numpy as np
+
+import oracles
+from satsched import cli, csi_bounds, csi_sched, errors
+from satsched.channel import CsiRealization
+from satsched.harness import SCENARIOS, ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satsched"
@@ -235,6 +241,39 @@ def test_benchmark_tables_are_valid_configs(tmp_path, monkeypatch):
         assert config["trials"] == workloads.TABLES[name][1]
         assert cli._SUBCOMMANDS[argv[0]][0] == config["scenario"], name
         assert ExperimentConfig.from_dict(config).scenario == config["scenario"]
+
+
+def test_no_path_leaves_a_reference_cycle():
+    # reference counting frees garbage the moment it drops, but a cycle
+    # waits for the cyclic collector, whose collections then fire inside
+    # whichever later call allocates.  With the collector off, every bundled
+    # table, each CSI scheduler on the benchmark's online frames, and gius
+    # on the tied stall instance of test_csi_sched.py must leave nothing
+    configs = [json.loads(path.read_text()) for path in sorted((SRC / "configs").glob("*.json"))]
+    frames = oracles.csi_online_frames(64, 1)
+    stall = CsiRealization(np.array([1, 8, 6, 9, 5, 5, 1, 1, 0, 11, 4, 3, 10, 2, 5, 10, 1, 6,
+                                     5, 2, 3, 9, 10, 9, 11, 6, 9], dtype=float), float(2**60))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for raw in configs:
+            run_experiment(ExperimentConfig.from_dict({**raw, "trials": 2}))
+        for r, csi in frames:
+            k = csi_sched.determine_k(csi, r)
+            csi_sched.gius(csi, k, r)
+            csi_sched.lbus(csi, k, r)
+            csi_sched.baseline_tdma(csi, k, r)
+            csi_sched.baseline_opportunistic(csi, r)
+            csi_bounds.sum_rate_bounds(csi, k, r)
+            if math.comb(csi.n_users, k) <= errors._MAX_SUBSETS:
+                csi_sched.exhaustive(csi, k, r)
+        csi_sched.gius(stall, 14, 0.3)
+        left = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == 0, f"{left} objects were left for the cyclic collector"
 
 
 def test_readme_python_examples_run():
