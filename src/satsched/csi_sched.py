@@ -13,12 +13,12 @@ descending SNR order, found by bisection; walking it visits the candidates
 in the order a scan of all N users would.  Slots K-1 and K are settled in
 one pass, which compares each slot K-1 candidate's bound with one SNR in
 place of a bisect and a count, and ends where the candidates that can
-still close the chain end; failed subtrees of slots 1..K-2, and failed
-window suffixes from where a slot's cap S/gamma_t binds its budget, are
-replayed from per-call caches, freed when the call returns.  Windows are
-counted from the path's taken positions, not built, and the caller fails
-a window that is empty or, at slot K-1, holds no candidate that could
-close, without a call.
+still close the chain end.  The path's picks are the bits of one int, so
+windows are counted, not built, and the caller fails a window that is
+empty or, at slot K-1, holds no candidate that could close.  Failed
+subtrees of slots 1..K-2, and failed window suffixes from where a slot's
+cap S/gamma_t binds its budget, are replayed from per-call memos whose
+keys carry the taken positions they depend on.
 
 lbus: low-complexity selection seeded by the economy profile, on a single
 ascending sort of the SNRs.  The first slot is pinned to the strongest
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -87,8 +87,8 @@ def determine_k(csi: CsiRealization, r_target: float) -> int:
     return len(_economy_recursion(np.sort(csi.user_snrs).tolist(), upper, gamma_t))
 
 
-# gius clears its failure cache at this many entries, so the cache stays
-# bounded within a call whatever the instance; it is freed on return
+# gius clears its failure memos when they hold this many entries, so they
+# stay bounded within a call whatever the instance; they are freed on return
 _FAILURE_CACHE_ENTRIES = 1 << 16
 
 
@@ -157,61 +157,39 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     stay those of the full search.  Only the closing candidate bisects,
     counts slot K's window and takes its first position.
 
-    No window is built.  The taken positions are the picks of slots
-    1..K-2 on the current path, all at most top or the candidate itself,
-    so a window's free count is N - start less the taken positions among
-    start..top, one short slice, and the walk takes the free positions
-    lazily.  Calls that cannot change the outcome are not made:
-    - A window below a candidate that holds no free position fails with
-      no candidate and no backtrack, so the parent adds only its own
-      backtrack.  It stores no cache entry; such an entry replays zero,
-      and the cache is exact, so only the speed changes.
-    - Slot K-2's walk finds Q once.  Taking a candidate moves Q only when
-      the candidate is Q, and every later candidate lies at or past
-      last_end, so its slot K-1 window starts past both Qs and fails
-      either way.
-    - A slot K-1 window that starts at or after Q, or at or after the
-      position where a walk under the same Q met a cap S/gamma_t - 1
-      below S_Q, has no candidate that close would test: caps fall along
-      the order.  The caller adds its free count to both counters, as
-      close does.  close keeps every closing comparison.
+    No window is built: the picks of the current path are the bits of one
+    int, taken, so a window's free count is N - start less the taken bits
+    from start on, and the walk tests each position's bit.  The caller
+    fails, with the counts a call would add, a window that holds no free
+    position and a slot K-1 window that starts at or after Q, where close
+    would test no candidate.  Slot K-2's walk finds Q once: taking a
+    candidate moves Q only when the candidate is Q, and every later
+    candidate lies at or past last_end, so its slot K-1 window starts past
+    both Qs and fails either way.
 
-    A subtree that failed is not searched again.  A window below a search
-    from start begins at the first position whose SNR is at most the bound
-    a pick p >= start set, and that bound is at most desc[p] <=
-    desc[start]; as start itself is the first position of its SNR value,
-    the search never looks before start.  When no position past start is
-    taken, except perhaps start itself, the subtree is then a function of
-    the key (depth, start, whether start is taken, t_prev).  A failed
-    subtree backtracks once per candidate it examines, so a failure stores
-    that one count under its key, and a later call with the key adds it to
-    both counters and fails at once: picks, candidates_examined and
-    backtracks stay those of the full search.  Only slots 1..K-2 are
-    keyed: a failed slot K-1 window costs at most one test per candidate,
-    and adds its length to both counters, as a replay would.  The budget
-    enters only subtractions and comparisons, which treat +0.0 and -0.0
-    alike, so the two zeros may share a key.  A NaN budget never hits: it
-    comes with start == N, an empty window that is never searched (and
-    NaN != NaN besides).  Every failed search is stored, and the cache is
-    cleared when it holds _FAILURE_CACHE_ENTRIES keys.
-
-    A failed window suffix is not searched again either.  Along a window
-    t_prev - S_p only rises and S_p/gamma_t only falls, rounding being
-    monotone, so from the first candidate p* whose cap binds, S_p/gamma_t
-    <= t_prev - S_p, every candidate passes S_p/gamma_t down whatever
-    t_prev was (a NaN budget never binds, inf binds at once).  When no
-    ancestor holds a position of p*'s SNR or after it, every position from
-    the first of p*'s SNR on is free but for what the suffix takes, and
-    every window below starts there or later; a Q before that lies before
-    every close start, where close fails with its size either way.  So the
-    suffix and its outcome are a function of (depth, p*).  A failed suffix
-    makes G backtracks, one per candidate plus its children's, and the
-    children examined as many candidates as they backtracked, so it adds
-    G to backtracks and G minus its length to candidates_examined, which
-    counted the whole window at entry.  The first failure stores G under
-    (depth, p*); a later window with the key adds both counts and fails,
-    and its own subtree entry stores the total.  This memo holds at most
-    (K-2)*N keys, so it is never cleared.
+    Failures of slots 1..K-2 are replayed, not searched again.  A failed
+    search backtracks once per candidate it examines, its children's
+    included, so a per-call memo stores its counts under a key that
+    carries every taken position it can see, and a later search with the
+    key adds them and fails: picks and both counters stay those of the
+    full search.
+    - A window below a pick p starts at the first position whose SNR is
+      at most the bound p set, at most S_p, so a search from start, the
+      first position of its SNR, never looks before start, and a Q before
+      start fails every slot K-1 window either way.  A failed subtree is
+      keyed on (depth, start, taken >> start, t_prev).
+    - Along a window t_prev - S_p only rises and S_p/gamma_t only falls,
+      rounding being monotone, so from the first candidate p* whose cap
+      binds, S_p/gamma_t <= t_prev - S_p, every candidate passes
+      S_p/gamma_t down whatever t_prev was, and every window below starts
+      at or after first, the first position of p*'s SNR.  A failed suffix
+      from p* is keyed on (depth, p*, taken >> first); its G backtracks
+      add G less its length to candidates_examined, which counted the
+      whole window at entry.
+    The two zeros may share a key, as the budget enters only subtractions
+    and comparisons.  A suffix is stored only with its window's subtree,
+    and both memos are cleared when the subtree memo holds
+    _FAILURE_CACHE_ENTRIES keys.
 
     Both memos and the rest of the search state are freed when the call
     returns: search refers to itself through its closure cell, so gius
@@ -235,37 +213,29 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
     # the last slot's window ends where SNRs drop below gamma_t; the other
     # slots' floor is the smallest SNR, so their windows run to the end
     last_end = bisect_right(neg, -gamma_t)
-    free = [True] * n
+    before_end = (1 << last_end) - 1  # the bits of the positions before last_end
     candidates = 0
     backtracks = 0
     chosen: list[int] = []  # on success, slot K's pick first
-    # (depth, start, start taken, t_prev) -> the candidates a failed subtree
-    # examined, which are also the backtracks it made
-    failed: dict[tuple[int, int, bool, float], int] = {}
-    # (depth, p*) -> the backtracks of a failed window suffix from p*, the
-    # first candidate whose cap S/gamma_t binds the budget
-    failed_suffix: dict[tuple[int, int], int] = {}
-    # Q -> where a slot K-1 walk under Q met a cap S/gamma_t - 1 below S_Q;
-    # caps fall along the order, so every later position fails it too
-    cap_ends: dict[int, int] = {}
+    # (depth, start, taken >> start, t_prev) -> the candidates a failed
+    # subtree examined, which are also the backtracks it made
+    failed: dict[tuple[int, int, int, float], int] = {}
+    # (depth, p*, taken >> first) -> the backtracks of a failed window
+    # suffix from p*, the first candidate whose cap S/gamma_t binds the budget
+    failed_suffix: dict[tuple[int, int, int], int] = {}
 
-    def last_free(below: int) -> int:
-        """Q: the largest free position before below, -1 for none."""
-        q = below - 1
-        while q >= 0 and not free[q]:
-            q -= 1
-        return q
-
-    def close(start: int, size: int, t_prev: float, q: int, end: int) -> bool:
+    def close(start: int, size: int, t_prev: float, q: int, taken: int) -> bool:
         """Fill slot K-1 from the size free positions from start on, and
         slot K; on success both picks are on chosen, slot K's first.  t_prev
-        is T, the budget slot K-2 left, q is Q, and the walk stops at end,
-        Q or cap_ends[Q]."""
+        is T, the budget slot K-2 left, q is Q, and taken holds the picks of
+        slots 1..K-2."""
         nonlocal candidates, backtracks
         s_q = desc[q]
-        for tried, p in enumerate(compress(range(start, end), free[start:end])):
+        tried = 0
+        for p in range(start, q):
+            if taken >> p & 1:
+                continue
             if absorb[p] - 1.0 < s_q:
-                cap_ends[q] = p
                 break
             s_p = desc[p]
             # slot K's bound already makes T_K >= 1
@@ -276,25 +246,29 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
                 upper = t_here - 1.0
                 if s_p < upper:
                     upper = s_p
-                free[p] = False
+                taken |= 1 << p
                 nxt = bisect_left(neg, -upper)
-                found = free[nxt:last_end].count(True)
-                candidates += size + found
+                # slot K's window: the free positions from nxt to last_end
+                candidates += size + last_end - nxt - ((taken & before_end) >> nxt).bit_count()
                 backtracks += tried
-                chosen.extend((free.index(True, nxt, last_end), p))
+                while taken >> nxt & 1:
+                    nxt += 1
+                chosen.extend((nxt, p))
                 return True
+            tried += 1
         candidates += size
         backtracks += size
         return False
 
-    def search(depth: int, start: int, size: int, t_prev: float, top: int) -> bool:
+    def search(depth: int, start: int, size: int, t_prev: float, taken: int) -> bool:
         """Fill slot depth < k - 1 from the size > 0 free positions from
-        start on; on success the picks of slots K..depth are on chosen.  top
-        is the largest position taken by slots 1..depth-1, -1 for none."""
+        start on; on success the picks of slots K..depth are on chosen.
+        taken holds the picks of slots 1..depth-1."""
         nonlocal candidates, backtracks
-        # while the cache is empty a call pays no key for it
-        if failed and top <= start:
-            replay = failed.get((depth, start, top == start, t_prev))
+        key = (depth, start, taken >> start, t_prev)
+        # while the memo is empty a call pays no lookup
+        if failed:
+            replay = failed.get(key)
             if replay is not None:
                 candidates += replay
                 backtracks += replay
@@ -304,24 +278,27 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         l_rest = lmin[k - depth - 1]
         closing = depth + 2 == k
         if closing:
-            q = q_all = last_free(last_end)
-            end = cap_ends.get(q, q)
-        star = -1  # p* once the cap binds; n if it has no key or was replayed
-        for p in compress(range(start, n), free[start:]):
+            q = q_all = (before_end & ~taken).bit_length() - 1
+        suffix = None  # p*'s key, once the cap binds
+        for p in range(start, n):
+            if taken >> p & 1:
+                continue
             s_p = desc[p]
             t_here = t_prev - s_p
             if absorb[p] <= t_here:
                 t_here = absorb[p]
-                if star < 0:
-                    star = p if top < 0 or desc[top] > s_p else n
+                if suffix is None:
+                    # first: p, unless an earlier position ties S_p (at p = 0
+                    # desc[-1] ties it only if every SNR does)
+                    first = p if desc[p - 1] != s_p else bisect_left(neg, -s_p)
+                    suffix = (depth, p, taken >> first)
                     suffix_entry = backtracks
-                    if star < n and failed_suffix:
-                        replay = failed_suffix.get((depth, p))
+                    if failed_suffix:
+                        replay = failed_suffix.get(suffix)
                         if replay is not None:
-                            # the window's candidates before p are free
-                            candidates += replay - size + free[start:p].count(True)
+                            # the free positions from p on were counted at entry
+                            candidates += replay - (n - p - (taken >> p).bit_count())
                             backtracks += replay
-                            star = n
                             break
             upper = t_here - 1.0 - l_rest
             if s_p < upper:
@@ -329,41 +306,33 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
             # the next window starts at the first SNR <= upper; a NaN
             # bound (inf - inf) admits nobody
             nxt = bisect_left(neg, -upper) if upper == upper else n
-            # its free positions: p and slots 1..depth-1, all at most top,
-            # are taken
-            rest = n - nxt - (nxt <= p)
-            if nxt <= top:
-                rest -= free[nxt:top + 1].count(False)
+            # its free positions: p and the picks of slots 1..depth-1 are taken
+            rest = n - nxt - (nxt <= p) - (taken >> nxt).bit_count()
             if closing:
                 if p == q_all:
                     # every later candidate lies past last_end, so its
                     # window starts past Q and fails with either Q
-                    q = last_free(p)
-                    end = cap_ends.get(q, q)
-                if nxt >= end:  # no candidate before end: fail as close does
+                    q = ((1 << p) - 1 & ~taken).bit_length() - 1
+                if nxt >= q:  # no candidate before Q: fail as close does
                     candidates += rest
                     backtracks += rest + 1
                     continue
-                free[p] = False
-                done = close(nxt, rest, t_here, q, end)
-                end = cap_ends.get(q, q)
+                done = close(nxt, rest, t_here, q, taken | 1 << p)
             elif rest:
-                free[p] = False
-                done = search(depth + 1, nxt, rest, t_here, p if p > top else top)
+                done = search(depth + 1, nxt, rest, t_here, taken | 1 << p)
             else:  # an empty window fails with no candidate
                 backtracks += 1
                 continue
             if done:
                 chosen.append(p)
                 return True
-            free[p] = True
             backtracks += 1
-        if 0 <= star < n:
-            failed_suffix[depth, star] = backtracks - suffix_entry
-        if top <= start:
-            if len(failed) >= _FAILURE_CACHE_ENTRIES:
-                failed.clear()
-            failed[depth, start, top == start, t_prev] = backtracks - entry
+        if len(failed) >= _FAILURE_CACHE_ENTRIES:
+            failed.clear()
+            failed_suffix.clear()
+        if suffix is not None:
+            failed_suffix[suffix] = backtracks - suffix_entry
+        failed[key] = backtracks - entry
         return False
 
     if k == 1:
@@ -372,10 +341,9 @@ def gius(csi: CsiRealization, k: int, r_target: float) -> SchedulerOutcome:
         chosen.append(0)
         found = last_end > 0
     elif k == 2:
-        q = last_free(last_end)
-        found = close(0, n, math.inf, q, q)
+        found = close(0, n, math.inf, last_end - 1, 0)
     else:
-        found = search(1, 0, n, math.inf, -1)
+        found = search(1, 0, n, math.inf, 0)
     # search holds itself through its closure cell; breaking that cycle lets
     # reference counting free the call's memos and closures on return
     search = None

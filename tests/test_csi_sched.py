@@ -3,6 +3,7 @@ exhaustive enumeration, and the two baselines, pinned to hand traces and
 brute-force oracles."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -308,10 +309,11 @@ def test_gius_matches_scan_version_beyond_determine_k():
 # and the scan version ends within 50 ms: N=22-27 small integers in [0, 12)
 # and N=32 exponential(10) SNRs.  Small-integer seed 69 hit only at slot
 # K-1, which has no key since gius settles slots K-1 and K in one pass.
-# Recounted with empty and hopeless windows failed at the caller: the subtree
-# memo replays on 20 of the 21 small-integer seeds (not 69) and 26 of the
-# 28 exponential ones (not 47 or 81, where the suffix memo takes them),
-# the suffix memo on 18 (not 117, 155 or 272) and on all 28
+# Recounted with empty and hopeless windows failed at the caller, and again
+# with keys that carry the taken positions: the subtree memo replays on 20
+# of the 21 small-integer seeds (not 69) and 26 of the 28 exponential ones
+# (not 47 or 81, where the suffix memo takes them), the suffix memo on 18
+# (not 117, 155 or 272) and on all 28
 _TIED_CACHE_SEEDS = (14, 21, 23, 32, 58, 63, 69, 99, 116, 117, 155, 167, 176, 202,
                      218, 232, 258, 272, 283, 290, 296)
 _EXPONENTIAL_CACHE_SEEDS = (1, 2, 17, 19, 22, 40, 41, 45, 47, 51, 56, 57, 62, 63, 71,
@@ -323,7 +325,8 @@ def _scan_outcomes_where_the_cache_hits():
     """(csi, r_target, k, scan outcome) at k = determine_k: the first 256
     csi_online decisions, of which 35 replay a failed subtree from the
     exact cache and 65 a failed window suffix (the same counts with
-    windows failed at the caller), and the seeded draws above."""
+    windows failed at the caller and with keys that carry the taken
+    positions), and the seeded draws above."""
     instances = [(csi, r) for r, csi in oracles.csi_online_frames(256)]
     for seed in _TIED_CACHE_SEEDS:
         rng = np.random.default_rng(seed)
@@ -367,17 +370,19 @@ def test_gius_tied_stall_replays_its_failures():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gius_suffix_replay_matches_scan_version():
     # a failed window suffix from p*, the first candidate whose cap
-    # S/gamma_t binds its budget, is replayed by (depth, p*): the picks,
-    # rate report and both counters stay those of the full search.  The
-    # key is refused when an ancestor ties p*'s SNR.  One slot below a pick
-    # of the same SNR the cap binds only if S/gamma_t - S rounds back to
-    # S/gamma_t, at gamma_t below about 2**-53 or where S/gamma_t
-    # overflows, hence the tiny rate targets and the draws near the float
-    # limit.  Counted in a scratch copy: the memo hit on 30 of the 128
-    # csi_online frames, 148 of the 200 small-integer draws, 161 of the 300
-    # at tiny rate targets (the key refused on 144, 94 of them with hits
-    # too) and 102 of the 300 near the float limit (refused on 53).  The
-    # 1e308 instances make the window bound inf - inf = NaN
+    # S/gamma_t binds its budget, is replayed by (depth, p*, the taken
+    # positions from the first of p*'s SNR on): the picks, rate report and
+    # both counters stay those of the full search.  Those positions hold
+    # any ancestor that ties p*'s SNR.  One slot below a pick of the same
+    # SNR the cap binds only if S/gamma_t - S rounds back to S/gamma_t, at
+    # gamma_t below about 2**-53 or where S/gamma_t overflows, hence the
+    # tiny rate targets and the draws near the float limit.  Counted in an
+    # instrumented copy: the memo hit on 30 of the 128 csi_online frames,
+    # 148 of the 200 small-integer draws, 67 of the 300 at tiny rate
+    # targets and 92 of the 300 near the float limit, and the subtree memo,
+    # which is looked up first, on 171 and 134 of those; an ancestor tied
+    # p*'s SNR on 144 and 53 of them, with no hit there.  The 1e308
+    # instances make the window bound inf - inf = NaN
     instances = [(csi, r, [determine_k(csi, r)]) for r, csi in oracles.csi_online_frames(128, 1)]
     rng = np.random.default_rng(82)
     for i in range(200):
@@ -421,19 +426,17 @@ def test_gius_skipped_windows_match_scan_version():
     # gius counts each window from the taken positions without building
     # it, fails an empty window below a slot 1..K-2 candidate in the parent,
     # finds Q once per slot K-2 walk (again only when the candidate is Q),
-    # and fails at the caller a slot K-1 window that starts at or after Q
-    # or at or after where a walk under the same Q met a cap below S_Q.
+    # and fails at the caller a slot K-1 window that starts at or after Q.
     # The picks, rate report and both counters stay those of the full
-    # search.  A window that starts exactly at that end fails the same way
-    # in close, which walks an empty range, so > in place of >= there
-    # changes no outcome.  Counted in an instrumented copy: over the 64
-    # csi_online frames of seed 2 (32 of them with k >= 3) empty windows
-    # were failed in the parent on 13 frames, Q moved on 26, a window
-    # failed at Q on 32 (on 21 starting exactly at Q) and at a learned cap
-    # on 19, and a search window began at or before its own candidate on
-    # 18.  Over the 1,085 (draw, k) pairs of the small-integer draws: 409,
-    # 179, 209 (71), 13 and 444, and on 218 the window count skipped a
-    # taken position of an ancestor
+    # search.  A window that starts exactly at Q fails the same way in
+    # close, which walks an empty range, so > in place of >= there changes
+    # no outcome.  Counted in an instrumented copy: over the 64 csi_online
+    # frames of seed 2 (57 of them with k >= 3) empty windows were failed
+    # in the parent on 13 frames, Q moved on 26, a window failed at Q on 32
+    # (on 21 starting exactly at Q), and a search window began at or before
+    # its own candidate on 18.  Over the 1,085 (draw, k) pairs of the
+    # small-integer draws: 409, 179, 209 (71) and 444, and on 218 the
+    # window count skipped a taken position of an ancestor
     instances = [(csi, r, [determine_k(csi, r)]) for r, csi in oracles.csi_online_frames(64, 2)]
     rng = np.random.default_rng(84)
     for i in range(150):
@@ -446,6 +449,47 @@ def test_gius_skipped_windows_match_scan_version():
             assert _outcome(gius, csi, k, r) == _outcome(oracles.gius_scan, csi, k, r), (csi, r, k)
             compared += 1
     assert compared == 1149
+
+
+def test_gius_matches_scan_version_past_one_machine_word():
+    # N = 65-100, so the taken mask runs past 64 bits, and 48 of the 156
+    # pairs pick a position past 64.  Exponential(10) SNRs at r_target 0.9
+    # and integers 0-29 at 0.6, where both memos replay, at k = 1, 2 and
+    # one or two slots below determine_k, where the scan version stays
+    # within about 0.1 s; at r_target 1.2 and 1.8 also at determine_k.
+    # Counted in an instrumented copy: the subtree memo replayed on 12 of
+    # the 156 pairs and the suffix memo on 20
+    rng = np.random.default_rng(65)
+    compared = deep = 0
+    for i in range(48):
+        n = int(rng.integers(65, 101))
+        if i % 2:
+            snrs, r, below = rng.integers(0, 30, n).astype(float), (0.6, 1.8)[i // 2 % 2], 2
+        else:
+            snrs, r, below = rng.exponential(10.0, n), (0.9, 1.2)[i // 2 % 2], 1
+        csi = CsiRealization(snrs, BIG_SAT)
+        top = determine_k(csi, r)
+        rank = np.argsort(np.argsort(-snrs, kind="stable"))
+        for k in sorted({1, 2, top - below - 1, top - below} if r < 1.0 else {1, 2, top}):
+            new = _outcome(gius, csi, k, r)
+            assert new == _outcome(oracles.gius_scan, csi, k, r), (i, k)
+            compared += 1
+            deep += int(rank[list(new[0].users)].max()) >= 64
+    assert (compared, deep) == (156, 48)
+
+
+def test_gius_picks_and_counts_on_the_benchmark_frames():
+    # the users and both counters of gius at k = determine_k on the 3,072
+    # csi_online frames of seeds 0-2, hashed, so a rewrite of the search
+    # that moves any pick or count on the benchmark's frames fails here
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for r, csi in oracles.csi_online_frames(1024, seed):
+            k = determine_k(csi, r)
+            out = gius(csi, k, r) if k else None
+            digest.update(repr(out and (out.schedule.users, tuple(out.stats))).encode())
+    assert digest.hexdigest() == (
+        "8ddd1142233aaaa75870dba3180039c2ccf5430724594630101b00b841c636ca")
 
 
 def test_lbus_matches_two_sort_version():
